@@ -99,7 +99,8 @@ class SelectionRequest:
         Fleet tier, serial replicas: if the request has not completed
         this many milliseconds after arrival, duplicate it onto a
         second healthy replica — first result wins, the loser is
-        cancelled at its next layer boundary (DESIGN.md §9).
+        cancelled at its next layer boundary (DESIGN.md §9).  A fleet
+        with ``intra_concurrency > 1`` rejects it with ``ValueError``.
     memoize:
         Data-plane opt-out (DESIGN.md §12): ``False`` bypasses the
         request memo/coalescing cache entirely and forces a full pass;

@@ -16,6 +16,7 @@ clustering:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,46 +45,101 @@ class Clustering:
         return np.bincount(self.labels, minlength=self.num_clusters)
 
 
-def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = 50) -> Clustering:
+#: Lloyd iterations per k-means run.
+LLOYD_MAX_ITER = 50
+
+
+def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = LLOYD_MAX_ITER) -> Clustering:
     """Deterministic Lloyd's k-means over scalar scores."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1 or scores.size == 0:
         raise ValueError("scores must be a non-empty 1-D array")
-    k = min(k, np.unique(scores).size)
     if k <= 1:
-        labels = np.zeros(scores.size, dtype=np.int64)
-        center = np.array([scores.mean()])
-        inertia = float(np.square(scores - center[0]).sum())
-        return Clustering(labels=labels, centers=center, inertia=inertia)
+        return _one_cluster(scores)
+    ordered = np.sort(scores)
+    k = min(k, _distinct(ordered))
+    if k <= 1:
+        return _one_cluster(scores)
+    return _lloyd(scores, _quantile_centers(ordered.tolist(), k), max_iter)
 
-    # Quantile initialisation: evenly spaced percentiles of the data.
-    quantiles = (np.arange(k) + 0.5) / k
-    centers = np.quantile(scores, quantiles)
+
+def _one_cluster(scores: np.ndarray) -> Clustering:
+    center = np.add.reduce(scores) / scores.size  # bitwise scores.mean()
+    inertia = float(np.add.reduce(np.square(scores - center)))
+    return Clustering(
+        labels=np.zeros(scores.size, dtype=np.int64), centers=np.array([center]), inertia=inertia
+    )
+
+
+def _distinct(ordered: np.ndarray) -> int:
+    """Number of distinct values in a sorted array (``np.unique(...).size``)."""
+    return 1 + int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+
+
+def _quantile_centers(ordered: list[float], k: int) -> list[float]:
+    """Quantile initialisation: evenly spaced percentiles of the data.
+
+    Bitwise ``np.quantile(ordered, (np.arange(k) + 0.5) / k)``: numpy's
+    default linear estimator written out in float64 scalar arithmetic —
+    position ``(n - 1) * q``, then its two-sided interpolation between
+    the neighbouring order statistics — without its per-call overhead.
+    """
+    last = len(ordered) - 1
+    centers = []
+    for j in range(k):
+        position = last * ((j + 0.5) / k)
+        below = math.floor(position)
+        t = position - below
+        a, b = ordered[below], ordered[below + 1]
+        centers.append(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)
+    return centers
+
+
+def _lloyd(scores: np.ndarray, centers: list[float], max_iter: int) -> Clustering:
+    """Lloyd's iterations from the given initial centres.
+
+    Each centre is ``np.add.reduce`` over its members in index order,
+    divided by the count: bitwise ``scores[mask].mean()``.  A sum taken in
+    any other order (prefix sums, ``bincount`` weights, ``reduceat``)
+    differs in the last bit, and the prune decisions downstream would
+    drift.  After the first update only the clusters a point left or
+    joined are recomputed: the others would reproduce their centre.
+    """
+    k = len(centers)
     # Perturb exact duplicates so each centre owns a distinct region.
     for i in range(1, k):
         if centers[i] <= centers[i - 1]:
-            centers[i] = np.nextafter(centers[i - 1], np.inf)
+            centers[i] = math.nextafter(centers[i - 1], math.inf)
+    centers = np.array(centers)
 
+    column = scores[:, None]
     labels = np.zeros(scores.size, dtype=np.int64)
-    for _ in range(max_iter):
-        distances = np.abs(scores[:, None] - centers[None, :])
-        new_labels = distances.argmin(axis=1)
-        if np.array_equal(new_labels, labels) and _ > 0:
-            break
+    touched = range(k)
+    for iteration in range(max_iter):
+        new_labels = np.abs(column - centers).argmin(axis=1)
+        if iteration > 0:
+            if new_labels.tobytes() == labels.tobytes():
+                break
+            moved = new_labels != labels
+            touched = set(labels[moved].tolist()).union(new_labels[moved].tolist())
         labels = new_labels
-        for c in range(k):
-            mask = labels == c
-            if mask.any():
-                centers[c] = scores[mask].mean()
+        for c in touched:
+            members = scores[labels == c]
+            if members.size:
+                centers[c] = np.add.reduce(members) / members.size
 
-    # Drop empty clusters, then order by descending mean.
-    occupied = np.unique(labels)
-    centers = np.array([scores[labels == c].mean() for c in occupied])
-    order = np.argsort(-centers)
-    remap = {int(occupied[orig]): rank for rank, orig in enumerate(order)}
-    labels = np.array([remap[int(c)] for c in labels], dtype=np.int64)
-    centers = centers[order]
-    inertia = float(np.square(scores - centers[labels]).sum())
+    # Drop empty clusters, then order by descending mean.  After at least
+    # one update the occupied centres already are their members' means.
+    occupied = np.flatnonzero(np.bincount(labels, minlength=k))
+    if max_iter < 1:
+        centers[0] = np.add.reduce(scores) / scores.size
+    means = centers[occupied]
+    order = np.argsort(-means)
+    rank = np.empty(k, dtype=np.int64)
+    rank[occupied[order]] = np.arange(order.size)
+    labels = rank[labels]
+    centers = means[order]
+    inertia = float(np.add.reduce(np.square(scores - centers[labels])))
     return Clustering(labels=labels, centers=centers, inertia=inertia)
 
 
@@ -98,7 +154,9 @@ def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = 50) -> Clustering:
 MIN_SEPARATION = 7.0
 
 
-def _well_separated(scores: np.ndarray, clustering: Clustering, min_separation: float) -> bool:
+def _well_separated(
+    scores: np.ndarray, order: np.ndarray, clustering: Clustering, min_separation: float
+) -> bool:
     """True when every *adjacent pair* of clusters is statistically distinct.
 
     Distinctness is a dip test on the sorted scores: the empty gap at
@@ -109,20 +167,46 @@ def _well_separated(scores: np.ndarray, clustering: Clustering, min_separation: 
     small-sample half-splits of one blob (where k-means places the
     boundary at the widest internal gap, inflating centre distances
     but not the boundary-to-spacing ratio).
+
+    ``order`` sorts ``scores`` ascending.  When every cluster is a
+    contiguous run of the sorted scores (labels never rise along
+    ``order``), the within-cluster spacings and the boundary gaps are
+    exactly the sorted array's adjacent differences, so one ``diff``
+    serves every cluster.  Otherwise the test runs cluster by cluster.
     """
     k = clustering.num_clusters
     if k < 2:
         return True
+    labels = clustering.labels[order]
+    runs = labels[1:] - labels[:-1]
+    if (runs > 0).any():
+        return _well_separated_by_cluster(scores, clustering, min_separation)
+    ordered = scores[order]
+    steps = ordered[1:] - ordered[:-1]
+    within = runs == 0
+    if not within.any():
+        return True  # all-singleton clustering: nothing to compare against
+    scale = _median(steps[within])
+    if scale == 0.0:
+        return True  # duplicate-heavy scores: any gap is distinct
+    return not (steps[~within] < min_separation * scale).any()
+
+
+def _well_separated_by_cluster(
+    scores: np.ndarray, clustering: Clustering, min_separation: float
+) -> bool:
+    """:func:`_well_separated` for clusters that interleave in sorted order."""
+    k = clustering.num_clusters
     members = [np.sort(scores[clustering.labels == c]) for c in range(k)]
     spacings: list[float] = []
     for m in members:
         if m.size > 1:
             spacings.extend(np.diff(m).tolist())
     if not spacings:
-        return True  # all-singleton clustering: nothing to compare against
+        return True
     scale = float(np.median(spacings))
     if scale == 0.0:
-        return True  # duplicate-heavy scores: any gap is distinct
+        return True
     for c in range(k - 1):
         # Cluster ids are ordered by descending mean: boundary gap is
         # lowest point of the upper cluster minus highest of the lower.
@@ -130,6 +214,15 @@ def _well_separated(scores: np.ndarray, clustering: Clustering, min_separation: 
         if gap < min_separation * scale:
             return False
     return True
+
+
+def _median(values: np.ndarray) -> float:
+    """Bitwise ``np.median``: the middle value, or ``np.mean`` of the middle pair."""
+    values = np.sort(values)
+    mid = values.size // 2
+    if values.size % 2:
+        return float(values[mid])
+    return float(np.add.reduce(values[mid - 1 : mid + 1]) / 2)
 
 
 def cluster_scores(
@@ -149,6 +242,9 @@ def cluster_scores(
     Figure 2b); without it, 1-D k-means would happily split unimodal
     noise.  ``max_clusters`` bounds the scan (pools of ~20 candidates
     form a handful of tiers).
+
+    Each candidate k is exactly ``kmeans_1d(scores, k)``; the scan sorts
+    the scores once for all of them.
     """
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
@@ -157,14 +253,27 @@ def cluster_scores(
     best = kmeans_1d(scores, 1)
     if max_clusters == 1 or best.inertia == 0.0:
         return best
+    order = np.argsort(scores)
+    ordered = scores[order]
+    # kmeans_1d caps k at the number of distinct scores; with one, every
+    # candidate is the single cluster already in hand.
+    top = min(max_clusters, _distinct(ordered))
+    if top == 1:
+        return best
+    values = ordered.tolist()
+    candidates: dict[int, Clustering] = {}
     for k in range(2, max_clusters + 1):
-        candidate = kmeans_1d(scores, k)
+        k_eff = min(k, top)
+        candidate = candidates.get(k_eff)
+        if candidate is None:
+            candidate = _lloyd(scores, _quantile_centers(values, k_eff), LLOYD_MAX_ITER)
+            candidates[k_eff] = candidate
         if best.inertia <= 0:
             break
         improvement = (best.inertia - candidate.inertia) / best.inertia
         if improvement < elbow_ratio:
             break
-        if not _well_separated(scores, candidate, min_separation):
+        if not _well_separated(scores, order, candidate, min_separation):
             # This k draws a boundary through a blob, but a finer k may
             # separate cleanly (e.g. k=2 lumping two true tiers into one
             # over-wide cluster while k=3 resolves them) — keep scanning.

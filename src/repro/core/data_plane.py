@@ -51,7 +51,7 @@ import numpy as np
 from ..device.executor import DeviceExecutor
 from ..device.memory import CATEGORY_EMBEDDING
 from ..model.transformer import CandidateBatch
-from .embedding_cache import CacheLookup
+from .embedding_cache import CacheLookup, LRURows
 from .events import EVENT_CACHE_EVICT, EVENT_CACHE_HIT, EventLog
 
 
@@ -501,14 +501,38 @@ class EmbeddingPin:
 
     __slots__ = ("_plane", "_tokens")
 
-    def __init__(self, plane: "SharedEmbeddingCache", tokens: list[int]) -> None:
+    def __init__(self, plane: "SharedEmbeddingCache", tokens: np.ndarray) -> None:
         self._plane = plane
         self._tokens = tokens
 
     def release(self) -> None:
-        if self._tokens:
+        if self._tokens is not None:
             self._plane._release(self._tokens)
-            self._tokens = []
+            self._tokens = None
+
+
+class _PinnedRows(LRURows):
+    """:class:`LRURows` plus a per-token refcount (0: evictable)."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.refs = np.zeros(0, dtype=np.int32)
+        self.pinned = 0  # resident rows with a nonzero refcount
+
+    def _grow(self, tokens: int) -> None:
+        super()._grow(tokens)
+        self.refs = np.concatenate([self.refs, np.zeros(tokens - self.refs.size, dtype=np.int32)])
+
+    def pin(self, tokens: np.ndarray) -> None:
+        """Add a reference to each of the distinct ``tokens``."""
+        self.pinned += int(np.count_nonzero(self.refs[tokens] == 0))
+        self.refs[tokens] += 1
+
+    def unpin(self, tokens: np.ndarray) -> None:
+        """Drop a reference from each of the distinct ``tokens`` that has one."""
+        held = tokens[self.refs[tokens] > 0]
+        self.refs[held] -= 1
+        self.pinned -= int(np.count_nonzero(self.refs[held] == 0))
 
 
 class SharedEmbeddingCache:
@@ -535,7 +559,7 @@ class SharedEmbeddingCache:
         self.capacity_rows = capacity_rows
         self.row_nbytes: int | None = None
         self.tag = "embedding-plane"
-        self._resident: OrderedDict[int, int] = OrderedDict()  # token -> refcount
+        self._rows = _PinnedRows()
         self._attached: list[DeviceExecutor] = []
         self.total_hits = 0
         self.total_misses = 0
@@ -577,74 +601,69 @@ class SharedEmbeddingCache:
         if executor not in self._attached:
             raise RuntimeError("SharedEmbeddingCache.lookup before attach()")
         assert self.capacity_rows is not None and self.row_nbytes is not None
-        unique = np.unique(np.asarray(token_ids).ravel())
-        tokens = [int(t) for t in unique.tolist()]
-        resident = self._resident
-        miss_set = set(tokens).difference(resident.keys())
-        missing = [t for t in tokens if t in miss_set]
-        hits = len(tokens) - len(missing)
-        for token in tokens:
-            if token not in miss_set:
-                resident[token] += 1
-                resident.move_to_end(token)
+        rows = self._rows
+        unique = rows.distinct(token_ids)
+        resident = rows.resident(unique)
+        hit_rows, missing = unique[resident], unique[~resident]
+        hits, misses = int(hit_rows.size), int(missing.size)
+        rows.pin(hit_rows)
+        rows.touch(hit_rows)
 
         io_seconds = 0.0
-        miss_bytes = len(missing) * self.row_nbytes
-        if missing:
+        miss_bytes = misses * self.row_nbytes
+        if misses:
             before = executor.now
             executor.read_blocking(f"{self.tag}/miss", miss_bytes)
             io_seconds = executor.now - before
-            for token in missing:
-                self._admit(token)
+            self._admit(missing)
 
         self.total_hits += hits
-        self.total_misses += len(missing)
+        self.total_misses += misses
         lookup = CacheLookup(
             unique_tokens=int(unique.size),
             hits=hits,
-            misses=len(missing),
+            misses=misses,
             miss_bytes=miss_bytes,
             io_seconds=io_seconds,
         )
-        return lookup, EmbeddingPin(self, tokens)
+        return lookup, EmbeddingPin(self, unique)
 
-    def _admit(self, token: int) -> None:
-        resident = self._resident
-        if token in resident:
-            resident[token] += 1
-            resident.move_to_end(token)
-            return
-        while len(resident) >= self.capacity_rows:
-            victim = next(
-                (t for t, refs in resident.items() if refs == 0), None
-            )
-            if victim is None:
-                # every row is pinned by an in-flight pass: admit over
-                # capacity rather than evict under a reader.
-                self.pinned_overflow += 1
-                break
-            del resident[victim]
-            self.total_evictions += 1
-        resident[token] = 1  # admitted pinned by the resolving pass
+    def _admit(self, missing: np.ndarray) -> None:
+        """Admit ``missing`` (pinned by the resolving pass) in order.
 
-    def _release(self, tokens: list[int]) -> None:
-        resident = self._resident
-        for token in tokens:
-            refs = resident.get(token)
-            if refs is not None and refs > 0:
-                resident[token] = refs - 1
+        Admitting one row at a time, each admission evicts the oldest
+        unpinned rows while the cache is at capacity (catching up after
+        an earlier overflow), or — when every row is pinned by an
+        in-flight pass — counts one ``pinned_overflow`` and admits over
+        capacity rather than evict under a reader.  Rows in this lookup
+        are pinned and only the old unpinned rows can go, so the whole
+        batch evicts the ``evicted`` oldest unpinned rows, and every
+        admission from the one that first finds no victim overflows.
+        """
+        rows, capacity, count = self._rows, self.capacity_rows, int(missing.size)
+        evictable = rows.size - rows.pinned
+        evicted = min(evictable, max(0, rows.size + count - capacity))
+        self.pinned_overflow += max(0, count - max(0, evictable + capacity - rows.size))
+        if evicted:
+            rows.evict(evicted, refs=rows.refs)
+            self.total_evictions += evicted
+        rows.admit(missing)
+        rows.pin(missing)
+
+    def _release(self, tokens: np.ndarray) -> None:
+        self._rows.unpin(tokens)
 
     # ------------------------------------------------------------------
     @property
     def resident_rows(self) -> int:
-        return len(self._resident)
+        return self._rows.size
 
     @property
     def pinned_rows(self) -> int:
-        return sum(1 for refs in self._resident.values() if refs > 0)
+        return self._rows.pinned
 
     def is_resident(self, token: int) -> bool:
-        return token in self._resident
+        return self._rows.is_resident(token)
 
     @property
     def hit_rate(self) -> float | None:

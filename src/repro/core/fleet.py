@@ -774,6 +774,13 @@ class FleetService:
             raise ValueError("deadline must lie after the request's arrival")
         if hedge_after_ms is not None and hedge_after_ms <= 0:
             raise ValueError("hedge_after_ms must be positive")
+        if hedge_after_ms is not None and self.fleet_config.intra_concurrency > 1:
+            # Concurrent dispatch runs each batch as one scheduler wave
+            # and never hedges; reject rather than drop the hedge.
+            raise ValueError(
+                "hedge_after_ms is not supported with intra_concurrency > 1 "
+                f"(this fleet has intra_concurrency={self.fleet_config.intra_concurrency})"
+            )
         if client_id is not None:
             if client_id in self._pending_client_ids:
                 raise ValueError(

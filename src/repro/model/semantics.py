@@ -42,15 +42,43 @@ import numpy as np
 
 
 _SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SPLITMIX_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SPLITMIX_MIX2 = np.uint64(0x94D049BB133111EB)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_UID_PRIME = np.uint64(0x100000001B3)
+_SEED_PRIME = np.uint64(0x1000193)
+#: 53-bit mantissas to u1 in [0, 1), and to the angle 2π·u2.  Scaling by
+#: 2^-53 is exact, so folding it into 2π rounds once, as 2π·u2 did.
+_TO_UNIT = 2.0**-53
+_TO_ANGLE = 2.0 * np.pi * 2.0**-53
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finaliser (vectorised) — a high-quality integer mixer."""
+def _noise_offset(model_seed: int, layer: int) -> np.uint64:
+    """The per-(seed, layer) part of the noise counter, plus SplitMix64's
+    first increment (all arithmetic mod 2^64)."""
     with np.errstate(over="ignore"):
-        z = (x + _SPLITMIX_GAMMA).astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
+        return (
+            np.uint64(model_seed & 0xFFFFFFFF) * _SEED_PRIME
+            + np.uint64(layer)
+            + _SPLITMIX_GAMMA
+        )
+
+
+def _splitmix64_finalise(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's mixing steps (the increment is the caller's)."""
+    z = (z ^ (z >> _SHIFT_30)) * _SPLITMIX_MIX1
+    z = (z ^ (z >> _SHIFT_27)) * _SPLITMIX_MIX2
+    return z ^ (z >> _SHIFT_31)
+
+
+def _normals(uids: np.ndarray, offset: np.uint64) -> np.ndarray:
+    """Box–Muller over two chained SplitMix64 draws of ``uids * prime + offset``."""
+    with np.errstate(over="ignore"):  # 0-d inputs take the scalar path
+        base = _splitmix64_finalise(uids * _UID_PRIME + offset)
+        other = _splitmix64_finalise(base + _SPLITMIX_GAMMA)
+    # Map to (0, 1]; guard the log against exactly-zero mantissas.
+    u1 = np.maximum((base >> _SHIFT_11) * _TO_UNIT, 1e-12)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((other >> _SHIFT_11) * _TO_ANGLE)
 
 
 def _unit_normals(model_seed: int, candidate_uids: np.ndarray, layer: int) -> np.ndarray:
@@ -60,18 +88,7 @@ def _unit_normals(model_seed: int, candidate_uids: np.ndarray, layer: int) -> np
     independent of batch composition and identical across engines.
     """
     uids = np.asarray(candidate_uids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        base = _splitmix64(
-            uids * np.uint64(0x100000001B3)
-            + np.uint64(model_seed & 0xFFFFFFFF) * np.uint64(0x1000193)
-            + np.uint64(layer)
-        )
-        other = _splitmix64(base)
-    # Map to (0, 1]; guard the log against exactly-zero mantissas.
-    u1 = (base >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    u2 = (other >> np.uint64(11)).astype(np.float64) / float(1 << 53)
-    u1 = np.maximum(u1, 1e-12)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return _normals(uids, _noise_offset(model_seed, layer))
 
 
 def _unit_normal(model_seed: int, candidate_uid: int, layer: int) -> float:
@@ -145,6 +162,8 @@ class ScoreDynamics:
         self.config = config
         self.num_layers = num_layers
         self.model_seed = model_seed
+        #: layer -> (fanout, noise scale, noise offset), filled on first use.
+        self._layer_terms: dict[int, tuple[float, float, np.uint64]] = {}
 
     def progress(self, layer: int) -> float:
         """Depth fraction after executing layer ``layer`` (0-based)."""
@@ -166,10 +185,16 @@ class ScoreDynamics:
         candidate_uids = np.asarray(candidate_uids)
         if relevance.shape != candidate_uids.shape:
             raise ValueError("relevance and candidate_uids must align")
-        p = self.progress(layer)
-        cfg = self.config
-        eps = _unit_normals(self.model_seed, candidate_uids, layer)
-        return cfg.anchor + (relevance - cfg.anchor) * cfg.fanout(p) + cfg.noise_scale(p) * eps
+        terms = self._layer_terms.get(layer)
+        if terms is None:
+            p = self.progress(layer)
+            cfg = self.config
+            terms = (cfg.fanout(p), cfg.noise_scale(p), _noise_offset(self.model_seed, layer))
+            self._layer_terms[layer] = terms
+        fanout, noise_scale, offset = terms
+        eps = _normals(np.asarray(candidate_uids, dtype=np.uint64), offset)
+        anchor = self.config.anchor
+        return anchor + (relevance - anchor) * fanout + noise_scale * eps
 
     def final_scores(self, relevance: np.ndarray, candidate_uids: np.ndarray) -> np.ndarray:
         """Scores after the last layer — what an unpruned engine reports."""

@@ -1,0 +1,406 @@
+"""Reference implementations of the pruning-check and embedding-row hot paths.
+
+These are the straightforward versions the production modules were
+rewritten from: ``repro.core.clustering``, ``repro.core.pruning``'s CV
+trigger, ``repro.model.semantics``' noise draw, and the two LRU row
+caches (``EmbeddingCache`` and ``SharedEmbeddingCache``).  The
+production code must match them bit for bit; the property tests in
+``tests/test_fast_path_equivalence.py`` and the end-to-end prune-decision
+guard compare the two.  Keep them simple and unchanged: they are the
+oracle, not a second code path.
+"""
+
+from __future__ import annotations
+
+from collections import OrderedDict
+
+import numpy as np
+
+from repro.core.clustering import MIN_SEPARATION, Clustering
+from repro.core.embedding_cache import CacheLookup
+from repro.device.memory import CATEGORY_EMBEDDING
+
+
+# ---------------------------------------------------------------------------
+# 1-D k-means (repro.core.clustering)
+# ---------------------------------------------------------------------------
+def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = 50) -> Clustering:
+    """Deterministic Lloyd's k-means over scalar scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-D array")
+    k = min(k, np.unique(scores).size)
+    if k <= 1:
+        labels = np.zeros(scores.size, dtype=np.int64)
+        center = np.array([scores.mean()])
+        inertia = float(np.square(scores - center[0]).sum())
+        return Clustering(labels=labels, centers=center, inertia=inertia)
+
+    # Quantile initialisation: evenly spaced percentiles of the data.
+    quantiles = (np.arange(k) + 0.5) / k
+    centers = np.quantile(scores, quantiles)
+    # Perturb exact duplicates so each centre owns a distinct region.
+    for i in range(1, k):
+        if centers[i] <= centers[i - 1]:
+            centers[i] = np.nextafter(centers[i - 1], np.inf)
+
+    labels = np.zeros(scores.size, dtype=np.int64)
+    for _ in range(max_iter):
+        distances = np.abs(scores[:, None] - centers[None, :])
+        new_labels = distances.argmin(axis=1)
+        if np.array_equal(new_labels, labels) and _ > 0:
+            break
+        labels = new_labels
+        for c in range(k):
+            mask = labels == c
+            if mask.any():
+                centers[c] = scores[mask].mean()
+
+    # Drop empty clusters, then order by descending mean.
+    occupied = np.unique(labels)
+    centers = np.array([scores[labels == c].mean() for c in occupied])
+    order = np.argsort(-centers)
+    remap = {int(occupied[orig]): rank for rank, orig in enumerate(order)}
+    labels = np.array([remap[int(c)] for c in labels], dtype=np.int64)
+    centers = centers[order]
+    inertia = float(np.square(scores - centers[labels]).sum())
+    return Clustering(labels=labels, centers=centers, inertia=inertia)
+
+
+def _well_separated(scores: np.ndarray, clustering: Clustering, min_separation: float) -> bool:
+    """True when every *adjacent pair* of clusters is statistically distinct."""
+    k = clustering.num_clusters
+    if k < 2:
+        return True
+    members = [np.sort(scores[clustering.labels == c]) for c in range(k)]
+    spacings: list[float] = []
+    for m in members:
+        if m.size > 1:
+            spacings.extend(np.diff(m).tolist())
+    if not spacings:
+        return True  # all-singleton clustering: nothing to compare against
+    scale = float(np.median(spacings))
+    if scale == 0.0:
+        return True  # duplicate-heavy scores: any gap is distinct
+    for c in range(k - 1):
+        # Cluster ids are ordered by descending mean: boundary gap is
+        # lowest point of the upper cluster minus highest of the lower.
+        gap = float(members[c].min() - members[c + 1].max())
+        if gap < min_separation * scale:
+            return False
+    return True
+
+
+def cluster_scores(
+    scores: np.ndarray,
+    max_clusters: int = 6,
+    elbow_ratio: float = 0.18,
+    min_separation: float = MIN_SEPARATION,
+) -> Clustering:
+    """Cluster scores with automatic k selection (elbow + separation)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("scores must be non-empty")
+    max_clusters = max(1, min(max_clusters, scores.size))
+    best = kmeans_1d(scores, 1)
+    if max_clusters == 1 or best.inertia == 0.0:
+        return best
+    for k in range(2, max_clusters + 1):
+        candidate = kmeans_1d(scores, k)
+        if best.inertia <= 0:
+            break
+        improvement = (best.inertia - candidate.inertia) / best.inertia
+        if improvement < elbow_ratio:
+            break
+        if not _well_separated(scores, candidate, min_separation):
+            continue
+        best = candidate
+        if best.inertia == 0.0:
+            break
+    return best
+
+
+# ---------------------------------------------------------------------------
+# CV trigger (repro.core.pruning)
+# ---------------------------------------------------------------------------
+def coefficient_of_variation(scores: np.ndarray) -> float:
+    """CV = |std/mean| of the provisional scores (§4.1)."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.size == 0:
+        raise ValueError("scores must be non-empty")
+    mean = scores.mean()
+    if mean == 0.0:
+        return np.inf
+    return float(abs(scores.std() / mean))
+
+
+# ---------------------------------------------------------------------------
+# Score noise (repro.model.semantics)
+# ---------------------------------------------------------------------------
+_SPLITMIX_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finaliser (vectorised) — a high-quality integer mixer."""
+    with np.errstate(over="ignore"):
+        z = (x + _SPLITMIX_GAMMA).astype(np.uint64)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _unit_normals(model_seed: int, candidate_uids: np.ndarray, layer: int) -> np.ndarray:
+    """Deterministic standard-normal draws keyed by (seed, candidate, layer)."""
+    uids = np.asarray(candidate_uids, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        base = _splitmix64(
+            uids * np.uint64(0x100000001B3)
+            + np.uint64(model_seed & 0xFFFFFFFF) * np.uint64(0x1000193)
+            + np.uint64(layer)
+        )
+        other = _splitmix64(base)
+    # Map to (0, 1]; guard the log against exactly-zero mantissas.
+    u1 = (base >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    u2 = (other >> np.uint64(11)).astype(np.float64) / float(1 << 53)
+    u1 = np.maximum(u1, 1e-12)
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def scores_at(dynamics, layer: int, relevance: np.ndarray, candidate_uids: np.ndarray):
+    """``ScoreDynamics.scores_at`` evaluated the straightforward way."""
+    relevance = np.asarray(relevance, dtype=np.float64)
+    candidate_uids = np.asarray(candidate_uids)
+    if relevance.shape != candidate_uids.shape:
+        raise ValueError("relevance and candidate_uids must align")
+    p = dynamics.progress(layer)
+    cfg = dynamics.config
+    eps = _unit_normals(dynamics.model_seed, candidate_uids, layer)
+    return cfg.anchor + (relevance - cfg.anchor) * cfg.fanout(p) + cfg.noise_scale(p) * eps
+
+
+# ---------------------------------------------------------------------------
+# Private LRU row cache (repro.core.embedding_cache.EmbeddingCache)
+# ---------------------------------------------------------------------------
+class EmbeddingCache:
+    """Fixed-capacity LRU cache over embedding-table rows."""
+
+    def __init__(self, capacity_rows, row_nbytes, executor, tag="embedding-cache") -> None:
+        if capacity_rows <= 0:
+            raise ValueError("capacity_rows must be positive")
+        if row_nbytes <= 0:
+            raise ValueError("row_nbytes must be positive")
+        self.capacity_rows = capacity_rows
+        self.row_nbytes = row_nbytes
+        self.executor = executor
+        self.tag = tag
+        self._resident: OrderedDict[int, None] = OrderedDict()
+        self._allocated = False
+        self.total_hits = 0
+        self.total_misses = 0
+        self.total_evictions = 0
+
+    def allocate(self) -> None:
+        if self._allocated:
+            return
+        self.executor.device.memory.alloc(
+            self.tag, self.capacity_rows * self.row_nbytes, CATEGORY_EMBEDDING
+        )
+        self._allocated = True
+
+    def release(self) -> None:
+        if self._allocated:
+            self.executor.device.memory.free(self.tag)
+            self._allocated = False
+            self._resident.clear()
+
+    def lookup(self, token_ids: np.ndarray) -> CacheLookup:
+        if not self._allocated:
+            raise RuntimeError("EmbeddingCache.lookup before allocate()")
+        unique = np.unique(np.asarray(token_ids).ravel())
+        tokens = unique.tolist()
+        resident = self._resident
+        miss_set = set(tokens).difference(resident.keys())
+        missing = [token for token in tokens if token in miss_set]
+        hits = len(tokens) - len(missing)
+        misses = len(missing)
+        for token in tokens:
+            if token not in miss_set:
+                resident.move_to_end(token)
+
+        io_seconds = 0.0
+        miss_bytes = len(missing) * self.row_nbytes
+        if missing:
+            before = self.executor.now
+            self.executor.read_blocking(f"{self.tag}/miss", miss_bytes)
+            io_seconds = self.executor.now - before
+            for token in missing:
+                self._admit(token)
+
+        self.total_hits += hits
+        self.total_misses += misses
+        return CacheLookup(
+            unique_tokens=int(unique.size),
+            hits=hits,
+            misses=misses,
+            miss_bytes=miss_bytes,
+            io_seconds=io_seconds,
+        )
+
+    def _admit(self, token: int) -> None:
+        if token in self._resident:
+            self._resident.move_to_end(token)
+            return
+        while len(self._resident) >= self.capacity_rows:
+            self._resident.popitem(last=False)
+            self.total_evictions += 1
+        self._resident[token] = None
+
+    @property
+    def resident_rows(self) -> int:
+        return len(self._resident)
+
+    def is_resident(self, token: int) -> bool:
+        return token in self._resident
+
+    @property
+    def hit_rate(self) -> float | None:
+        total = self.total_hits + self.total_misses
+        if total == 0:
+            return None
+        return self.total_hits / total
+
+
+# ---------------------------------------------------------------------------
+# Fleet-shared refcounted row cache (repro.core.data_plane.SharedEmbeddingCache)
+# ---------------------------------------------------------------------------
+class EmbeddingPin:
+    """A pass's refcount on the rows it resolved; release at pass end."""
+
+    __slots__ = ("_plane", "_tokens")
+
+    def __init__(self, plane: "SharedEmbeddingCache", tokens: list[int]) -> None:
+        self._plane = plane
+        self._tokens = tokens
+
+    def release(self) -> None:
+        if self._tokens:
+            self._plane._release(self._tokens)
+            self._tokens = []
+
+
+class SharedEmbeddingCache:
+    """Embedding-row residency promoted from per-engine to plane scope."""
+
+    def __init__(self, fraction: float = 0.10, capacity_rows: int | None = None) -> None:
+        if capacity_rows is not None and capacity_rows <= 0:
+            raise ValueError("capacity_rows must be positive")
+        if not 0 < fraction <= 1:
+            raise ValueError("fraction must lie in (0, 1]")
+        self.fraction = fraction
+        self.capacity_rows = capacity_rows
+        self.row_nbytes: int | None = None
+        self.tag = "embedding-plane"
+        self._resident: OrderedDict[int, int] = OrderedDict()  # token -> refcount
+        self._attached: list = []
+        self.total_hits = 0
+        self.total_misses = 0
+        self.total_evictions = 0
+        self.pinned_overflow = 0
+
+    def attach(self, executor, vocab_size: int, row_nbytes: int) -> None:
+        if self.capacity_rows is None:
+            self.capacity_rows = max(1, int(vocab_size * self.fraction))
+        if self.row_nbytes is None:
+            self.row_nbytes = row_nbytes
+        elif self.row_nbytes != row_nbytes:
+            raise ValueError(
+                f"embedding plane row size mismatch: {self.row_nbytes} != {row_nbytes}"
+            )
+        if executor in self._attached:
+            return
+        executor.device.memory.alloc(
+            self.tag, self.capacity_rows * self.row_nbytes, CATEGORY_EMBEDDING
+        )
+        self._attached.append(executor)
+
+    def detach(self, executor) -> None:
+        if executor in self._attached:
+            executor.device.memory.free(self.tag)
+            self._attached.remove(executor)
+
+    def lookup(self, token_ids: np.ndarray, executor) -> tuple[CacheLookup, EmbeddingPin]:
+        if executor not in self._attached:
+            raise RuntimeError("SharedEmbeddingCache.lookup before attach()")
+        assert self.capacity_rows is not None and self.row_nbytes is not None
+        unique = np.unique(np.asarray(token_ids).ravel())
+        tokens = [int(t) for t in unique.tolist()]
+        resident = self._resident
+        miss_set = set(tokens).difference(resident.keys())
+        missing = [t for t in tokens if t in miss_set]
+        hits = len(tokens) - len(missing)
+        for token in tokens:
+            if token not in miss_set:
+                resident[token] += 1
+                resident.move_to_end(token)
+
+        io_seconds = 0.0
+        miss_bytes = len(missing) * self.row_nbytes
+        if missing:
+            before = executor.now
+            executor.read_blocking(f"{self.tag}/miss", miss_bytes)
+            io_seconds = executor.now - before
+            for token in missing:
+                self._admit(token)
+
+        self.total_hits += hits
+        self.total_misses += len(missing)
+        lookup = CacheLookup(
+            unique_tokens=int(unique.size),
+            hits=hits,
+            misses=len(missing),
+            miss_bytes=miss_bytes,
+            io_seconds=io_seconds,
+        )
+        return lookup, EmbeddingPin(self, tokens)
+
+    def _admit(self, token: int) -> None:
+        resident = self._resident
+        if token in resident:
+            resident[token] += 1
+            resident.move_to_end(token)
+            return
+        while len(resident) >= self.capacity_rows:
+            victim = next((t for t, refs in resident.items() if refs == 0), None)
+            if victim is None:
+                # every row is pinned by an in-flight pass: admit over
+                # capacity rather than evict under a reader.
+                self.pinned_overflow += 1
+                break
+            del resident[victim]
+            self.total_evictions += 1
+        resident[token] = 1  # admitted pinned by the resolving pass
+
+    def _release(self, tokens: list[int]) -> None:
+        resident = self._resident
+        for token in tokens:
+            refs = resident.get(token)
+            if refs is not None and refs > 0:
+                resident[token] = refs - 1
+
+    @property
+    def resident_rows(self) -> int:
+        return len(self._resident)
+
+    @property
+    def pinned_rows(self) -> int:
+        return sum(1 for refs in self._resident.values() if refs > 0)
+
+    def is_resident(self, token: int) -> bool:
+        return token in self._resident
+
+    @property
+    def hit_rate(self) -> float | None:
+        total = self.total_hits + self.total_misses
+        if total == 0:
+            return None
+        return self.total_hits / total

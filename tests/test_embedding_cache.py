@@ -97,38 +97,22 @@ class TestLookups:
         assert cache.hit_rate == 0.0
 
     def test_vectorised_lookup_matches_reference_loop(self, executor):
-        """The set-based membership pass is a pure speedup: hit/miss
-        accounting and the LRU order (hence every future eviction) are
-        bitwise what the per-token probe loop produced."""
-        from collections import OrderedDict
-
-        reference: OrderedDict[int, None] = OrderedDict()
-
-        def reference_lookup(cache, tokens):
-            unique = np.unique(np.asarray(tokens).ravel()).tolist()
-            hits = misses = 0
-            missing = []
-            for token in unique:  # the pre-vectorisation probe loop
-                if token in reference:
-                    hits += 1
-                    reference.move_to_end(token)
-                else:
-                    misses += 1
-                    missing.append(token)
-            for token in missing:
-                while len(reference) >= cache.capacity_rows:
-                    reference.popitem(last=False)
-                reference[token] = None
-            return hits, misses
+        """The array-backed LRU is a pure speedup: every lookup's
+        accounting, the eviction count and the resident set (hence every
+        future eviction) are what the ordered-dict cache produced."""
+        from tests.reference_impls import EmbeddingCache as ReferenceCache
 
         cache = make_cache(executor, capacity=8)
+        reference = ReferenceCache(8, cache.row_nbytes, DeviceExecutor(NVIDIA_5070.create()))
+        reference.allocate()
         rng = np.random.default_rng(3)
         for _ in range(40):
             tokens = rng.integers(0, 24, size=rng.integers(0, 12))
-            want_hits, want_misses = reference_lookup(cache, tokens)
-            result = cache.lookup(tokens)
-            assert (result.hits, result.misses) == (want_hits, want_misses)
-            assert list(cache._resident) == list(reference)
+            assert cache.lookup(tokens) == reference.lookup(tokens)
+            assert cache.total_evictions == reference.total_evictions
+            assert [cache.is_resident(t) for t in range(24)] == [
+                reference.is_resident(t) for t in range(24)
+            ]
 
     def test_2d_token_batch_flattened(self, executor):
         cache = make_cache(executor)

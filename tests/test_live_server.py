@@ -70,6 +70,7 @@ class TestEndpoints:
         _, live = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(live.url + "/nope")
+        excinfo.value.close()  # the error holds the response socket
         assert excinfo.value.code == 404
 
     def test_sse_framing_and_live_follow(self, server):
@@ -110,6 +111,7 @@ class TestEndpoints:
         _, live = server
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _get(live.url + "/events?kind=bogus&max=1")
+        excinfo.value.close()
         assert excinfo.value.code == 400
 
     def test_sse_frame_uses_canonical_line(self):

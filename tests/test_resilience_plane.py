@@ -534,6 +534,10 @@ class TestHedging:
             fleet.submit_request(batches[0], 5, hedge_after_ms=0.0)
         with pytest.raises(ValueError):
             SelectionRequest(batch=batches[0], k=5, hedge_after_ms=-1.0)
+        # Concurrent dispatch never hedges: refuse the knob, never drop it.
+        concurrent = make_fleet(2, intra_concurrency=2)
+        with pytest.raises(ValueError, match="hedge_after_ms.*intra_concurrency"):
+            concurrent.submit_request(batches[0], 5, hedge_after_ms=100.0)
 
 
 # ----------------------------------------------------------------------
