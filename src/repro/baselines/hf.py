@@ -25,7 +25,6 @@ import numpy as np
 from ..device.memory import (
     CATEGORY_EMBEDDING,
     CATEGORY_HIDDEN,
-    CATEGORY_INTERMEDIATE,
     CATEGORY_WEIGHTS,
 )
 from ..device.platforms import Device
@@ -81,6 +80,7 @@ class HFEngine(EngineBase):
 
         hidden_tag = ctx.tag("hidden")
         inter_tag = ctx.tag("intermediates")
+        chunk_costs = self._layer_chunk_costs(seq_len)
         all_scores = np.empty(batch.size)
         layers_executed = 0
         candidate_layers = 0
@@ -91,10 +91,7 @@ class HFEngine(EngineBase):
             self._charge_embedding(mini.size, seq_len)
             state = self.model.embed(sub, numerics=self.numerics)
             for layer in range(cfg.num_layers):
-                inter_bytes = mini.size * costs.intermediate_bytes_per_candidate(cfg, seq_len)
-                memory.alloc(inter_tag, inter_bytes, CATEGORY_INTERMEDIATE)
-                self._charge_layer_chunk(mini.size, seq_len)
-                memory.free(inter_tag)
+                self._run_layer_chunk(inter_tag, mini.size, chunk_costs)
                 self._forward_layer(state, layer)
                 layers_executed += 1
                 candidate_layers += int(mini.size)

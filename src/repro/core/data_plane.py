@@ -613,7 +613,12 @@ class SharedEmbeddingCache:
         miss_bytes = misses * self.row_nbytes
         if misses:
             before = executor.now
-            executor.read_blocking(f"{self.tag}/miss", miss_bytes)
+            try:
+                executor.read_blocking(f"{self.tag}/miss", miss_bytes)
+            except BaseException:
+                # No pin reaches the caller, so nobody would unpin.
+                rows.unpin(hit_rows)
+                raise
             io_seconds = executor.now - before
             self._admit(missing)
 

@@ -43,7 +43,7 @@ from ..device.platforms import Device
 from ..model import costs
 from ..model.transformer import CandidateBatch, CrossEncoderModel, ForwardState
 from ..model.weights import WeightStore
-from .chunking import HiddenStateRing, choose_chunk_size, iter_chunks, plan_hidden_states
+from .chunking import HiddenStateRing, choose_chunk_size, plan_hidden_states
 from .config import PrismConfig
 from .embedding_cache import EmbeddingCache
 from .pruning import ProgressiveClusterPruner, PruneDecision
@@ -430,12 +430,35 @@ class EngineBase:
         bytes_moved = num_candidates * seq_len * costs.embedding_row_bytes(cfg)
         self.executor.compute(flops, bytes_moved)
 
-    def _charge_layer_chunk(self, num_candidates: int, seq_len: int) -> None:
+    def _layer_chunk_costs(self, seq_len: int) -> tuple[float, int, int]:
+        """A pass's per-chunk constants for :meth:`_run_layer_chunk`.
+
+        FLOPs and intermediate bytes per candidate and the layer's
+        weight bytes depend only on the model, ``seq_len`` and
+        quantization, so a pass computes them once.
+        """
         cfg = self.model.config
-        flops = num_candidates * costs.layer_flops_per_candidate(cfg, seq_len)
-        bytes_moved = costs.layer_weight_bytes(cfg, self.quantized)
-        bytes_moved += num_candidates * costs.intermediate_bytes_per_candidate(cfg, seq_len)
-        self.executor.compute(flops, bytes_moved, quantized=self.quantized)
+        return (
+            costs.layer_flops_per_candidate(cfg, seq_len),
+            costs.intermediate_bytes_per_candidate(cfg, seq_len),
+            costs.layer_weight_bytes(cfg, self.quantized),
+        )
+
+    def _run_layer_chunk(
+        self, tag: str, num_candidates: int, chunk_costs: tuple[float, int, int]
+    ) -> None:
+        """One chunk of one layer: its intermediates are resident only
+        while its kernel runs (alloc, compute, free)."""
+        flops_per_candidate, inter_per_candidate, weight_bytes = chunk_costs
+        inter_bytes = num_candidates * inter_per_candidate
+        memory = self.device.memory
+        memory.alloc(tag, inter_bytes, CATEGORY_INTERMEDIATE)
+        self.executor.compute(
+            num_candidates * flops_per_candidate,
+            weight_bytes + inter_bytes,
+            quantized=self.quantized,
+        )
+        memory.free(tag)
 
     def _charge_classifier(self, num_candidates: int) -> None:
         flops = num_candidates * costs.classifier_flops_per_candidate(self.model.config)
@@ -604,6 +627,8 @@ class PrismEngine(EngineBase):
             )
 
         # ---------------- monolithic layer loop ------------------------
+        chunk_costs = self._layer_chunk_costs(seq_len)
+        inter_tag = ctx.tag("chunk-intermediates")
         active = np.arange(batch.size)
         selected_idx: list[int] = []
         selected_scores: list[float] = []
@@ -656,14 +681,13 @@ class PrismEngine(EngineBase):
 
             if ring is not None:
                 ring.begin_layer(layer)
-            inter_tag = ctx.tag("chunk-intermediates")
-            for chunk_no, chunk in enumerate(iter_chunks(int(active.size), chunk_size)):
+            num_active = int(active.size)
+            for chunk_no, start in enumerate(range(0, num_active, chunk_size)):
                 if ring is not None:
                     ring.acquire(layer, chunk_no)
-                inter_bytes = chunk.size * costs.intermediate_bytes_per_candidate(cfg, seq_len)
-                memory.alloc(inter_tag, inter_bytes, CATEGORY_INTERMEDIATE)
-                self._charge_layer_chunk(chunk.size, seq_len)
-                memory.free(inter_tag)
+                self._run_layer_chunk(
+                    inter_tag, min(chunk_size, num_active - start), chunk_costs
+                )
                 if ring is not None:
                     ring.release(layer, chunk_no)
 
@@ -671,7 +695,7 @@ class PrismEngine(EngineBase):
             if streamer is not None:
                 streamer.advance(layer)
             layers_executed += 1
-            candidate_layers += int(active.size)
+            candidate_layers += num_active
             yield layer  # preemption point: one layer advanced
 
         # ---------------- finalisation ---------------------------------

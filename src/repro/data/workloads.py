@@ -64,9 +64,18 @@ class RerankQuery:
 
 
 def build_batch(query: RerankQuery, tokenizer: Tokenizer, max_len: int) -> CandidateBatch:
-    """Pack a query's candidates into a monolithic model batch."""
-    query_ids = tokenizer.encode_synthetic(query.seed, query.query_length)
-    docs = [tokenizer.encode_synthetic(c.seed, c.length) for c in query.candidates]
+    """Pack a query's candidates into a monolithic model batch.
+
+    Only the ids that survive truncation to ``max_len`` are drawn: a
+    synthetic sequence's prefix does not depend on its full length.
+    """
+    _, query_len, room = tokenizer.pair_layout(query.query_length, max_len)
+    seeds = [query.seed]
+    lengths = [query_len]
+    for candidate in query.candidates:
+        seeds.append(candidate.seed)
+        lengths.append(min(candidate.length, room))
+    query_ids, *docs = tokenizer.encode_synthetic_many(seeds, lengths)
     tokens = tokenizer.batch_pairs(query_ids, docs, max_len)
     return CandidateBatch(
         tokens=tokens,

@@ -49,16 +49,6 @@ class OutOfMemoryError(MemoryError_):
 
 
 @dataclass
-class Allocation:
-    """A single live allocation."""
-
-    name: str
-    nbytes: int
-    category: str
-    alloc_time: float
-
-
-@dataclass
 class TimelinePoint:
     """One step of the memory-usage staircase."""
 
@@ -87,6 +77,13 @@ class MemoryStats:
 class MemoryTracker:
     """Tracks named allocations against a virtual clock.
 
+    The staircase is kept as parallel sequences — ``_timeline`` holds
+    each point's instant and ``_levels`` the bytes in use from then on,
+    and every category keeps its own pair — so recording an event
+    appends two numbers instead of building point objects.
+    :class:`TimelinePoint` records are made only when a caller asks
+    for a timeline.
+
     Parameters
     ----------
     clock:
@@ -102,12 +99,14 @@ class MemoryTracker:
     def __init__(self, clock: VirtualClock, budget_bytes: int | None = None) -> None:
         self.clock = clock
         self.budget_bytes = budget_bytes
-        self._live: dict[str, Allocation] = {}
+        #: name -> (nbytes, category) of every live allocation.
+        self._live: dict[str, tuple[int, str]] = {}
         self._in_use = 0
         self._per_category: dict[str, int] = {}
         self._peak_by_category: dict[str, int] = {}
-        self._timeline: list[TimelinePoint] = [TimelinePoint(clock.now, 0)]
-        self._category_timelines: dict[str, list[TimelinePoint]] = {}
+        self._timeline: list[float] = [clock.now]
+        self._levels: list[int] = [0]
+        self._category_timelines: dict[str, tuple[list[float], list[int]]] = {}
         self._peak = 0
 
     # ------------------------------------------------------------------
@@ -117,29 +116,33 @@ class MemoryTracker:
         """Record an allocation of ``nbytes`` under ``name``."""
         if nbytes < 0:
             raise MemoryError_(f"negative allocation size {nbytes} for {name!r}")
-        if name in self._live:
+        live = self._live
+        if name in live:
             raise MemoryError_(f"allocation name {name!r} already live")
-        if self.budget_bytes is not None and self._in_use + nbytes > self.budget_bytes:
+        in_use = self._in_use + nbytes
+        if self.budget_bytes is not None and in_use > self.budget_bytes:
             raise OutOfMemoryError(nbytes, self._in_use, self.budget_bytes, name)
-        self._live[name] = Allocation(name, nbytes, category, self.clock.now)
-        self._in_use += nbytes
-        self._per_category[category] = self._per_category.get(category, 0) + nbytes
-        self._peak_by_category[category] = max(
-            self._peak_by_category.get(category, 0), self._per_category[category]
-        )
-        self._peak = max(self._peak, self._in_use)
-        self._record()
-        self._record_category(category)
+        live[name] = (nbytes, category)
+        self._in_use = in_use
+        if in_use > self._peak:
+            self._peak = in_use
+        level = self._per_category.get(category, 0) + nbytes
+        self._per_category[category] = level
+        # -1 so a category's first allocation, even of zero bytes, has a peak.
+        if level > self._peak_by_category.get(category, -1):
+            self._peak_by_category[category] = level
+        self._record(in_use, category, level)
 
     def free(self, name: str) -> None:
         """Release the allocation registered under ``name``."""
-        alloc = self._live.pop(name, None)
-        if alloc is None:
+        entry = self._live.pop(name, None)
+        if entry is None:
             raise MemoryError_(f"free of unknown allocation {name!r}")
-        self._in_use -= alloc.nbytes
-        self._per_category[alloc.category] -= alloc.nbytes
-        self._record()
-        self._record_category(alloc.category)
+        nbytes, category = entry
+        self._in_use -= nbytes
+        level = self._per_category[category] - nbytes
+        self._per_category[category] = level
+        self._record(self._in_use, category, level)
 
     def free_if_live(self, name: str) -> bool:
         """Free ``name`` if it is live; return whether anything was freed."""
@@ -153,8 +156,8 @@ class MemoryTracker:
 
     def live_bytes(self, name: str) -> int:
         """Size of the live allocation ``name`` (0 when absent)."""
-        alloc = self._live.get(name)
-        return alloc.nbytes if alloc else 0
+        entry = self._live.get(name)
+        return entry[0] if entry else 0
 
     # ------------------------------------------------------------------
     # statistics
@@ -172,14 +175,15 @@ class MemoryTracker:
 
     def timeline(self) -> list[TimelinePoint]:
         """The memory staircase: (time, bytes-in-use) after each event."""
-        return list(self._timeline)
+        return list(map(TimelinePoint, self._timeline, self._levels))
 
     def category_timeline(self, category: str) -> list[TimelinePoint]:
         """Per-category staircase (the stacked curves of Figures 9/16).
 
         Returns an empty list for categories never allocated.
         """
-        return list(self._category_timelines.get(category, ()))
+        times, levels = self._category_timelines.get(category, ((), ()))
+        return list(map(TimelinePoint, times, levels))
 
     def stats(self) -> MemoryStats:
         """Peak / time-weighted average / final usage over the run."""
@@ -191,33 +195,40 @@ class MemoryTracker:
         )
 
     def _time_weighted_average(self) -> float:
-        points = self._timeline
-        if len(points) < 2:
-            return float(points[-1].in_use if points else 0)
+        times, levels = self._timeline, self._levels
+        span = times[-1] - times[0]
+        if len(times) < 2 or span <= 0:
+            return float(levels[-1])
+        # One left-to-right accumulation: a pairwise sum (np.sum, np.dot)
+        # or a compensated one (math.fsum) would change the result's bits.
         total = 0.0
-        span = points[-1].time - points[0].time
-        if span <= 0:
-            return float(points[-1].in_use)
-        for prev, nxt in zip(points, points[1:]):
-            total += prev.in_use * (nxt.time - prev.time)
+        for level, start, end in zip(levels, times, times[1:]):
+            total += level * (end - start)
         return total / span
 
-    def _record(self) -> None:
-        point = TimelinePoint(self.clock.now, self._in_use)
-        # Collapse events at identical timestamps into the final state so
-        # the timeline stays a function of time.
-        if self._timeline and self._timeline[-1].time == point.time:
-            self._timeline[-1] = point
-        else:
-            self._timeline.append(point)
+    def _record(self, in_use: int, category: str, level: int) -> None:
+        """Append the event's point to the staircase and its category's.
 
-    def _record_category(self, category: str) -> None:
-        series = self._category_timelines.setdefault(category, [])
-        point = TimelinePoint(self.clock.now, self._per_category.get(category, 0))
-        if series and series[-1].time == point.time:
-            series[-1] = point
+        Events at an instant that already has a point overwrite it with
+        the final state, so each staircase stays a function of time.
+        """
+        now = self.clock.now
+        times = self._timeline
+        if times[-1] == now:
+            self._levels[-1] = in_use
         else:
-            series.append(point)
+            times.append(now)
+            self._levels.append(in_use)
+        series = self._category_timelines.get(category)
+        if series is None:
+            self._category_timelines[category] = ([now], [level])
+            return
+        times, levels = series
+        if times[-1] == now:
+            levels[-1] = level
+        else:
+            times.append(now)
+            levels.append(level)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -19,6 +19,7 @@ The cross-encoder input convention follows the paper's models:
 from __future__ import annotations
 
 import hashlib
+from typing import Sequence
 
 import numpy as np
 
@@ -81,12 +82,40 @@ class Tokenizer:
 
     def encode_synthetic(self, seed: int, length: int) -> np.ndarray:
         """Mint a deterministic synthetic token sequence from a seed."""
-        rng = np.random.default_rng(seed)
-        return self.vocab.sample(rng, length)
+        return self.encode_synthetic_many([seed], [length])[0]
+
+    def encode_synthetic_many(
+        self, seeds: Sequence[int], lengths: Sequence[int]
+    ) -> list[np.ndarray]:
+        """:meth:`encode_synthetic` for every ``(seed, length)`` pair at once.
+
+        A seed's first ``d`` ids are the prefix of its first ``n`` for
+        any ``d <= n``, so a caller that keeps only a prefix can ask for
+        just that.
+        """
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        return self.vocab.sample_many(rngs, lengths)
 
     # ------------------------------------------------------------------
     # cross-encoder packing
     # ------------------------------------------------------------------
+    def pair_layout(
+        self, query_len: int, max_len: int, with_template: bool = True
+    ) -> tuple[int, int, int]:
+        """How ``[BOS] template query [SEP] doc [EOS]`` fits ``max_len``.
+
+        Returns the template and query ids kept and the room left for
+        the document.  The document is truncated first (instructions
+        and queries are short and fully informative), then the query,
+        then the template.
+        """
+        if max_len < 4:
+            raise ValueError("max_len must leave room for special tokens")
+        budget = max_len - 3  # BOS, SEP, EOS
+        template = min(self.template_ids().size, budget) if with_template else 0
+        query = min(query_len, budget - template)
+        return template, query, budget - template - query
+
     def build_pair(
         self,
         query_ids: np.ndarray,
@@ -98,40 +127,41 @@ class Tokenizer:
 
         The instruction template (see :data:`INSTRUCTION_TEMPLATE`)
         precedes the query, as in the Qwen3-Reranker prompt format.
-        The document is truncated first (instructions and queries are
-        short and fully informative); the sequence is padded with PAD
-        at the tail, matching right-padding in HF reranker stacks.
+        Truncation follows :meth:`pair_layout`; the sequence is padded
+        with PAD at the tail, matching right-padding in HF reranker
+        stacks.
         """
-        if max_len < 4:
-            raise ValueError("max_len must leave room for special tokens")
-        template = self.template_ids() if with_template else np.empty(0, dtype=np.int64)
-        budget = max_len - 3  # BOS, SEP, EOS
-        head = np.concatenate([template, query_ids])[:budget]
-        doc = doc_ids[: max(0, budget - len(head))]
-        seq = np.concatenate(
-            [
-                [self.vocab.BOS],
-                head,
-                [self.vocab.SEP],
-                doc,
-                [self.vocab.EOS],
-            ]
-        ).astype(np.int64)
-        if len(seq) < max_len:
-            seq = np.concatenate([seq, np.full(max_len - len(seq), self.vocab.PAD, np.int64)])
-        return seq
+        return self.batch_pairs(query_ids, [doc_ids], max_len, with_template)[0]
 
     def batch_pairs(
         self,
         query_ids: np.ndarray,
-        docs: list[np.ndarray],
+        docs: Sequence[np.ndarray],
         max_len: int,
         with_template: bool = True,
     ) -> np.ndarray:
-        """Pack one query against many documents → (N, max_len) int64."""
-        return np.stack(
-            [self.build_pair(query_ids, doc, max_len, with_template) for doc in docs]
-        )
+        """Pack one query against many documents → (N, max_len) int64.
+
+        Row ``i`` is :meth:`build_pair` of ``docs[i]``: the shared head
+        is written once for all rows, then each document's slice.
+        """
+        template, query, room = self.pair_layout(len(query_ids), max_len, with_template)
+        if len(docs) == 0:
+            raise ValueError("batch_pairs needs at least one document")
+        vocab = self.vocab
+        tokens = np.full((len(docs), max_len), vocab.PAD, dtype=np.int64)
+        tokens[:, 0] = vocab.BOS
+        tokens[:, 1 : 1 + template] = self.template_ids()[:template]
+        sep = 1 + template + query
+        tokens[:, 1 + template : sep] = query_ids[:query]
+        tokens[:, sep] = vocab.SEP
+        ends = np.empty(len(docs), dtype=np.int64)
+        for row, doc in enumerate(docs):
+            kept = min(len(doc), room)
+            tokens[row, sep + 1 : sep + 1 + kept] = doc[:kept]
+            ends[row] = sep + 1 + kept
+        tokens[np.arange(len(docs)), ends] = vocab.EOS
+        return tokens
 
     def attention_lengths(self, batch: np.ndarray) -> np.ndarray:
         """Non-PAD length of every row in a packed batch."""

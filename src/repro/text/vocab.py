@@ -13,6 +13,9 @@ keeps draws deterministic under a seeded generator.
 
 from __future__ import annotations
 
+import itertools
+from typing import Sequence
+
 import numpy as np
 
 
@@ -52,11 +55,24 @@ class Vocabulary:
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` token ids (int64) from the Zipf distribution."""
-        if count < 0:
+        return self.sample_many([rng], [count])[0]
+
+    def sample_many(
+        self, rngs: Sequence[np.random.Generator], counts: Sequence[int]
+    ) -> list[np.ndarray]:
+        """Draw ``counts[i]`` token ids from ``rngs[i]`` for every ``i``.
+
+        Each sequence takes its uniforms from its own generator, so it
+        is the sequence :meth:`sample` would draw alone; the inverse-CDF
+        lookup then runs once over all of them.
+        """
+        if any(count < 0 for count in counts):
             raise ValueError("count must be non-negative")
-        u = rng.random(count)
-        ranks = np.searchsorted(self._cdf, u, side="left")
-        return (ranks + self.num_special).astype(np.int64)
+        u = np.concatenate([rng.random(count) for rng, count in zip(rngs, counts)])
+        ids = np.searchsorted(self._cdf, u, side="left") + self.num_special
+        ids = ids.astype(np.int64, copy=False)
+        ends = itertools.accumulate(counts)
+        return [ids[end - count : end] for count, end in zip(counts, ends)]
 
     def token_probability(self, token_id: int) -> float:
         """Stationary probability of a regular token id (0 for specials)."""

@@ -1,24 +1,38 @@
-"""Reference implementations of the pruning-check and embedding-row hot paths.
+"""Reference implementations of the simulator's hot paths.
 
 These are the straightforward versions the production modules were
 rewritten from: ``repro.core.clustering``, ``repro.core.pruning``'s CV
-trigger, ``repro.model.semantics``' noise draw, and the two LRU row
-caches (``EmbeddingCache`` and ``SharedEmbeddingCache``).  The
-production code must match them bit for bit; the property tests in
-``tests/test_fast_path_equivalence.py`` and the end-to-end prune-decision
-guard compare the two.  Keep them simple and unchanged: they are the
-oracle, not a second code path.
+trigger, ``repro.model.semantics``' noise draw, the two LRU row caches
+(``EmbeddingCache`` and ``SharedEmbeddingCache``), the memory tracker
+(``repro.device.memory.MemoryTracker``) and request packing
+(``Vocabulary.sample``, ``Tokenizer.build_pair``/``batch_pairs`` and
+``build_batch``).  The production code must match them bit for bit;
+the property tests in ``tests/test_fast_path_equivalence.py`` and the
+end-to-end guards there compare the two.  Keep them simple and
+unchanged: they are the oracle, not a second code path.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.clustering import MIN_SEPARATION, Clustering
 from repro.core.embedding_cache import CacheLookup
-from repro.device.memory import CATEGORY_EMBEDDING
+from repro.data.workloads import RerankQuery
+from repro.device.clock import VirtualClock
+from repro.device.memory import (
+    CATEGORY_EMBEDDING,
+    CATEGORY_OTHER,
+    MemoryError_,
+    MemoryStats,
+    MiB,
+    OutOfMemoryError,
+    TimelinePoint,
+)
+from repro.model.transformer import CandidateBatch
 
 
 # ---------------------------------------------------------------------------
@@ -404,3 +418,211 @@ class SharedEmbeddingCache:
         if total == 0:
             return None
         return self.total_hits / total
+
+
+# ---------------------------------------------------------------------------
+# Memory tracker (repro.device.memory.MemoryTracker)
+# ---------------------------------------------------------------------------
+@dataclass
+class Allocation:
+    """A single live allocation."""
+
+    name: str
+    nbytes: int
+    category: str
+    alloc_time: float
+
+
+class MemoryTracker:
+    """Tracks named allocations against a virtual clock."""
+
+    def __init__(self, clock: VirtualClock, budget_bytes: int | None = None) -> None:
+        self.clock = clock
+        self.budget_bytes = budget_bytes
+        self._live: dict[str, Allocation] = {}
+        self._in_use = 0
+        self._per_category: dict[str, int] = {}
+        self._peak_by_category: dict[str, int] = {}
+        self._timeline: list[TimelinePoint] = [TimelinePoint(clock.now, 0)]
+        self._category_timelines: dict[str, list[TimelinePoint]] = {}
+        self._peak = 0
+
+    def alloc(self, name: str, nbytes: int, category: str = CATEGORY_OTHER) -> None:
+        """Record an allocation of ``nbytes`` under ``name``."""
+        if nbytes < 0:
+            raise MemoryError_(f"negative allocation size {nbytes} for {name!r}")
+        if name in self._live:
+            raise MemoryError_(f"allocation name {name!r} already live")
+        if self.budget_bytes is not None and self._in_use + nbytes > self.budget_bytes:
+            raise OutOfMemoryError(nbytes, self._in_use, self.budget_bytes, name)
+        self._live[name] = Allocation(name, nbytes, category, self.clock.now)
+        self._in_use += nbytes
+        self._per_category[category] = self._per_category.get(category, 0) + nbytes
+        self._peak_by_category[category] = max(
+            self._peak_by_category.get(category, 0), self._per_category[category]
+        )
+        self._peak = max(self._peak, self._in_use)
+        self._record()
+        self._record_category(category)
+
+    def free(self, name: str) -> None:
+        """Release the allocation registered under ``name``."""
+        alloc = self._live.pop(name, None)
+        if alloc is None:
+            raise MemoryError_(f"free of unknown allocation {name!r}")
+        self._in_use -= alloc.nbytes
+        self._per_category[alloc.category] -= alloc.nbytes
+        self._record()
+        self._record_category(alloc.category)
+
+    def free_if_live(self, name: str) -> bool:
+        """Free ``name`` if it is live; return whether anything was freed."""
+        if name in self._live:
+            self.free(name)
+            return True
+        return False
+
+    def is_live(self, name: str) -> bool:
+        return name in self._live
+
+    def live_bytes(self, name: str) -> int:
+        """Size of the live allocation ``name`` (0 when absent)."""
+        alloc = self._live.get(name)
+        return alloc.nbytes if alloc else 0
+
+    @property
+    def in_use(self) -> int:
+        return self._in_use
+
+    @property
+    def peak(self) -> int:
+        return self._peak
+
+    def in_use_by_category(self, category: str) -> int:
+        return self._per_category.get(category, 0)
+
+    def timeline(self) -> list[TimelinePoint]:
+        """The memory staircase: (time, bytes-in-use) after each event."""
+        return list(self._timeline)
+
+    def category_timeline(self, category: str) -> list[TimelinePoint]:
+        """Per-category staircase; empty for categories never allocated."""
+        return list(self._category_timelines.get(category, ()))
+
+    def stats(self) -> MemoryStats:
+        """Peak / time-weighted average / final usage over the run."""
+        return MemoryStats(
+            peak_bytes=self._peak,
+            avg_bytes=self._time_weighted_average(),
+            final_bytes=self._in_use,
+            peak_by_category=dict(self._peak_by_category),
+        )
+
+    def _time_weighted_average(self) -> float:
+        points = self._timeline
+        if len(points) < 2:
+            return float(points[-1].in_use if points else 0)
+        total = 0.0
+        span = points[-1].time - points[0].time
+        if span <= 0:
+            return float(points[-1].in_use)
+        for prev, nxt in zip(points, points[1:]):
+            total += prev.in_use * (nxt.time - prev.time)
+        return total / span
+
+    def _record(self) -> None:
+        point = TimelinePoint(self.clock.now, self._in_use)
+        # Collapse events at identical timestamps into the final state so
+        # the timeline stays a function of time.
+        if self._timeline and self._timeline[-1].time == point.time:
+            self._timeline[-1] = point
+        else:
+            self._timeline.append(point)
+
+    def _record_category(self, category: str) -> None:
+        series = self._category_timelines.setdefault(category, [])
+        point = TimelinePoint(self.clock.now, self._per_category.get(category, 0))
+        if series and series[-1].time == point.time:
+            series[-1] = point
+        else:
+            series.append(point)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"MemoryTracker(in_use={self._in_use / MiB:.1f} MiB, "
+            f"peak={self._peak / MiB:.1f} MiB, live={len(self._live)})"
+        )
+
+
+# ---------------------------------------------------------------------------
+# Request packing (repro.text.vocab, repro.text.tokenizer, build_batch)
+# ---------------------------------------------------------------------------
+def sample(vocab, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``Vocabulary.sample``: draw ``count`` token ids (int64) from the Zipf
+    distribution, one unsorted search per sequence."""
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    u = rng.random(count)
+    ranks = np.searchsorted(vocab._cdf, u, side="left")
+    return (ranks + vocab.num_special).astype(np.int64)
+
+
+def encode_synthetic(tokenizer, seed: int, length: int) -> np.ndarray:
+    """``Tokenizer.encode_synthetic``: a deterministic sequence from a seed."""
+    rng = np.random.default_rng(seed)
+    return sample(tokenizer.vocab, rng, length)
+
+
+def build_pair(
+    tokenizer,
+    query_ids: np.ndarray,
+    doc_ids: np.ndarray,
+    max_len: int,
+    with_template: bool = True,
+) -> np.ndarray:
+    """Pack ``[BOS] template query [SEP] doc [EOS]`` to ``max_len`` ids."""
+    if max_len < 4:
+        raise ValueError("max_len must leave room for special tokens")
+    vocab = tokenizer.vocab
+    template = tokenizer.template_ids() if with_template else np.empty(0, dtype=np.int64)
+    budget = max_len - 3  # BOS, SEP, EOS
+    head = np.concatenate([template, query_ids])[:budget]
+    doc = doc_ids[: max(0, budget - len(head))]
+    seq = np.concatenate(
+        [
+            [vocab.BOS],
+            head,
+            [vocab.SEP],
+            doc,
+            [vocab.EOS],
+        ]
+    ).astype(np.int64)
+    if len(seq) < max_len:
+        seq = np.concatenate([seq, np.full(max_len - len(seq), vocab.PAD, np.int64)])
+    return seq
+
+
+def batch_pairs(
+    tokenizer,
+    query_ids: np.ndarray,
+    docs: list[np.ndarray],
+    max_len: int,
+    with_template: bool = True,
+) -> np.ndarray:
+    """Pack one query against many documents → (N, max_len) int64."""
+    return np.stack(
+        [build_pair(tokenizer, query_ids, doc, max_len, with_template) for doc in docs]
+    )
+
+
+def build_batch(query: RerankQuery, tokenizer, max_len: int) -> CandidateBatch:
+    """Pack a query's candidates into a monolithic model batch."""
+    query_ids = encode_synthetic(tokenizer, query.seed, query.query_length)
+    docs = [encode_synthetic(tokenizer, c.seed, c.length) for c in query.candidates]
+    tokens = batch_pairs(tokenizer, query_ids, docs, max_len)
+    return CandidateBatch(
+        tokens=tokens,
+        lengths=tokenizer.attention_lengths(tokens),
+        relevance=query.relevance(),
+        uids=query.uids(),
+    )

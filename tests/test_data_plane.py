@@ -27,6 +27,7 @@ from repro.core.fleet import FleetConfig, FleetService
 from repro.core.resilience import (
     FAULT_REPLICA_CRASH,
     FAULT_SSD_READ_ERROR,
+    DeviceFault,
     FaultEvent,
     FaultPlan,
     ResilienceConfig,
@@ -695,3 +696,41 @@ class TestSharedEmbeddingCache:
         for replica in fleet.replicas:
             tracked = replica.service.device.memory.live_bytes("embedding-plane")
             assert tracked == plane.capacity_rows * plane.row_nbytes
+
+    def test_faulted_miss_read_unpins_its_hits(self):
+        """A lookup whose miss read raises hands no pin to the caller,
+        so it must unpin the hit rows it pinned before the read."""
+        plane, executor = self.make_plane(capacity=8)
+        plane.lookup(np.array([1, 2]), executor)[1].release()
+        executor.device.install_faults(FaultPlan([FaultEvent(FAULT_SSD_READ_ERROR, at=0.0)]))
+        with pytest.raises(DeviceFault):
+            plane.lookup(np.array([1, 2, 3]), executor)
+        assert plane.pinned_rows == 0
+        assert not plane.is_resident(3)
+        # Unpinned, rows 1 and 2 are evictable again: admitting seven new
+        # rows over capacity evicts the oldest instead of overflowing.
+        plane.lookup(np.arange(10, 17), executor)[1].release()
+        assert plane.total_evictions == 1 and plane.pinned_overflow == 0
+        assert not plane.is_resident(1) and plane.is_resident(2)
+
+    def test_fleet_read_fault_leaves_no_pins(self, batches):
+        """Fleet tier: an ``ssd_read_error`` that lands on a pass's
+        embedding miss read (rows from an earlier pass are hits) fails
+        the pass, the retry completes, and no row stays pinned."""
+        plan = FaultPlan([FaultEvent(FAULT_SSD_READ_ERROR, at=4.0, replica=0)])
+        fleet = make_fleet(
+            1,
+            shared_embedding_cache=True,
+            max_batch=1,
+            max_wait_ms=0.0,
+            fault_plan=plan,
+            resilience=ResilienceConfig(max_retries=2, cooldown_s=0.0),
+        )
+        first = fleet.submit_request(batches[0], 5)
+        second = fleet.submit_request(batches[1], 5, at=5.0)
+        outcomes = {o.request_id: o for o in fleet.drain()}
+        assert set(outcomes) == {first, second}
+        assert outcomes[second].attempts == 2  # the faulted pass, then the retry
+        plane = fleet.embedding_plane
+        assert plane.total_hits > 0
+        assert plane.pinned_rows == 0

@@ -1,12 +1,15 @@
-"""The pruning-check and embedding-row fast paths are exact rewrites.
+"""The simulator's fast paths are exact rewrites.
 
 Each production routine must reproduce its reference in
 ``tests/reference_impls.py`` bit for bit: cluster labels, centre and
-inertia bytes, the CV trigger, the score noise, and every observable of
-the two LRU row caches after every operation.  The last test runs the
-offline PRISM systems end to end with the references patched in and
-requires identical results, so no prune decision can drift.
+inertia bytes, the CV trigger, the score noise, every observable of the
+two LRU row caches and of the memory tracker after every operation, and
+every packed token id.  The last test runs the five offline systems end
+to end with the references patched in and requires identical results,
+so no prune decision, latency or memory staircase can drift.
 """
+
+import struct
 
 import numpy as np
 import pytest
@@ -17,11 +20,16 @@ from repro.core import clustering, pruning
 from repro.core.data_plane import SharedEmbeddingCache
 from repro.core.embedding_cache import EmbeddingCache
 from repro.data.datasets import ALL_DATASETS, get_dataset
+from repro.data.workloads import CandidateSpec, RerankQuery, build_batch
+from repro.device.clock import VirtualClock
 from repro.device.executor import DeviceExecutor
+from repro.device.memory import MemoryTracker, OutOfMemoryError
 from repro.device.platforms import NVIDIA_5070
-from repro.harness.runner import run_system
+from repro.harness.runner import SYSTEMS, run_system
 from repro.model import semantics
 from repro.model.zoo import get_model_config
+from repro.text.tokenizer import Tokenizer
+from repro.text.vocab import Vocabulary
 from tests import reference_impls as ref
 
 EXACT = settings(
@@ -268,20 +276,293 @@ class TestSharedCache:
 
 
 # ---------------------------------------------------------------------------
-# end to end: prune decisions over the offline sweep
+# the memory tracker
+# ---------------------------------------------------------------------------
+NAMES = ("a", "b", "c", "d")
+CATEGORIES = ("weights", "hidden", "other")
+BUDGET = 100
+
+tracker_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("alloc"),
+            st.sampled_from(NAMES),
+            st.sampled_from([0, 1, 7, 50, 99, 100, 101, -1]),
+            st.sampled_from(CATEGORIES),
+        ),
+        # Allocate exactly up to the budget, or one byte past it.
+        st.tuples(
+            st.just("fill"),
+            st.sampled_from(NAMES),
+            st.sampled_from([0, 1]),
+            st.sampled_from(CATEGORIES),
+        ),
+        st.tuples(st.sampled_from(["free", "free_if_live"]), st.sampled_from(NAMES + ("ghost",))),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 1e-9, 0.1, 0.25, 1 / 3])),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _apply(tracker, op: tuple):
+    """Run one op; return its result, or the type and message of what it raised."""
+    kind, *args = op
+    try:
+        if kind == "alloc":
+            tracker.alloc(args[0], args[1], args[2])
+        elif kind == "fill":
+            budget = tracker.budget_bytes if tracker.budget_bytes is not None else BUDGET
+            tracker.alloc(args[0], budget - tracker.in_use + args[1], args[2])
+        elif kind == "free":
+            tracker.free(args[0])
+        elif kind == "free_if_live":
+            return tracker.free_if_live(args[0])
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _points(timeline) -> list:
+    return [(type(p).__name__, p.time, type(p.in_use), p.in_use) for p in timeline]
+
+
+def _float_bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_same_tracker(got: MemoryTracker, want: "ref.MemoryTracker") -> None:
+    assert got.in_use == want.in_use and got.peak == want.peak
+    for name in NAMES + ("ghost",):
+        assert got.is_live(name) == want.is_live(name)
+        assert got.live_bytes(name) == want.live_bytes(name)
+    assert _points(got.timeline()) == _points(want.timeline())
+    assert len(got._timeline) == len(want._timeline)  # the staircase-point count
+    for category in CATEGORIES + ("never",):
+        assert got.in_use_by_category(category) == want.in_use_by_category(category)
+        assert _points(got.category_timeline(category)) == _points(
+            want.category_timeline(category)
+        )
+    got_stats, want_stats = got.stats(), want.stats()
+    assert got_stats.peak_bytes == want_stats.peak_bytes
+    assert got_stats.final_bytes == want_stats.final_bytes
+    assert got_stats.peak_by_category == want_stats.peak_by_category
+    assert list(got_stats.peak_by_category) == list(want_stats.peak_by_category)
+    assert type(got_stats.avg_bytes) is type(want_stats.avg_bytes)
+    assert _float_bits(got_stats.avg_bytes) == _float_bits(want_stats.avg_bytes)
+
+
+class TestMemoryTracker:
+    @EXACT
+    @given(
+        budget=st.sampled_from([None, BUDGET]),
+        start=st.sampled_from([0.0, 2.5]),
+        ops=tracker_ops,
+    )
+    @example(  # same-instant events collapse; OOM exactly at the boundary
+        budget=BUDGET,
+        start=0.0,
+        ops=[
+            ("alloc", "a", 0, "weights"),
+            ("fill", "b", 0, "hidden"),
+            ("fill", "c", 1, "hidden"),
+            ("free", "b"),
+            ("free", "b"),
+            ("advance", 0.1),
+            ("alloc", "b", 0, "other"),
+            ("free_if_live", "a"),
+            ("free_if_live", "a"),
+        ],
+    )
+    def test_every_operation_matches_the_reference(self, budget, start, ops):
+        clock = VirtualClock(start)
+        tracker = MemoryTracker(clock, budget_bytes=budget)
+        reference = ref.MemoryTracker(clock, budget_bytes=budget)
+        assert_same_tracker(tracker, reference)
+        for op in ops:
+            if op[0] == "advance":
+                clock.advance(op[1])
+                continue
+            assert _apply(tracker, op) == _apply(reference, op)
+            assert_same_tracker(tracker, reference)
+
+    def test_long_staircase_average_is_bitwise(self):
+        """Thousands of points with uneven steps: a pairwise or compensated
+        sum in the time-weighted average would change its bits."""
+        rng = np.random.default_rng(5)
+        clock = VirtualClock()
+        trackers = (MemoryTracker(clock), ref.MemoryTracker(clock))
+        live: list[str] = []
+        for step in range(3000):
+            if live and rng.random() < 0.45:
+                name = live.pop(int(rng.integers(len(live))))
+                for tracker in trackers:
+                    tracker.free(name)
+            else:
+                name, nbytes = f"t{step}", int(rng.integers(0, 7 << 20))
+                category = CATEGORIES[int(rng.integers(len(CATEGORIES)))]
+                for tracker in trackers:
+                    tracker.alloc(name, nbytes, category)
+                live.append(name)
+            if rng.random() < 0.8:
+                clock.advance(float(rng.exponential(1e-3)))
+        assert len(trackers[0].timeline()) > 2000
+        assert_same_tracker(*trackers)
+
+    def test_oom_message_and_fields_match(self):
+        clock = VirtualClock()
+        errors = []
+        for tracker in (MemoryTracker(clock, 3 << 20), ref.MemoryTracker(clock, 3 << 20)):
+            tracker.alloc("held", 2 << 20)
+            with pytest.raises(OutOfMemoryError) as excinfo:
+                tracker.alloc("big", (1 << 20) + 1)
+            err = excinfo.value
+            errors.append((type(err), str(err), err.requested, err.in_use, err.budget, err.name))
+        assert errors[0] == errors[1]
+
+
+# ---------------------------------------------------------------------------
+# request packing
+# ---------------------------------------------------------------------------
+_TOKENIZERS: dict[int, Tokenizer] = {}
+
+
+def tokenizer_of(size: int) -> Tokenizer:
+    if size not in _TOKENIZERS:
+        _TOKENIZERS[size] = Tokenizer(Vocabulary(size))
+    return _TOKENIZERS[size]
+
+
+#: Tiny vocabularies (one regular token and up), and the paper-scale one.
+vocab_sizes = st.sampled_from([5, 6, 50, 30_522, 151_669])
+seeds = st.integers(min_value=0, max_value=2**63 - 1)
+lengths = st.sampled_from([0, 1, 2, 7, 64, 300, 700])
+max_lens = st.sampled_from([4, 5, 8, 40, 91, 92, 120, 512])
+token_lists = st.lists(st.integers(4, 200), max_size=40).map(
+    lambda xs: np.array(xs, dtype=np.int64)
+)
+
+
+class TestPacking:
+    @EXACT
+    @given(size=vocab_sizes, seed=seeds, length=lengths)
+    def test_encode_synthetic_bitwise(self, size, seed, length):
+        tokenizer = tokenizer_of(size)
+        assert same_bits(
+            tokenizer.encode_synthetic(seed, length), ref.encode_synthetic(tokenizer, seed, length)
+        )
+
+    @EXACT
+    @given(size=vocab_sizes, pairs=st.lists(st.tuples(seeds, lengths), min_size=1, max_size=24))
+    def test_batched_draw_matches_per_seed_sampling(self, size, pairs):
+        tokenizer = tokenizer_of(size)
+        got = tokenizer.encode_synthetic_many([s for s, _ in pairs], [n for _, n in pairs])
+        assert len(got) == len(pairs)
+        for ids, (seed, length) in zip(got, pairs):
+            assert same_bits(ids, ref.encode_synthetic(tokenizer, seed, length))
+
+    @EXACT
+    @given(seed=seeds, full=lengths, data=st.data())
+    def test_prefix_draw_is_the_prefix_of_the_full_draw(self, seed, full, data):
+        kept = data.draw(st.integers(0, full))
+        tokenizer = tokenizer_of(151_669)
+        assert same_bits(
+            tokenizer.encode_synthetic(seed, kept),
+            ref.encode_synthetic(tokenizer, seed, full)[:kept],
+        )
+
+    def test_vocabulary_sample_bitwise(self):
+        vocab = tokenizer_of(151_669).vocab
+        for seed in range(20):
+            assert same_bits(
+                vocab.sample(np.random.default_rng(seed), 257),
+                ref.sample(vocab, np.random.default_rng(seed), 257),
+            )
+        with pytest.raises(ValueError):
+            vocab.sample(np.random.default_rng(0), -1)
+
+    @EXACT
+    @given(
+        size=vocab_sizes,
+        query=token_lists,
+        docs=st.lists(token_lists, min_size=1, max_size=8),
+        max_len=max_lens,
+        with_template=st.booleans(),
+    )
+    @example(  # max_len below template + query + 3; an empty document
+        size=151_669,
+        query=np.arange(4, 30, dtype=np.int64),
+        docs=[np.empty(0, dtype=np.int64), np.arange(4, 90, dtype=np.int64)],
+        max_len=40,
+        with_template=True,
+    )
+    def test_batch_pairs_matches_stacked_rows(self, size, query, docs, max_len, with_template):
+        tokenizer = tokenizer_of(size)
+        got = tokenizer.batch_pairs(query, docs, max_len, with_template)
+        assert same_bits(got, ref.batch_pairs(tokenizer, query, docs, max_len, with_template))
+        for row, doc in zip(got, docs):
+            assert same_bits(
+                tokenizer.build_pair(query, doc, max_len, with_template),
+                ref.build_pair(tokenizer, query, doc, max_len, with_template),
+            )
+            assert same_bits(row, ref.build_pair(tokenizer, query, doc, max_len, with_template))
+
+    @EXACT
+    @given(
+        size=vocab_sizes,
+        query_length=lengths,
+        doc_lengths=st.lists(lengths, min_size=1, max_size=12),
+        max_len=max_lens,
+        seed=seeds,
+    )
+    def test_build_batch_matches_the_reference(
+        self, size, query_length, doc_lengths, max_len, seed
+    ):
+        candidates = tuple(
+            CandidateSpec(uid=i, seed=seed ^ (i + 1), length=n, relevance=0.5, is_relevant=i == 0)
+            for i, n in enumerate(doc_lengths)
+        )
+        query = RerankQuery(
+            query_id=0, seed=seed, query_length=query_length, candidates=candidates
+        )
+        tokenizer = tokenizer_of(size)
+        got = build_batch(query, tokenizer, max_len)
+        want = ref.build_batch(query, tokenizer, max_len)
+        for field in ("tokens", "lengths", "relevance", "uids"):
+            assert same_bits(getattr(got, field), getattr(want, field))
+
+    def test_bad_arguments_rejected(self):
+        tokenizer = tokenizer_of(50)
+        with pytest.raises(ValueError):
+            tokenizer.batch_pairs(np.array([5]), [np.array([6])], 3)
+        with pytest.raises(ValueError):
+            tokenizer.batch_pairs(np.array([5]), [], 16)
+        with pytest.raises(ValueError):
+            tokenizer.encode_synthetic_many([1, 2], [3, -1])
+
+
+# ---------------------------------------------------------------------------
+# end to end: the offline sweep
 # ---------------------------------------------------------------------------
 OFFLINE_MODELS = ("qwen3-reranker-0.6b", "qwen3-reranker-4b", "bge-reranker-v2-m3")
 
 
-def _offline_results() -> dict:
-    results = {}
+def _offline_runs() -> dict:
+    runs = {}
     for model in OFFLINE_MODELS:
         config = get_model_config(model)
         queries = [q for name in ALL_DATASETS for q in get_dataset(name).queries(1, 20)]
-        for system in ("prism", "prism_quant"):
-            stats = run_system(system, config, "nvidia_5070", queries, k=10, keep_results=True)
-            results[system, model] = stats.results
-    return results
+        for system in SYSTEMS:
+            runs[system, model] = run_system(
+                system,
+                config,
+                "nvidia_5070",
+                queries,
+                k=10,
+                keep_results=True,
+                keep_timeline=True,
+            )
+    return runs
 
 
 def _reference_scores_at(self, layer, relevance, candidate_uids):
@@ -289,24 +570,41 @@ def _reference_scores_at(self, layer, relevance, candidate_uids):
 
 
 def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
-    """PRISM and PRISM-quant over all 18 datasets and three models give
-    the same results with the reference implementations patched in."""
-    fast = _offline_results()
+    """All five systems over all 18 datasets and three models give the
+    same results, latencies and memory staircases with every reference
+    implementation patched in."""
+    fast = _offline_runs()
     monkeypatch.setattr(pruning, "cluster_scores", ref.cluster_scores)
     monkeypatch.setattr(pruning, "coefficient_of_variation", ref.coefficient_of_variation)
     monkeypatch.setattr(semantics.ScoreDynamics, "scores_at", _reference_scores_at)
     monkeypatch.setattr("repro.core.engine.EmbeddingCache", ref.EmbeddingCache)
-    reference = _offline_results()
+    monkeypatch.setattr("repro.device.platforms.MemoryTracker", ref.MemoryTracker)
+    monkeypatch.setattr("repro.harness.runner.build_batch", ref.build_batch)
+    reference = _offline_runs()
     assert fast.keys() == reference.keys()
-    for key, results in fast.items():
-        assert len(results) == len(reference[key]) == len(ALL_DATASETS)
-        for got, want in zip(results, reference[key]):
-            assert same_bits(got.top_indices, want.top_indices)
-            assert same_bits(got.top_scores, want.top_scores)
-            assert got.latency_seconds == want.latency_seconds
-            assert got.io_stall_seconds == want.io_stall_seconds
-            assert got.prune_events == want.prune_events
-    assert any(event for results in fast.values() for r in results for event in r.prune_events)
+    for key, got in fast.items():
+        want = reference[key]
+        assert got.oom == want.oom
+        assert got.latencies == want.latencies
+        assert got.io_stall_seconds == want.io_stall_seconds
+        assert got.precisions == want.precisions
+        assert _float_bits(got.peak_mib) == _float_bits(want.peak_mib)
+        assert _float_bits(got.avg_mib) == _float_bits(want.avg_mib)
+        assert _points(got.timeline) == _points(want.timeline)
+        assert len(got.results) == len(want.results)
+        for result, expected in zip(got.results, want.results):
+            assert same_bits(result.top_indices, expected.top_indices)
+            assert same_bits(result.top_scores, expected.top_scores)
+            assert result.latency_seconds == expected.latency_seconds
+            assert result.io_stall_seconds == expected.io_stall_seconds
+            assert result.prune_events == expected.prune_events
+    assert fast["hf", "qwen3-reranker-4b"].oom  # the OOM path ran
+    assert all(
+        len(fast[system, model].results) == len(ALL_DATASETS)
+        for system, model in fast
+        if (system, model) != ("hf", "qwen3-reranker-4b")
+    )
+    assert any(event for run in fast.values() for r in run.results for event in r.prune_events)
 
 
 @pytest.mark.parametrize("tokens", [np.array([-1, 2]), np.array([[0, -3]])])
