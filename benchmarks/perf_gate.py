@@ -8,12 +8,18 @@ anchor (wall[scenario] / wall[solo]), which cancels the machine factor —
 a uniformly slower CI worker produces identical ratios.  The gate then
 fails when either
 
-* the median normalised ratio across the gang scenarios regressed by
-  more than ``--threshold`` (default 20%) against the baseline, or
-* the fresh run's batched N=8 speedup (sequential_gang_n8 /
-  batched_gang_n8) fell below ``--min-speedup-n8`` — the direct guard
-  on the batched-kernel win itself, which a median over scenarios
-  could mask.
+* the median normalised ratio across the kernel gang scenarios
+  (``KERNEL_SCENARIOS``) regressed by more than ``--threshold``
+  (default 20%) against the baseline, or
+* the fresh run's N=8 kernel speedup (reference_n8 / gang_n8) fell
+  below ``--min-speedup-n8`` — the direct guard on the forward
+  kernel's win over the float64 reference layer.  It is the only
+  check that catches a kernel slowdown: normalising by ``solo``
+  cancels a slowdown that hits every scenario equally.
+
+The reference scenarios time the float64 oracle under ``tests/``, not
+shipped code, and their ratio to ``solo`` swings by more than the
+threshold with machine load, so they feed only the floor.
 
 ``--inject-slowdown FACTOR`` multiplies the fresh run's non-anchor
 wall-times before comparing — the CI job uses it to prove the gate
@@ -70,14 +76,17 @@ from pathlib import Path
 #: multiple of this one's wall-time from the same run.
 ANCHOR = "solo"
 
-#: Gang scenarios the gate compares (everything the microbench records
-#: except the anchor itself).
+#: Gang scenarios the gate reads and reports (everything the microbench
+#: records except the anchor itself).
 GANG_SCENARIOS = (
-    "sequential_gang_n4",
-    "batched_gang_n4",
-    "sequential_gang_n8",
-    "batched_gang_n8",
+    "gang_n4",
+    "reference_n4",
+    "gang_n8",
+    "reference_n8",
 )
+
+#: Scenarios the median regression is taken over: the shipped kernel.
+KERNEL_SCENARIOS = ("gang_n4", "gang_n8")
 
 
 class GateError(Exception):
@@ -127,17 +136,20 @@ def check(
         )
 
     failures: list[str] = []
-    median = statistics.median(regressions.values())
-    print(f"median regression: {median:+.1%} (threshold {threshold:+.1%})")
+    median = statistics.median(regressions[name] for name in KERNEL_SCENARIOS)
+    print(
+        f"median regression over {', '.join(KERNEL_SCENARIOS)}: {median:+.1%}"
+        f" (threshold {threshold:+.1%})"
+    )
     if median > threshold:
         failures.append(
             f"median normalised regression {median:+.1%} exceeds {threshold:.0%}"
         )
-    speedup = fresh["sequential_gang_n8"] / fresh["batched_gang_n8"]
-    print(f"fresh batched N=8 speedup: {speedup:.2f}x (floor {min_speedup_n8:.2f}x)")
+    speedup = fresh["reference_n8"] / fresh["gang_n8"]
+    print(f"fresh N=8 kernel speedup: {speedup:.2f}x (floor {min_speedup_n8:.2f}x)")
     if speedup < min_speedup_n8:
         failures.append(
-            f"batched N=8 speedup {speedup:.2f}x below the {min_speedup_n8:.2f}x floor"
+            f"N=8 kernel speedup {speedup:.2f}x below the {min_speedup_n8:.2f}x floor"
         )
     return failures
 
@@ -254,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--threshold", type=float, default=0.20,
                         help="max tolerated median normalised regression")
     parser.add_argument("--min-speedup-n8", type=float, default=1.4,
-                        help="floor on the fresh batched N=8 speedup")
+                        help="floor on the fresh N=8 kernel-vs-reference speedup")
     parser.add_argument("--inject-slowdown", type=float, default=1.0,
                         help="multiply fresh non-anchor wall-times (gate self-test)")
     parser.add_argument("--data-plane-baseline", type=Path, default=None,

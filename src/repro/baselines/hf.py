@@ -92,7 +92,7 @@ class HFEngine(EngineBase):
             state = self.model.embed(sub, numerics=self.numerics)
             for layer in range(cfg.num_layers):
                 self._run_layer_chunk(inter_tag, mini.size, chunk_costs)
-                self._forward_layer(state, layer)
+                self.model.forward_layer(state, layer)
                 layers_executed += 1
                 candidate_layers += int(mini.size)
                 yield layer  # preemption point: one layer advanced

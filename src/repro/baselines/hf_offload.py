@@ -100,7 +100,7 @@ class HFOffloadEngine(EngineBase):
                 )
                 self._run_layer_chunk(inter_tag, mini.size, chunk_costs)
                 memory.free(tag)
-                self._forward_layer(state, layer)
+                self.model.forward_layer(state, layer)
                 layers_executed += 1
                 candidate_layers += int(mini.size)
                 yield layer  # preemption point: one layer advanced

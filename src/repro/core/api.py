@@ -145,6 +145,8 @@ class SelectionRequest:
             object.__setattr__(self, "tenant", str(self.metadata["tenant"]))
         if self.k <= 0:
             raise ValueError("k must be positive")
+        if self.batch.size == 0:
+            raise ValueError("batch has no candidates")
         if self.priority < 0:
             raise ValueError("priority must be non-negative")
         if self.arrival is not None and self.arrival < 0:

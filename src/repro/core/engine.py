@@ -22,10 +22,8 @@ refactor (bit-identical results and latencies).
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -258,17 +256,6 @@ class RerankTask:
             self.context.plane_pass.fail_pass()
 
 
-def step_group(tasks: Sequence["RerankTask"]) -> list[bool]:
-    """Step a fused gang one layer crossing with batched numerics.
-
-    Convenience wrapper over :meth:`EngineBase.step_group` — every task
-    must share one engine (gangs are per-device by construction).
-    """
-    if not tasks:
-        return []
-    return tasks[0].engine.step_group(tasks)
-
-
 class EngineBase:
     """Shared plumbing for all engines."""
 
@@ -294,13 +281,6 @@ class EngineBase:
         #: Shared weight plane (DESIGN.md §7); engines that stream
         #: privately per request leave it ``None``.
         self.weight_plane: WeightPlane | None = None
-        #: Batched gang kernels (DESIGN.md §11): under group stepping,
-        #: run one stacked forward per layer crossing instead of one
-        #: per member.  ``False`` forces the sequential per-member
-        #: kernels — the comparator the equivalence tests and the
-        #: hot-path microbench run against.
-        self.gang_kernels = True
-        self._gang_depth = 0
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -330,6 +310,8 @@ class EngineBase:
             raise RuntimeError(f"{self.name}: rerank() before prepare()")
         if k <= 0:
             raise ValueError("k must be positive")
+        if batch.size == 0:
+            raise ValueError("batch has no candidates")
         return RerankTask(self, batch, min(k, batch.size), requested_k=k)
 
     def rerank(self, batch: CandidateBatch, k: int) -> RerankResult:
@@ -353,47 +335,6 @@ class EngineBase:
         response = EngineServer(self).submit(SelectionRequest(batch=batch, k=k)).result()
         assert response.result is not None  # no deadline, no cancel → always ok
         return response.result
-
-    @contextlib.contextmanager
-    def gang_step(self):
-        """Group-stepping mode (DESIGN.md §11): defer and batch numerics.
-
-        While active, every layer crossing an in-flight task performs
-        is deferred into the model's gang pool; a lockstep gang's
-        crossings then execute as one stacked forward per layer when
-        any member's hidden batch is next read.  Simulated costs,
-        events and selections are untouched — only the harness's own
-        wall-clock changes.  On final exit the pool is flushed so no
-        state outlives the group-stepping window unmaterialised.
-        """
-        self._gang_depth += 1
-        try:
-            yield
-        finally:
-            self._gang_depth -= 1
-            if self._gang_depth == 0:
-                self.model.flush_deferred()
-
-    def step_group(self, tasks: Sequence[RerankTask]) -> list[bool]:
-        """One fused crossing: step every gang member, numerics batched.
-
-        The engine-layer group-step entry point (DESIGN.md §11): each
-        member advances exactly one layer of work in the given order —
-        identical clock charges, events and step counts to stepping
-        them individually — but their layer numerics execute as one
-        stacked forward when the group's pool flushes.  Returns each
-        member's completion flag, in order.
-        """
-        for task in tasks:
-            if task.engine is not self:
-                raise ValueError("step_group: every task must belong to this engine")
-        with self.gang_step():
-            return [task.step() for task in tasks]
-
-    def _forward_layer(self, state: ForwardState, layer_idx: int) -> None:
-        """Cross one layer, deferring into the gang pool under group stepping."""
-        defer = self.gang_kernels and self._gang_depth > 0
-        self.model.forward_layer(state, layer_idx, defer=defer)
 
     def _claim_request_id(self) -> int:
         request_id = self._request_counter
@@ -469,9 +410,8 @@ class EngineBase:
     # ------------------------------------------------------------------
     @staticmethod
     def _subset_state(state: ForwardState, positions: np.ndarray) -> ForwardState:
-        # Pruning decisions always score first, and score() flushes the
-        # gang pool — so a subset never observes a stale hidden batch.
-        assert state.pending_layer is None, "subset of an unmaterialised state"
+        # Row subsets of the float64 hidden batch keep each survivor's
+        # exact semantic channel (DESIGN.md §11).
         sub = ForwardState(batch=state.batch.select(positions), layer_done=state.layer_done)
         if state.hidden is not None:
             assert state.sim_lengths is not None
@@ -691,7 +631,9 @@ class PrismEngine(EngineBase):
                 if ring is not None:
                     ring.release(layer, chunk_no)
 
-            self._forward_layer(state, layer)
+            # Costs are charged from shapes alone: numerics never reach
+            # the clock (DESIGN.md §11).
+            self.model.forward_layer(state, layer)
             if streamer is not None:
                 streamer.advance(layer)
             layers_executed += 1
@@ -706,9 +648,6 @@ class PrismEngine(EngineBase):
             order = np.argsort(-scores)[:slots]
             selected_idx.extend(int(active[i]) for i in order)
             selected_scores.extend(float(scores[i]) for i in order)
-        # A pass that filled k via pruning may end with its last gang
-        # crossing still deferred; nobody will read that hidden batch.
-        self.model.discard_deferred(state)
 
         if ring is not None:
             ring.release_all()
@@ -740,6 +679,8 @@ class PrismEngine(EngineBase):
         executor = self.executor
         executor.device.clock.advance(self.config.cv_check_latency)
         self._charge_classifier(int(active.size))
+        # The head reads the exactly injected channel, so the decision
+        # does not depend on the kernel's precision (DESIGN.md §11).
         scores = self.model.score(state)
         decision = self.pruner.decide(scores, slots)
         if decision.clustering is not None:

@@ -768,6 +768,8 @@ class FleetService:
             )
         if k <= 0:
             raise ValueError("k must be positive")
+        if batch.size == 0:
+            raise ValueError("batch has no candidates")
         if priority < 0:
             raise ValueError("priority must be non-negative")
         if deadline is not None and deadline <= arrival:

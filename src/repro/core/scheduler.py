@@ -34,7 +34,6 @@ scheduler that time-multiplexes several in-flight passes on the single
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass, field
 
@@ -359,6 +358,8 @@ class DeviceScheduler:
             # Fail here, not mid-drain: by the time the queue pops this
             # request, other requests may already have consumed device time.
             raise ValueError("k must be positive")
+        if batch.size == 0:
+            raise ValueError("batch has no candidates")
         if deadline is not None and deadline <= arrival:
             raise ValueError("deadline must lie after the request's arrival")
         if client_id is not None:
@@ -398,25 +399,7 @@ class DeviceScheduler:
     # the policy loop
     # ------------------------------------------------------------------
     def drain(self) -> list[ScheduledOutcome]:
-        """Serve every submitted request; returns outcomes in completion order.
-
-        Under the ``fusion`` policy the drain runs inside the engine's
-        group-stepping mode (:meth:`~repro.core.engine.EngineBase.gang_step`,
-        DESIGN.md §11): the lockstep gang's layer crossings execute as
-        one stacked forward per layer instead of one per member.  The
-        schedule itself — step order, clock intervals, events — is
-        byte-identical to sequential execution; only the harness's own
-        wall-clock drops.
-        """
-        gang_mode = (
-            self.engine.gang_step()
-            if self.config.policy == "fusion"
-            else contextlib.nullcontext()
-        )
-        with gang_mode:
-            return self._drain_loop()
-
-    def _drain_loop(self) -> list[ScheduledOutcome]:
+        """Serve every submitted request; returns outcomes in completion order."""
         pending = sorted(self._pending, key=lambda r: (r.arrival, r.request_id))
         self._pending.clear()
         self._pending_client_ids.clear()
@@ -673,6 +656,7 @@ class DeviceScheduler:
             # Gang lockstep: always the task furthest behind, so every
             # in-flight task crosses each layer boundary back-to-back
             # and one plane fetch serves the whole group (DESIGN.md §7).
+            # Fusion shares weight fetches, not forwards (DESIGN.md §11).
             return min(active, key=lambda f: (f.task.steps_taken, f.started_order))
         # priority: best lane first; FIFO inside a lane.
         return min(active, key=lambda f: (f.request.priority, f.started_order))

@@ -37,7 +37,6 @@ from ..core.metrics import cluster_gamma, goodman_kruskal_gamma, precision_at_k
 from ..data.datasets import ALL_DATASETS, get_dataset
 from ..device.memory import TimelinePoint
 from ..model.zoo import (
-    BGE_M3,
     BGE_MINICPM,
     PAPER_MODELS,
     QWEN3_0_6B,

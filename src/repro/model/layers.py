@@ -2,10 +2,12 @@
 
 ``TransformerLayerWeights`` holds the numpy arrays for one layer;
 ``TransformerLayer`` applies pre-norm attention + FFN with residual
-connections.  Decoder-family models (Qwen3, MiniCPM) use RMSNorm,
-causal attention and SwiGLU; encoder-family models (BGE-M3) use
-LayerNorm, bidirectional attention and GELU — mirroring the two
-cross-encoder architectures the paper evaluates (§2.1).
+connections as one fused forward, in whatever precision its weights
+carry (the model casts them to float32).  Decoder-family models
+(Qwen3, MiniCPM) use RMSNorm, causal attention and SwiGLU;
+encoder-family models (BGE-M3) use LayerNorm, bidirectional attention
+and GELU — mirroring the two cross-encoder architectures the paper
+evaluates (§2.1).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .tensor_ops import (
     padding_mask,
     rms_norm,
     silu,
-    softmax,
     split_heads,
 )
 from .zoo import ModelConfig
@@ -53,7 +54,7 @@ class TransformerLayerWeights:
         return total
 
     def cast(self, dtype) -> "TransformerLayerWeights":
-        """A copy of these weights in ``dtype`` (fused gang kernel)."""
+        """A copy of these weights in ``dtype`` (the forward kernel's precision)."""
         return TransformerLayerWeights(
             **{
                 name: None if value is None else value.astype(dtype)
@@ -98,19 +99,34 @@ class TransformerLayer:
         self.config = config
         self.weights = weights
         #: Lazily fused projection matrices (QKV / gate+up stacked
-        #: column-wise) for :meth:`forward_fused`; built once per layer
-        #: instance, so only the model's cached fused layers pay for it.
+        #: column-wise); built once per layer instance, so the model's
+        #: cached per-layer kernels pay for them once.
         self._wqkv: np.ndarray | None = None
         self._w_gate_up: np.ndarray | None = None
 
     def forward(self, hidden: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """Run the layer over ``hidden`` (N, L, D_sim); returns a new array."""
+        """Run the layer over ``hidden`` (N, L, D_sim); returns a new array.
+
+        The forward kernel (DESIGN.md §11), organised for harness
+        wall-clock: projections run as single stacked matmuls (QKV
+        fused, SwiGLU gate+up fused) and the attention-score pipeline
+        mutates one buffer in place instead of allocating a temporary
+        per op.  It computes in whatever dtype ``hidden`` and the
+        weights carry; the model feeds it float32
+        (``repro.model.transformer.KERNEL_DTYPE``), which halves the
+        memory traffic of the (N, H, L, L) score tensors.  Selections
+        are unaffected by construction — observables ride the semantic
+        channel, injected exactly after every crossing.
+        """
         if hidden.ndim != 3:
             raise ValueError(f"hidden must be (N, L, D); got {hidden.shape}")
-        normed = self._norm(hidden, self.weights.norm1, self.weights.norm1_bias)
-        hidden = hidden + self._attention(normed, lengths)
-        normed = self._norm(hidden, self.weights.norm2, self.weights.norm2_bias)
-        hidden = hidden + self._ffn(normed)
+        w = self.weights
+        normed = self._norm(hidden, w.norm1, w.norm1_bias)
+        attn = self._attention(normed, lengths)
+        attn += hidden  # in place: ``attn`` is fresh off the matmul chain
+        hidden = attn
+        normed = self._norm(hidden, w.norm2, w.norm2_bias)
+        hidden += self._ffn(normed)  # in place: residual owns the buffer
         return hidden
 
     # ------------------------------------------------------------------
@@ -123,58 +139,6 @@ class TransformerLayer:
         return layer_norm(x, weight, bias)
 
     def _attention(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        w = self.weights
-        heads = self.config.sim_heads
-        seq_len = x.shape[1]
-        q = split_heads(x @ w.wq, heads)
-        k = split_heads(x @ w.wk, heads)
-        v = split_heads(x @ w.wv, heads)
-        head_dim = q.shape[-1]
-        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim)
-        scores = scores + padding_mask(lengths, seq_len)
-        if self.config.is_decoder:
-            scores = scores + causal_mask(seq_len)[None, None]
-        attn = softmax(scores, axis=-1)
-        out = merge_heads(attn @ v)
-        return out @ w.wo
-
-    def _ffn(self, x: np.ndarray) -> np.ndarray:
-        w = self.weights
-        if self.config.is_decoder:
-            assert w.w_gate is not None
-            return (silu(x @ w.w_gate) * (x @ w.w_up)) @ w.w_down
-        return gelu(x @ w.w_up) @ w.w_down
-
-    # ------------------------------------------------------------------
-    # fused gang kernel (DESIGN.md §11)
-    # ------------------------------------------------------------------
-    def forward_fused(self, hidden: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-        """One fused forward over a packed gang batch.
-
-        The batched-gang variant of :meth:`forward`: same layer
-        semantics, reorganised for harness wall-clock — projections run
-        as single stacked matmuls (QKV fused, SwiGLU gate+up fused) and
-        the attention-score pipeline mutates one buffer in place
-        instead of allocating a temporary per op.  It computes in
-        whatever dtype ``hidden`` and the weights carry; the gang path
-        feeds it reduced precision (``repro.model.transformer.
-        GANG_KERNEL_DTYPE``), which halves the memory traffic of the
-        (N, H, L, L) score tensors.  Selections are unaffected by
-        construction — observables ride the semantic channel, injected
-        exactly after every crossing — and the numerics agree with
-        :meth:`forward` to reduced-precision tolerance
-        (``tests/test_gang_kernels.py``).
-        """
-        w = self.weights
-        normed = self._norm(hidden, w.norm1, w.norm1_bias)
-        attn = self._attention_fused(normed, lengths)
-        attn += hidden  # in place: ``attn`` is fresh off the matmul chain
-        hidden = attn
-        normed = self._norm(hidden, w.norm2, w.norm2_bias)
-        hidden += self._ffn_fused(normed)  # in place: residual owns the buffer
-        return hidden
-
-    def _attention_fused(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         w = self.weights
         heads = self.config.sim_heads
         if self._wqkv is None:
@@ -211,7 +175,7 @@ class TransformerLayer:
         context /= denom
         return merge_heads(context) @ w.wo
 
-    def _ffn_fused(self, x: np.ndarray) -> np.ndarray:
+    def _ffn(self, x: np.ndarray) -> np.ndarray:
         w = self.weights
         if not self.config.is_decoder:
             return gelu(x @ w.w_up) @ w.w_down

@@ -107,8 +107,8 @@ def causal_mask(seq_len: int, dtype=np.float64) -> np.ndarray:
     Memoized by ``(seq_len, dtype)`` — every layer crossing of every
     decoder task needs the same array, so it is built once and returned
     as an immutable view (callers only ever add it to score tensors).
-    The ``dtype`` parameter lets the reduced-precision fused gang
-    kernel (DESIGN.md §11) add the mask without promoting its scores.
+    The ``dtype`` parameter lets the reduced-precision forward kernel
+    (DESIGN.md §11) add the mask without promoting its scores.
     """
     dtype = np.dtype(dtype)
     key = (seq_len, dtype.str)
@@ -129,7 +129,8 @@ def padding_mask(lengths: np.ndarray, seq_len: int, dtype=np.float64) -> np.ndar
 
     Memoized by ``(seq_len, dtype, lengths)`` — a task re-presents the
     same length vector at every layer crossing, so the mask is built
-    once per distinct shape and returned as an immutable view.
+    once per distinct shape and returned as an immutable view in the
+    forward kernel's precision (DESIGN.md §11).
     """
     lengths = np.asarray(lengths)
     dtype = np.dtype(dtype)
@@ -145,48 +146,6 @@ def padding_mask(lengths: np.ndarray, seq_len: int, dtype=np.float64) -> np.ndar
         _PADDING_MASK_CACHE[key] = mask
         cached = mask
     return cached
-
-
-def pack_ragged(
-    arrays: list[np.ndarray], dtype=None
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Stack per-member arrays along the leading (candidate) axis.
-
-    The batched gang kernels (DESIGN.md §11) handle heterogeneous
-    candidate counts by concatenation: every per-candidate row is
-    independent of its neighbours in all layer ops (matmuls broadcast
-    over the leading axis; norms, activations and attention softmax
-    reduce over trailing axes only), so packing is exact — no padding
-    rows are needed, and ragged *sequence* lengths keep flowing through
-    :func:`padding_mask` unchanged.  ``dtype`` casts while packing (the
-    fused gang kernel packs into its reduced precision in one pass).
-    Returns the packed array and the per-member sizes used by
-    :func:`unpack_ragged`.
-    """
-    if len(arrays) == 1:  # solo: no copy unless a cast is needed
-        solo = arrays[0]
-        if dtype is not None and solo.dtype != dtype:
-            solo = solo.astype(dtype)
-        return solo, (arrays[0].shape[0],)
-    sizes = tuple(a.shape[0] for a in arrays)
-    if dtype is None:
-        return np.concatenate(arrays, axis=0), sizes
-    packed = np.empty((sum(sizes), *arrays[0].shape[1:]), dtype=dtype)
-    offset = 0
-    for array, size in zip(arrays, sizes):
-        packed[offset : offset + size] = array  # casts during the copy
-        offset += size
-    return packed, sizes
-
-
-def unpack_ragged(packed: np.ndarray, sizes: tuple[int, ...]) -> list[np.ndarray]:
-    """Split a packed array back into per-member views (zero-copy)."""
-    out: list[np.ndarray] = []
-    offset = 0
-    for size in sizes:
-        out.append(packed[offset : offset + size])
-        offset += size
-    return out
 
 
 def split_heads(x: np.ndarray, num_heads: int) -> np.ndarray:

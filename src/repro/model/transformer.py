@@ -16,21 +16,14 @@ model then skips the numpy tensor work and serves scores directly from
 the semantic process.  Both paths produce *identical scores* (asserted
 in tests) and engines charge identical simulated costs either way.
 
-Batched gang kernels (DESIGN.md §11): under group stepping a layer
-crossing may be *deferred* — ``forward_layer(..., defer=True)`` records
-the pending layer instead of running it, and the next read of any
-deferred state's hidden batch (a score, a subset, the following layer)
-flushes every deferred state in one stacked forward per layer
-(:class:`GangBatch` + :meth:`CrossEncoderModel.forward_layer_batched`).
-Per-candidate rows are independent in every layer op, so packing by
-concatenation is exact; the fused kernel additionally computes in
-reduced precision (:data:`GANG_KERNEL_DTYPE`), which leaves hidden
-states equal to the sequential path only to float32 tolerance — but
-*selections are byte-identical by construction*: every observable
-(classifier score, pruning decision) reads the semantic channel, which
-:meth:`CrossEncoderModel._inject` writes exactly, at full precision,
-after every crossing on both paths (equivalence-tested per engine
-family in ``tests/test_gang_kernels.py``).
+The forward kernel (DESIGN.md §11): every layer crossing runs one
+fused forward in reduced precision (:data:`KERNEL_DTYPE`) over the
+layer's weights, cast once and cached per layer, as soon as the engine
+asks for it.  ``state.hidden`` stays float64 between crossings and the
+semantic channel is written at full precision after each one, so the
+kernel's rounding never reaches a score: every observable (classifier
+score, pruning decision) reads that channel.  Selections are checked
+byte for byte against a float64 reference layer kept under ``tests/``.
 """
 
 from __future__ import annotations
@@ -42,15 +35,14 @@ import numpy as np
 from .classifier import Classifier
 from .layers import TransformerLayer
 from .semantics import ScoreDynamics
-from .tensor_ops import pack_ragged, unpack_ragged
 from .weights import WeightStore
 from .zoo import ModelConfig
 
-#: Precision of the fused gang kernel (DESIGN.md §11).  Reduced
-#: precision halves the memory traffic of the packed score tensors;
+#: Precision of the forward kernel (DESIGN.md §11).  Reduced precision
+#: halves the memory traffic of the (N, H, L, L) score tensors;
 #: selections are unaffected because observables ride the semantic
 #: channel, which is injected exactly after every crossing.
-GANG_KERNEL_DTYPE = np.float32
+KERNEL_DTYPE = np.float32
 
 
 @dataclass
@@ -95,53 +87,17 @@ class ForwardState:
 
     batch: CandidateBatch
     layer_done: int = -1  # index of the last executed layer (-1 = embedding only)
-    hidden: np.ndarray | None = None  # (N, sim_seq, sim_hidden) when numerics on
+    #: (N, sim_seq, sim_hidden) float64 when numerics are on; the kernel
+    #: computes in reduced precision but hands back float64, so the
+    #: exact semantic channel survives between crossings (DESIGN.md §11).
+    hidden: np.ndarray | None = None
     sim_lengths: np.ndarray | None = None
     scores: np.ndarray | None = None  # provisional scores at layer_done
-    #: Layer index whose numerics were deferred into the model's gang
-    #: pool (DESIGN.md §11): ``layer_done`` already counts it, but
-    #: ``hidden`` is stale until the pool flushes.  ``None`` = current.
-    pending_layer: int | None = None
     extra: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return self.batch.size
-
-
-@dataclass
-class GangBatch:
-    """Several members' hidden batches packed for one fused crossing.
-
-    Heterogeneous candidate counts are handled by concatenation along
-    the candidate axis (rows are independent in every layer op — see
-    :func:`~repro.model.tensor_ops.pack_ragged`); ragged sequence
-    lengths flow through the packed ``sim_lengths`` into the existing
-    ``padding_mask``, exactly as they do member-by-member.
-    """
-
-    hidden: np.ndarray  # (ΣN_i, L, D)
-    sim_lengths: np.ndarray  # (ΣN_i,)
-    sizes: tuple[int, ...]  # per-member candidate counts, pack order
-
-    @classmethod
-    def pack(cls, states: list["ForwardState"], dtype=None) -> "GangBatch":
-        """Stack the members' hidden batches, casting to ``dtype``.
-
-        Zero-copy when solo and no cast is needed; the gang path packs
-        straight into :data:`GANG_KERNEL_DTYPE` in one pass.
-        """
-        for state in states:
-            if state.hidden is None or state.sim_lengths is None:
-                raise ValueError("GangBatch.pack needs numerics-mode states")
-        hidden, sizes = pack_ragged([state.hidden for state in states], dtype=dtype)
-        lengths, _ = pack_ragged([state.sim_lengths for state in states])
-        return cls(hidden=hidden, sim_lengths=lengths, sizes=sizes)
-
-    def unpack_into(self, forwarded: np.ndarray, states: list["ForwardState"]) -> None:
-        """Hand each member its slice of the forwarded tensor (views)."""
-        for state, piece in zip(states, unpack_ragged(forwarded, self.sizes)):
-            state.hidden = piece
 
 
 class CrossEncoderModel:
@@ -152,12 +108,8 @@ class CrossEncoderModel:
         self.store = store if store is not None else WeightStore(config)
         self.classifier = Classifier(config)
         self.dynamics = ScoreDynamics(config.semantics, config.num_layers, config.model_seed)
-        #: Gang pool (DESIGN.md §11): states whose last layer crossing
-        #: was deferred; flushed in one batched kernel per layer.
-        self._deferred: list[ForwardState] = []
-        #: Per-layer :class:`TransformerLayer` over reduced-precision
-        #: weights, with fused projections — the kernel the batched
-        #: gang path runs.  Built lazily, one entry per layer.
+        #: Per-layer kernel over weights cast to :data:`KERNEL_DTYPE`
+        #: (DESIGN.md §11), built on a layer's first crossing.
         self._fused_layers: dict[int, TransformerLayer] = {}
 
     # ------------------------------------------------------------------
@@ -186,113 +138,51 @@ class CrossEncoderModel:
             tokens, sim_lengths = self.sim_tokens(batch)
             state.hidden = self.store.embedding_rows(tokens)
             state.sim_lengths = sim_lengths
-            self._inject(state)
+            self._inject(state, -1)
         return state
 
-    def forward_layer(
-        self, state: ForwardState, layer_idx: int, *, defer: bool = False
-    ) -> ForwardState:
+    def forward_layer(self, state: ForwardState, layer_idx: int) -> ForwardState:
         """Run one layer in place (numerics if the state carries hidden).
 
-        With ``defer=True`` (group stepping, DESIGN.md §11) the layer's
-        numerics are *recorded* instead of executed: the state joins
-        the model's gang pool and the crossing runs — batched with
-        every other pooled state at the same layer — when any pooled
-        hidden batch is next read (:meth:`materialize`).  Simulated
+        A numerics state crosses through the layer kernel at once
+        (:meth:`forward_layer_batched`, DESIGN.md §11).  Simulated
         costs are unaffected either way; engines charge them
         separately.
         """
-        self.materialize(state)  # a still-pending previous crossing
         expected = state.layer_done + 1
         if layer_idx != expected:
             raise ValueError(f"layer {layer_idx} out of order; expected {expected}")
         if state.hidden is not None:
-            if defer:
-                state.pending_layer = layer_idx
-                self._deferred.append(state)
-            else:
-                assert state.sim_lengths is not None
-                layer = TransformerLayer(self.config, self.store.load_layer(layer_idx))
-                state.hidden = layer.forward(state.hidden, state.sim_lengths)
+            self.forward_layer_batched([state], layer_idx)
         state.layer_done = layer_idx
-        if state.hidden is not None and state.pending_layer is None:
-            self._inject(state)
         state.scores = None  # invalidate: scores belong to a specific depth
         return state
 
     def forward_layer_batched(self, states: list[ForwardState], layer_idx: int) -> None:
-        """One stacked forward over several members crossing ``layer_idx``.
+        """Cross ``layer_idx`` with the layer kernel, state by state.
 
-        The batched-gang kernel (DESIGN.md §11): pack the members'
-        hidden batches along the candidate axis — casting to
-        :data:`GANG_KERNEL_DTYPE` in the same pass — run the layer's
-        fused matmul set once over the packed tensor, hand each member
-        its slice and inject its semantic channel exactly.  Selections
-        are byte-identical to forwarding each member alone; hidden
-        states agree to reduced-precision tolerance (equivalence-tested
-        per engine family in ``tests/test_gang_kernels.py``).
+        The kernel entry point (DESIGN.md §11): each state's hidden
+        batch is cast to :data:`KERNEL_DTYPE`, run through the layer's
+        cached fused forward, cast back to float64 and then given its
+        semantic channel at full precision.  Hidden states agree with
+        a float64 forward to reduced-precision tolerance; scores are
+        exact.  Does not touch ``layer_done``: :meth:`forward_layer`
+        owns the crossing's bookkeeping.
         """
         layer = self._fused_layers.get(layer_idx)
         if layer is None:
             layer = TransformerLayer(
-                self.config, self.store.load_layer(layer_idx).cast(GANG_KERNEL_DTYPE)
+                self.config, self.store.load_layer(layer_idx).cast(KERNEL_DTYPE)
             )
             self._fused_layers[layer_idx] = layer
-        gang = GangBatch.pack(states, dtype=GANG_KERNEL_DTYPE)
-        forwarded = layer.forward_fused(gang.hidden, gang.sim_lengths)
-        packed = forwarded.astype(np.float64)
-        # Inject the whole gang's semantic channel in one call: the score
-        # process is element-wise in (relevance, uid), so the batched
-        # values are bitwise those of per-member injection.
-        if len(states) == 1:
-            relevance, uids = states[0].batch.relevance, states[0].batch.uids
-        else:
-            relevance = np.concatenate([s.batch.relevance for s in states])
-            uids = np.concatenate([s.batch.uids for s in states])
-        values = self.dynamics.scores_at(layer_idx, relevance, uids)
-        positions = self.classifier.readout_positions(gang.sim_lengths)
-        packed[np.arange(packed.shape[0]), positions, 0] = values
-        gang.unpack_into(packed, states)
         for state in states:
-            state.pending_layer = None
-
-    def materialize(self, state: ForwardState) -> None:
-        """Ensure ``state.hidden`` reflects ``layer_done`` (flushes the pool)."""
-        if state.pending_layer is not None:
-            self.flush_deferred()
-
-    def flush_deferred(self) -> None:
-        """Run every deferred crossing — one batched kernel per layer.
-
-        Pool order is defer order, so grouping is deterministic; a
-        lockstep gang lands in a single group and pays one stacked
-        forward where the sequential path paid N.
-        """
-        if not self._deferred:
-            return
-        pool, self._deferred = self._deferred, []
-        groups: dict[int, list[ForwardState]] = {}
-        for state in pool:
-            if state.pending_layer is not None:  # discards leave stale entries
-                groups.setdefault(state.pending_layer, []).append(state)
-        for layer_idx, members in groups.items():
-            self.forward_layer_batched(members, layer_idx)
-
-    def discard_deferred(self, state: ForwardState) -> None:
-        """Forget a deferred crossing whose hidden will never be read.
-
-        For abandoned states only (a finished pass that scored before
-        the last crossing flushed, a cancelled task): the state leaves
-        the pool without paying for numerics nobody will observe.
-        """
-        if state.pending_layer is None:
-            return
-        state.pending_layer = None
-        self._deferred = [s for s in self._deferred if s is not state]
+            assert state.hidden is not None and state.sim_lengths is not None
+            forwarded = layer.forward(state.hidden.astype(KERNEL_DTYPE), state.sim_lengths)
+            state.hidden = forwarded.astype(np.float64)
+            self._inject(state, layer_idx)
 
     def score(self, state: ForwardState) -> np.ndarray:
         """Apply the classifier head at the state's current depth."""
-        self.materialize(state)
         if state.layer_done < 0:
             raise ValueError("cannot score before any transformer layer has run")
         if state.hidden is not None:
@@ -313,14 +203,13 @@ class CrossEncoderModel:
         return self.score(state)
 
     # ------------------------------------------------------------------
-    def _inject(self, state: ForwardState) -> None:
-        """Write the semantic channel into the readout token, channel 0."""
+    def _inject(self, state: ForwardState, layer: int) -> None:
+        """Write the semantic channel after ``layer`` (-1 = embedding)
+        into the readout token, channel 0."""
         assert state.hidden is not None and state.sim_lengths is not None
-        if state.layer_done < 0:
+        if layer < 0:
             values = np.full(state.size, self.config.semantics.anchor)
         else:
-            values = self.dynamics.scores_at(
-                state.layer_done, state.batch.relevance, state.batch.uids
-            )
+            values = self.dynamics.scores_at(layer, state.batch.relevance, state.batch.uids)
         positions = self.classifier.readout_positions(state.sim_lengths)
         state.hidden[np.arange(state.size), positions, 0] = values

@@ -10,12 +10,20 @@ trigger, ``repro.model.semantics``' noise draw, the two LRU row caches
 the property tests in ``tests/test_fast_path_equivalence.py`` and the
 end-to-end guards there compare the two.  Keep them simple and
 unchanged: they are the oracle, not a second code path.
+
+The float64 transformer layer and the per-crossing function that runs it
+(:class:`TransformerLayer`, :func:`forward_layer`) are the oracle for
+the model's reduced-precision forward kernel (DESIGN.md §11).  The
+kernel matches them to float32 tolerance on hidden states and bit for
+bit on everything observable (``tests/test_gang_kernels.py``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from types import MethodType
+from unittest import mock
 
 import numpy as np
 
@@ -32,7 +40,20 @@ from repro.device.memory import (
     OutOfMemoryError,
     TimelinePoint,
 )
-from repro.model.transformer import CandidateBatch
+from repro.model.layers import TransformerLayerWeights
+from repro.model.tensor_ops import (
+    causal_mask,
+    gelu,
+    layer_norm,
+    merge_heads,
+    padding_mask,
+    rms_norm,
+    silu,
+    softmax,
+    split_heads,
+)
+from repro.model.transformer import CandidateBatch, CrossEncoderModel, ForwardState
+from repro.model.zoo import ModelConfig
 
 
 # ---------------------------------------------------------------------------
@@ -626,3 +647,87 @@ def build_batch(query: RerankQuery, tokenizer, max_len: int) -> CandidateBatch:
         relevance=query.relevance(),
         uids=query.uids(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Float64 transformer layer (repro.model.layers, repro.model.transformer)
+# ---------------------------------------------------------------------------
+class TransformerLayer:
+    """``TransformerLayer``'s float64 forward: one temporary per op, the
+    textbook max-shifted softmax, separate Q/K/V and gate/up matmuls."""
+
+    def __init__(self, config: ModelConfig, weights: TransformerLayerWeights) -> None:
+        self.config = config
+        self.weights = weights
+
+    def forward(self, hidden: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Run the layer over ``hidden`` (N, L, D_sim); returns a new array."""
+        if hidden.ndim != 3:
+            raise ValueError(f"hidden must be (N, L, D); got {hidden.shape}")
+        normed = self._norm(hidden, self.weights.norm1, self.weights.norm1_bias)
+        hidden = hidden + self._attention(normed, lengths)
+        normed = self._norm(hidden, self.weights.norm2, self.weights.norm2_bias)
+        hidden = hidden + self._ffn(normed)
+        return hidden
+
+    def _norm(
+        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
+    ) -> np.ndarray:
+        if self.config.is_decoder:
+            return rms_norm(x, weight)
+        assert bias is not None
+        return layer_norm(x, weight, bias)
+
+    def _attention(self, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        w = self.weights
+        heads = self.config.sim_heads
+        seq_len = x.shape[1]
+        q = split_heads(x @ w.wq, heads)
+        k = split_heads(x @ w.wk, heads)
+        v = split_heads(x @ w.wv, heads)
+        head_dim = q.shape[-1]
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(head_dim)
+        scores = scores + padding_mask(lengths, seq_len)
+        if self.config.is_decoder:
+            scores = scores + causal_mask(seq_len)[None, None]
+        attn = softmax(scores, axis=-1)
+        out = merge_heads(attn @ v)
+        return out @ w.wo
+
+    def _ffn(self, x: np.ndarray) -> np.ndarray:
+        w = self.weights
+        if self.config.is_decoder:
+            assert w.w_gate is not None
+            return (silu(x @ w.w_gate) * (x @ w.w_up)) @ w.w_down
+        return gelu(x @ w.w_up) @ w.w_down
+
+
+def forward_layer(
+    self: CrossEncoderModel, state: ForwardState, layer_idx: int
+) -> ForwardState:
+    """``CrossEncoderModel.forward_layer`` on the float64 layer: a fresh
+    :class:`TransformerLayer` per crossing, then the exact semantic
+    channel.  Takes the model as ``self`` so :func:`patch_forward_layer`
+    can bind it to one."""
+    expected = state.layer_done + 1
+    if layer_idx != expected:
+        raise ValueError(f"layer {layer_idx} out of order; expected {expected}")
+    if state.hidden is not None:
+        assert state.sim_lengths is not None
+        layer = TransformerLayer(self.config, self.store.load_layer(layer_idx))
+        state.hidden = layer.forward(state.hidden, state.sim_lengths)
+    state.layer_done = layer_idx
+    if state.hidden is not None:
+        self._inject(state, layer_idx)
+    state.scores = None  # invalidate: scores belong to a specific depth
+    return state
+
+
+def patch_forward_layer(model: CrossEncoderModel):
+    """Context manager running ``model``'s crossings on the float64 layer.
+
+    Patches the instance, not the class: engines call
+    ``self.model.forward_layer``, and an instance attribute left by an
+    earlier test's ``monkeypatch`` would shadow a class-level patch.
+    """
+    return mock.patch.object(model, "forward_layer", MethodType(forward_layer, model))

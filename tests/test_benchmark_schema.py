@@ -35,10 +35,10 @@ EXPECTED_BENCHES = {
 #: (benchmarks/perf_gate.py) normalises and diffs exactly these.
 HOTPATH_SCENARIOS = {
     "solo",
-    "sequential_gang_n4",
-    "batched_gang_n4",
-    "sequential_gang_n8",
-    "batched_gang_n8",
+    "gang_n4",
+    "reference_n4",
+    "gang_n8",
+    "reference_n8",
 }
 
 
@@ -78,8 +78,8 @@ def test_hotpath_metrics_schema():
     for name, wall in walls.items():
         assert isinstance(wall, float) and wall > 0, f"{name}: bad wall-time {wall!r}"
     assert set(payload["metrics"]["speedup"]) == {
-        "batched_vs_sequential_n4",
-        "batched_vs_sequential_n8",
+        "kernel_vs_reference_n4",
+        "kernel_vs_reference_n8",
     }
 
 

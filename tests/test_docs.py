@@ -80,9 +80,8 @@ def test_observability_sources_cite_section_10():
 
 
 def test_gang_kernel_sources_cite_section_11():
-    """The §11 citation net is live: the deferred-numerics pool, the
-    fused kernel and the memoized tensor ops must anchor their design
-    in DESIGN.md §11."""
+    """The §11 citation net is live: the forward kernel and the
+    memoized tensor ops must anchor their design in DESIGN.md §11."""
     cited_by = {source for source, section in source_citations() if section == 11}
     for module in (
         "src/repro/model/transformer.py",
@@ -283,16 +282,16 @@ def test_performance_docs_cover_hotpath_and_gate():
     for concept in (
         "BENCH_hotpath.json",
         "wall_time_s_per_step",
-        "batched_vs_sequential_n",
+        "kernel_vs_reference_n",
         "solo",
-        "sequential_gang_n8",
-        "batched_gang_n8",
+        "gang_n8",
+        "reference_n8",
         "perf_gate.py",
         "--threshold",
         "--min-speedup-n8",
         "--inject-slowdown",
         "BENCH_QUICK",
-        "gang_kernels",
+        "reference_impls.py",
         "test_gang_kernels.py",
     ):
         assert concept in doc, f"docs/performance.md no longer covers {concept}"

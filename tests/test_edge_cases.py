@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.baselines import HFEngine
+from repro.core.api import SelectionRequest
 from repro.core.config import PrismConfig
 from repro.core.engine import PrismEngine
+from repro.core.fleet import FleetService
+from repro.core.scheduler import DeviceScheduler, SchedulerConfig
 from repro.data.datasets import get_dataset
-from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
 from repro.harness.runner import run_system, shared_model, shared_tokenizer
 from repro.model.transformer import CandidateBatch
@@ -36,6 +39,57 @@ def make_engine(config=None):
     )
     engine.prepare()
     return engine
+
+
+def empty_batch():
+    return make_batch(3).select(np.arange(0))
+
+
+class TestEmptyCandidateBatch:
+    """A batch with no candidates is rejected where ``k`` is checked,
+    before it can reach a drain and fail the requests queued beside it."""
+
+    def test_selection_request_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="no candidates"):
+            SelectionRequest(batch=empty_batch(), k=2)
+
+    def test_engine_start_rejects_empty_batch(self):
+        with pytest.raises(ValueError, match="no candidates"):
+            make_engine().start(empty_batch(), 2)
+
+    @pytest.mark.parametrize("policy", ["round_robin", "fusion"])
+    @pytest.mark.parametrize("engine_name", ["prism", "hf"])
+    def test_scheduler_rejects_empty_batch_and_serves_the_rest(self, engine_name, policy):
+        if engine_name == "prism":
+            engine = make_engine()
+        else:
+            device = get_profile("nvidia_5070").create()
+            engine = HFEngine(shared_model(QWEN3_0_6B), device, numerics=False)
+            engine.prepare()
+        scheduler = DeviceScheduler(engine, SchedulerConfig(policy=policy))
+        scheduler.submit_request(make_batch(6, seed_base=1), k=2)
+        with pytest.raises(ValueError, match="no candidates"):
+            scheduler.submit_request(empty_batch(), k=2, client_id="empty")
+        scheduler.submit_request(make_batch(6, seed_base=2), k=2, client_id="empty")
+        outcomes = scheduler.drain()
+        assert len(outcomes) == 2 and not scheduler.dropped
+
+    def test_fleet_rejects_empty_batch_and_serves_the_rest(self):
+        fleet = FleetService.homogeneous(
+            shared_model(QWEN3_0_6B),
+            get_profile("nvidia_5070"),
+            2,
+            config=PrismConfig(numerics=False),
+        )
+        with pytest.raises(ValueError, match="no candidates"):
+            fleet.submit_request(empty_batch(), k=2, client_id="empty")
+        assert fleet.pending_requests == 0
+        # The rejected submit left no trace: its client id is free again.
+        fleet.submit_request(make_batch(6, seed_base=1), k=2, client_id="empty")
+        fleet.submit_request(make_batch(6, seed_base=2), k=2)
+        outcomes = fleet.drain()
+        assert len(outcomes) == 2 and fleet.pending_requests == 0
+        assert all(outcome.result.k == 2 for outcome in outcomes)
 
 
 class TestDegeneratePools:

@@ -1,13 +1,20 @@
-"""Batched gang kernels: equivalence against the sequential path (DESIGN.md §11).
+"""The forward kernel against the float64 reference layer (DESIGN.md §11).
 
-Under the ``fusion`` policy, the ``gang_kernels`` toggle decides whether
-a lockstep gang's layer crossings run as one stacked forward per layer
-(batched) or one forward per member (sequential).  The contract is
-*strict* equivalence: byte-identical selections, byte-identical schedule
-traces and identical event-log lines, across every engine family and
-through mixed candidate-set sizes, mid-gang cancellation and mid-gang
-injected faults.  Only the harness's own wall-clock may differ.
+Every layer crossing runs the model's one kernel
+(``CrossEncoderModel.forward_layer_batched``): a fused, float32 forward
+over cached cast weights, whose float64 output then gets the exact
+semantic channel.  The oracle is the float64 sequential path in
+``tests/reference_impls.py``, patched in for the shared model's
+``forward_layer``.  The contract is *strict* equivalence:
+byte-identical selections, byte-identical schedule traces and
+identical event-log lines and drops, across every engine family and
+through a fusion gang of mixed candidate-set sizes, mid-gang
+cancellation and mid-gang injected faults.  Only the harness's own
+wall-clock may differ.
 """
+
+from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +27,7 @@ from repro.baselines import (
     prism_quant_engine,
 )
 from repro.core.config import PrismConfig
-from repro.core.engine import PrismEngine, step_group
+from repro.core.engine import PrismEngine
 from repro.core.events import EventLog
 from repro.core.scheduler import DeviceScheduler, SchedulerConfig
 from repro.data.datasets import get_dataset
@@ -32,8 +39,9 @@ from repro.device.faults import (
 )
 from repro.device.platforms import get_profile
 from repro.harness.runner import shared_model, shared_tokenizer
-from repro.model.transformer import GangBatch
+from repro.model.transformer import CrossEncoderModel
 from repro.model.zoo import QWEN3_0_6B
+from tests import reference_impls as ref
 
 
 def make_batch(num_candidates=12, query_idx=0):
@@ -63,8 +71,8 @@ def _baseline(engine_cls):
     return engine
 
 
-#: name -> fresh prepared engine with numerics ON (the batched kernels
-#: only exist on the numerics path), covering every engine family.
+#: name -> fresh prepared engine with numerics ON (the kernel only runs
+#: on the numerics path), covering every engine family.
 ENGINE_FACTORIES = {
     "prism": _prism,
     "prism_quant": _prism_quant,
@@ -80,10 +88,15 @@ GANG_SIZES = (12, 7, 4)
 SCENARIOS = ("plain", "cancel", "stall", "read_error")
 
 
-def run_fusion(engine_name, gang_kernels, scenario):
+def run_fusion(engine_name, scenario, reference=False):
     """One fused-gang drain; returns every observable artifact."""
+    model = shared_model(QWEN3_0_6B)  # every factory's engine runs it
+    with ref.patch_forward_layer(model) if reference else nullcontext():
+        return _run_fusion(engine_name, scenario)
+
+
+def _run_fusion(engine_name, scenario):
     engine = ENGINE_FACTORIES[engine_name]()
-    engine.gang_kernels = gang_kernels
     log = EventLog()
     engine.device.attach_event_log(log)
     scheduler = DeviceScheduler(
@@ -127,27 +140,45 @@ def run_fusion(engine_name, gang_kernels, scenario):
 @pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_batched_equals_sequential(engine_name, scenario):
-    """Byte-identical selections, traces, events and drops — per family,
+    """The kernel entry point against the float64 sequential reference:
+    byte-identical selections, traces, events and drops — per family,
     through mixed sizes, cancellation and injected faults."""
-    batched = run_fusion(engine_name, True, scenario)
-    sequential = run_fusion(engine_name, False, scenario)
-    assert batched["selections"] == sequential["selections"]
-    assert batched["trace"] == sequential["trace"]
-    assert batched["events"] == sequential["events"]
-    assert batched["dropped"] == sequential["dropped"]
+    kernel = run_fusion(engine_name, scenario)
+    reference = run_fusion(engine_name, scenario, reference=True)
+    assert kernel["selections"] == reference["selections"]
+    assert kernel["trace"] == reference["trace"]
+    assert kernel["events"] == reference["events"]
+    assert kernel["dropped"] == reference["dropped"]
 
 
 def test_scenarios_actually_bite():
     """The cancel/fault scenarios must exercise their code paths — a
     scenario that drops nothing would vacuously pass the equivalence."""
-    assert [d[1] for d in run_fusion("prism", True, "cancel")["dropped"]] == ["cancelled"]
-    assert [d[1] for d in run_fusion("prism", True, "read_error")["dropped"]] == ["failed"]
-    assert len(run_fusion("prism", True, "plain")["selections"]) == len(GANG_SIZES)
+    assert [d[1] for d in run_fusion("prism", "cancel")["dropped"]] == ["cancelled"]
+    assert [d[1] for d in run_fusion("prism", "read_error")["dropped"]] == ["failed"]
+    assert len(run_fusion("prism", "plain")["selections"]) == len(GANG_SIZES)
+
+
+def test_reference_patch_reaches_the_engines():
+    """The equivalence above must compare two different forwards: with
+    the reference patched in, the kernel never runs."""
+    calls = []
+    original = CrossEncoderModel.forward_layer_batched
+
+    def counting(self, states, layer_idx):
+        calls.append(len(states))
+        return original(self, states, layer_idx)
+
+    with mock.patch.object(CrossEncoderModel, "forward_layer_batched", counting):
+        run_fusion("prism", "plain", reference=True)
+        assert calls == []
+        run_fusion("prism", "plain")
+    assert calls and set(calls) == {1}
 
 
 def test_fusion_gang_sweeps_in_lockstep_with_batched_kernels():
-    """Batching must not change the schedule shape: the trace still shows
-    fused groups the size of the gang."""
+    """The kernel must not change the schedule shape: the trace still
+    shows fused groups the size of the gang."""
     engine = ENGINE_FACTORIES["prism"]()
     scheduler = DeviceScheduler(engine, SchedulerConfig(policy="fusion"))
     now = engine.device.clock.now
@@ -157,92 +188,23 @@ def test_fusion_gang_sweeps_in_lockstep_with_batched_kernels():
     assert max(scheduler.fused_group_sizes()) == len(GANG_SIZES)
 
 
-class TestStepGroup:
-    """The engine-layer group-step entry point."""
+class TestKernelNumerics:
+    """Hidden states under the kernel against the float64 reference."""
 
-    def test_step_group_matches_individual_steps(self):
-        solo = ENGINE_FACTORIES["hf"]()
-        grouped = ENGINE_FACTORIES["hf"]()
-        solo_tasks = [solo.start(make_batch(n, i), 3) for i, n in enumerate(GANG_SIZES)]
-        group_tasks = [
-            grouped.start(make_batch(n, i), 3) for i, n in enumerate(GANG_SIZES)
-        ]
-        while any(not t.done for t in solo_tasks):
-            for task in solo_tasks:
-                if not task.done:
-                    task.step()
-        while any(not t.done for t in group_tasks):
-            step_group([t for t in group_tasks if not t.done])
-        for a, b in zip(solo_tasks, group_tasks):
-            assert a.result.top_indices.tobytes() == b.result.top_indices.tobytes()
-            assert a.result.top_scores.tobytes() == b.result.top_scores.tobytes()
-
-    def test_step_group_empty(self):
-        assert step_group([]) == []
-
-    def test_step_group_rejects_foreign_tasks(self):
-        a = ENGINE_FACTORIES["hf"]()
-        b = ENGINE_FACTORIES["hf"]()
-        tasks = [a.start(make_batch(6, 0), 3), b.start(make_batch(6, 1), 3)]
-        with pytest.raises(ValueError):
-            a.step_group(tasks)
-
-    def test_step_group_reports_completion_flags(self):
-        engine = ENGINE_FACTORIES["hf"]()
-        tasks = [engine.start(make_batch(4, i), 2) for i in range(2)]
-        total_steps = QWEN3_0_6B.num_layers + 1
-        for step in range(total_steps):
-            flags = engine.step_group(tasks)
-            assert flags == [step == total_steps - 1] * 2
-
-
-class TestGangBatch:
-    """The packing layer underneath the batched kernels."""
-
-    def test_batched_forward_matches_solo_numerics(self):
-        """One stacked fused forward over ragged members vs each member
-        alone: hidden states agree to the fused kernel's reduced
-        precision; scores (the observables) are byte-identical because
-        the semantic channel is injected exactly on both paths."""
+    def test_kernel_matches_reference_numerics(self):
+        """Ragged members crossing three layers: hidden states agree to
+        the kernel's reduced precision; scores (the observables) are
+        byte-identical because the semantic channel is injected exactly
+        on both paths."""
         model = shared_model(QWEN3_0_6B)
-        batched = [model.embed(make_batch(n, i)) for i, n in enumerate(GANG_SIZES)]
-        solo = [model.embed(make_batch(n, i)) for i, n in enumerate(GANG_SIZES)]
+        kernel = [model.embed(make_batch(n, i)) for i, n in enumerate(GANG_SIZES)]
+        reference = [model.embed(make_batch(n, i)) for i, n in enumerate(GANG_SIZES)]
         for layer in range(3):
-            for state in batched:
-                model.forward_layer(state, layer, defer=True)
-            model.flush_deferred()
-            for state in solo:
+            for state in kernel:
                 model.forward_layer(state, layer)
-        for a, b in zip(batched, solo):
+            for state in reference:
+                ref.forward_layer(model, state, layer)
+        for a, b in zip(kernel, reference):
             np.testing.assert_allclose(a.hidden, b.hidden, rtol=1e-4, atol=1e-4)
-            assert a.hidden.dtype == np.float64  # cast back on unpack
+            assert a.hidden.dtype == np.float64  # cast back after the kernel
             assert model.score(a).tobytes() == model.score(b).tobytes()
-
-    def test_pack_requires_numerics_states(self):
-        model = shared_model(QWEN3_0_6B)
-        state = model.embed(make_batch(4, 0), numerics=False)
-        with pytest.raises(ValueError):
-            GangBatch.pack([state])
-
-    def test_deferred_crossing_flushes_on_score(self):
-        model = shared_model(QWEN3_0_6B)
-        state = model.embed(make_batch(4, 0))
-        model.forward_layer(state, 0, defer=True)
-        assert state.pending_layer == 0
-        eager = model.embed(make_batch(4, 0))
-        model.forward_layer(eager, 0)
-        np.testing.assert_array_equal(
-            model.score(state), model.score(eager)
-        )
-        assert state.pending_layer is None
-
-    def test_discard_deferred_skips_the_crossing(self):
-        model = shared_model(QWEN3_0_6B)
-        state = model.embed(make_batch(4, 0))
-        before = state.hidden.copy()
-        model.forward_layer(state, 0, defer=True)
-        model.discard_deferred(state)
-        np.testing.assert_array_equal(state.hidden, before)  # never ran
-        assert state.pending_layer is None
-        model.flush_deferred()  # no-op: the pool must be clean
-        np.testing.assert_array_equal(state.hidden, before)

@@ -1,25 +1,51 @@
-"""Unit tests for the reduced-width transformer layer numerics."""
+"""Unit tests for the reduced-width transformer layer numerics.
+
+The layer properties run twice: on the forward kernel with float32
+weights and hidden states, as the model runs it, and on the float64
+reference layer in ``tests/reference_impls.py`` (the ``*Reference``
+subclasses).
+"""
 
 import numpy as np
 import pytest
 
 from repro.model.layers import TransformerLayer, init_layer_weights
+from repro.model.transformer import KERNEL_DTYPE
 from repro.model.zoo import BGE_M3, QWEN3_0_6B
-
-
-@pytest.fixture
-def decoder_layer():
-    return TransformerLayer(QWEN3_0_6B, init_layer_weights(QWEN3_0_6B, 0))
-
-
-@pytest.fixture
-def encoder_layer():
-    return TransformerLayer(BGE_M3, init_layer_weights(BGE_M3, 0))
+from tests import reference_impls as ref
 
 
 def _hidden(config, n=3, rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     return rng.standard_normal((n, config.sim_seq_len, config.sim_hidden)) * 0.1
+
+
+def kernel_layer(config, layer_idx=0):
+    """The layer kernel as the model builds it: weights cast to float32."""
+    return TransformerLayer(config, init_layer_weights(config, layer_idx).cast(KERNEL_DTYPE))
+
+
+def reference_layer(config, layer_idx=0):
+    """The float64 reference layer the kernel is checked against."""
+    return ref.TransformerLayer(config, init_layer_weights(config, layer_idx))
+
+
+class LayerCase:
+    """Layer and input factory; subclasses pick the implementation."""
+
+    make_layer = staticmethod(kernel_layer)
+    dtype = KERNEL_DTYPE
+
+    @pytest.fixture
+    def decoder_layer(self):
+        return self.make_layer(QWEN3_0_6B)
+
+    @pytest.fixture
+    def encoder_layer(self):
+        return self.make_layer(BGE_M3)
+
+    def hidden(self, config, n=3, rng_seed=0):
+        return _hidden(config, n, rng_seed).astype(self.dtype)
 
 
 class TestInitialization:
@@ -48,15 +74,16 @@ class TestInitialization:
         assert init_layer_weights(QWEN3_0_6B, 0).nbytes_actual() > 0
 
 
-class TestForward:
+class TestForward(LayerCase):
     def test_output_shape_matches_input(self, decoder_layer):
-        hidden = _hidden(QWEN3_0_6B)
+        hidden = self.hidden(QWEN3_0_6B)
         lengths = np.full(3, QWEN3_0_6B.sim_seq_len)
         out = decoder_layer.forward(hidden, lengths)
         assert out.shape == hidden.shape
+        assert out.dtype == self.dtype
 
     def test_input_not_modified(self, decoder_layer):
-        hidden = _hidden(QWEN3_0_6B)
+        hidden = self.hidden(QWEN3_0_6B)
         copy = hidden.copy()
         decoder_layer.forward(hidden, np.full(3, QWEN3_0_6B.sim_seq_len))
         assert np.array_equal(hidden, copy)
@@ -66,24 +93,24 @@ class TestForward:
             decoder_layer.forward(np.zeros((4, 8)), np.array([8]))
 
     def test_deterministic(self, decoder_layer):
-        hidden = _hidden(QWEN3_0_6B)
+        hidden = self.hidden(QWEN3_0_6B)
         lengths = np.full(3, QWEN3_0_6B.sim_seq_len)
         assert np.array_equal(
             decoder_layer.forward(hidden, lengths), decoder_layer.forward(hidden, lengths)
         )
 
     def test_encoder_forward_runs(self, encoder_layer):
-        hidden = _hidden(BGE_M3)
+        hidden = self.hidden(BGE_M3)
         out = encoder_layer.forward(hidden, np.full(3, BGE_M3.sim_seq_len))
         assert np.isfinite(out).all()
 
 
-class TestCausality:
+class TestCausality(LayerCase):
     def test_decoder_output_ignores_future_positions(self, decoder_layer):
         """Causal attention: changing position j must not affect i < j."""
         seq = QWEN3_0_6B.sim_seq_len
         lengths = np.full(1, seq)
-        hidden = _hidden(QWEN3_0_6B, n=1)
+        hidden = self.hidden(QWEN3_0_6B, n=1)
         perturbed = hidden.copy()
         perturbed[0, seq - 1, 0] += 1.0  # poke the final position
         out_a = decoder_layer.forward(hidden, lengths)
@@ -97,7 +124,7 @@ class TestCausality:
         """Bidirectional attention: a late poke reaches early positions."""
         seq = BGE_M3.sim_seq_len
         lengths = np.full(1, seq)
-        hidden = _hidden(BGE_M3, n=1)
+        hidden = self.hidden(BGE_M3, n=1)
         perturbed = hidden.copy()
         # Poke one channel (a uniform shift would be removed by LayerNorm).
         perturbed[0, seq - 1, 0] += 1.0
@@ -106,16 +133,47 @@ class TestCausality:
         assert not np.allclose(out_a[0, 0], out_b[0, 0], atol=1e-9)
 
 
-class TestPadding:
+class TestPadding(LayerCase):
     def test_padded_positions_do_not_influence_valid_ones(self, encoder_layer):
         """Perturbing tokens beyond a row's length must not change the
         valid positions' outputs (padding mask)."""
         seq = BGE_M3.sim_seq_len
         valid = seq // 2
         lengths = np.array([valid])
-        hidden = _hidden(BGE_M3, n=1)
+        hidden = self.hidden(BGE_M3, n=1)
         perturbed = hidden.copy()
         perturbed[0, valid:, 0] += 5.0  # channel poke survives LayerNorm
         out_a = encoder_layer.forward(hidden, lengths)
         out_b = encoder_layer.forward(perturbed, lengths)
         assert np.allclose(out_a[0, :valid], out_b[0, :valid])
+
+
+class ReferenceCase(LayerCase):
+    make_layer = staticmethod(reference_layer)
+    dtype = np.float64
+
+
+class TestForwardReference(ReferenceCase, TestForward):
+    pass
+
+
+class TestCausalityReference(ReferenceCase, TestCausality):
+    pass
+
+
+class TestPaddingReference(ReferenceCase, TestPadding):
+    pass
+
+
+class TestKernelAgainstReference:
+    @pytest.mark.parametrize("config", [QWEN3_0_6B, BGE_M3], ids=lambda c: c.name)
+    def test_matches_reference_to_float32_tolerance(self, config):
+        """Fused projections, the pre-scaled Q columns and the clamped
+        softmax compute the reference layer, to float32 rounding, with
+        ragged padding in the batch."""
+        hidden = _hidden(config, n=4, rng_seed=5)
+        lengths = np.array([config.sim_seq_len, 5, 1, config.sim_seq_len // 2])
+        for layer_idx in range(3):
+            out = kernel_layer(config, layer_idx).forward(hidden.astype(KERNEL_DTYPE), lengths)
+            expected = reference_layer(config, layer_idx).forward(hidden, lengths)
+            np.testing.assert_allclose(out, expected, rtol=1e-4, atol=1e-4)

@@ -1,6 +1,5 @@
 """Tests for the self-calibrating selection service (§4.1 deployed mode)."""
 
-import numpy as np
 import pytest
 
 from repro.core.config import PrismConfig

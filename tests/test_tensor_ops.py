@@ -8,13 +8,11 @@ from repro.model.tensor_ops import (
     gelu,
     layer_norm,
     merge_heads,
-    pack_ragged,
     padding_mask,
     rms_norm,
     silu,
     softmax,
     split_heads,
-    unpack_ragged,
 )
 
 
@@ -219,28 +217,3 @@ class TestMaskMemoization:
             positions[None, :] >= lengths[:, None], -np.inf, 0.0
         )[:, None, None, :]
         np.testing.assert_array_equal(padding_mask(lengths, seq_len), reference)
-
-
-class TestRaggedPacking:
-    def test_pack_concatenates_along_leading_axis(self):
-        rng = np.random.default_rng(14)
-        arrays = [rng.standard_normal((n, 3, 4)) for n in (2, 5, 1)]
-        packed, sizes = pack_ragged(arrays)
-        assert sizes == (2, 5, 1)
-        np.testing.assert_array_equal(packed, np.concatenate(arrays, axis=0))
-
-    def test_solo_pack_is_zero_copy(self):
-        x = np.zeros((3, 2))
-        packed, sizes = pack_ragged([x])
-        assert packed is x
-        assert sizes == (3,)
-
-    def test_unpack_roundtrip_views(self):
-        rng = np.random.default_rng(15)
-        arrays = [rng.standard_normal((n, 4)) for n in (1, 4, 2)]
-        packed, sizes = pack_ragged(arrays)
-        parts = unpack_ragged(packed, sizes)
-        assert len(parts) == 3
-        for part, original in zip(parts, arrays):
-            np.testing.assert_array_equal(part, original)
-            assert part.base is packed  # zero-copy view

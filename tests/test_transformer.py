@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.model.transformer import CandidateBatch, CrossEncoderModel
-from repro.model.zoo import BGE_M3, QWEN3_0_6B
+from repro.model.zoo import BGE_M3, PAPER_MODELS, QWEN3_0_6B, QWEN3_4B_INSTRUCT_AS_RERANKER
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import Vocabulary
 
@@ -76,22 +76,35 @@ class TestForwardOrdering:
         assert state.scores is None
 
 
+#: Every zoo config: the five paper models plus the generality extension.
+ZOO_CONFIGS = (*PAPER_MODELS, QWEN3_4B_INSTRUCT_AS_RERANKER)
+
+
+def assert_numerics_bitwise(config):
+    """Full-depth scores with numerics on equal the direct semantic
+    path bit for bit (the injection construction guarantees it)."""
+    model = CrossEncoderModel(config)
+    batch = make_batch(config, n=3)
+    fast = model.full_forward(batch, numerics=False)
+    slow = model.full_forward(batch, numerics=True)
+    assert fast.tobytes() == slow.tobytes()
+
+
 class TestNumericsEquivalence:
     def test_numerics_and_fast_path_scores_match(self):
-        """The numpy tensor path and the direct semantic path must give
-        identical scores (the injection construction guarantees it)."""
-        model = CrossEncoderModel(QWEN3_0_6B)
-        batch = make_batch(QWEN3_0_6B, n=3)
-        fast = model.full_forward(batch, numerics=False)
-        slow = model.full_forward(batch, numerics=True)
-        assert np.allclose(fast, slow, atol=1e-9)
+        assert_numerics_bitwise(QWEN3_0_6B)
 
     def test_numerics_equivalence_encoder(self):
-        model = CrossEncoderModel(BGE_M3)
-        batch = make_batch(BGE_M3, n=3)
-        fast = model.full_forward(batch, numerics=False)
-        slow = model.full_forward(batch, numerics=True)
-        assert np.allclose(fast, slow, atol=1e-9)
+        assert_numerics_bitwise(BGE_M3)
+
+    @pytest.mark.parametrize(
+        "config",
+        [c for c in ZOO_CONFIGS if c not in (QWEN3_0_6B, BGE_M3)],
+        ids=lambda c: c.name,
+    )
+    def test_rest_of_zoo_matches(self, config):
+        """The other four zoo configs; with the two above, all six."""
+        assert_numerics_bitwise(config)
 
     def test_intermediate_scores_also_match(self):
         model = CrossEncoderModel(QWEN3_0_6B)
@@ -101,7 +114,7 @@ class TestNumericsEquivalence:
         for layer in range(4):
             model.forward_layer(state_fast, layer)
             model.forward_layer(state_slow, layer)
-        assert np.allclose(model.score(state_fast), model.score(state_slow), atol=1e-9)
+            assert model.score(state_fast).tobytes() == model.score(state_slow).tobytes()
 
 
 class TestFullForward:
