@@ -1,20 +1,14 @@
 """The unified request-centric serving API (DESIGN.md §8).
 
-Three serving tiers grew three front doors: ``EngineBase.rerank``
-(direct execution), ``DeviceScheduler.submit``/``drain`` +
-``SemanticSelectionService.select``/``select_concurrent`` (one shared
-device), and ``FleetService.submit``/``drain`` (replicated fleet).
-Apps and experiments were hard-wired to one tier and could not express
-per-request intent — priority, deadline, sampling, cancellation —
-uniformly.
-
-This module is the single front door.  One :class:`SelectionRequest`
-carries everything a caller may want to say about a request; one
-:class:`SelectionResponse` carries everything a tier can say back
-(unified result + queue/service/e2e timing + provenance); and one
-:class:`Server` protocol — ``submit() -> RequestHandle``,
-``handle.result()``, ``handle.cancel()``, ``drain()`` — is implemented
-by three adapters:
+This module is the single front door to the three serving tiers, so
+callers are not hard-wired to one tier and can express per-request
+intent — priority, deadline, sampling, cancellation — uniformly.  One
+:class:`SelectionRequest` carries everything a caller may want to say
+about a request; one :class:`SelectionResponse` carries everything a
+tier can say back (unified result + queue/service/e2e timing +
+provenance); and one :class:`Server` protocol — ``submit() ->
+RequestHandle``, ``handle.result()``, ``handle.cancel()``, ``drain()``
+— is implemented by three adapters:
 
 * :class:`EngineServer` — direct execution on one engine;
 * :class:`DeviceServer` — the :class:`~repro.core.scheduler.DeviceScheduler`
@@ -39,7 +33,6 @@ refcounts at the next layer boundary.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
@@ -102,10 +95,11 @@ class SelectionRequest:
         cancelled at its next layer boundary (DESIGN.md §9).  A fleet
         with ``intra_concurrency > 1`` rejects it with ``ValueError``.
     memoize:
-        Data-plane opt-out (DESIGN.md §12): ``False`` bypasses the
-        request memo/coalescing cache entirely and forces a full pass;
-        ``None``/``True`` lets the serving tier's plane (when one is
-        attached) answer from cache.
+        Fleet tier, data plane on: the plane opt-out (DESIGN.md §12).
+        ``False`` bypasses the request memo/coalescing cache entirely
+        and forces a full pass; ``None``/``True`` lets the fleet's
+        plane answer from cache.  The engine and device tiers own no
+        plane, so every request there is a full pass either way.
     tenant:
         Submitting tenant id for the multi-tenant workload plane
         (DESIGN.md §13).  On the fleet tier with a
@@ -113,9 +107,7 @@ class SelectionRequest:
         admission charges this tenant's token bucket and orders the
         flush by its fair-queueing tag; the id is echoed into
         :class:`SelectionResponse`, :class:`~repro.core.fleet.RequestOutcome`
-        and every emitted event.  ``None`` = untenanted.  (Before §13
-        callers smuggled the id through ``metadata["tenant"]``; that
-        spelling still works but is deprecated — see ``__post_init__``.)
+        and every emitted event.  ``None`` = untenanted.
     metadata:
         Free-form caller annotations, echoed untouched.
     """
@@ -133,16 +125,6 @@ class SelectionRequest:
     metadata: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.tenant is None and "tenant" in self.metadata:
-            # Deprecation shim: pre-§13 callers tagged tenants via
-            # metadata; promote the value to the first-class field.
-            warnings.warn(
-                "passing the tenant id via SelectionRequest.metadata['tenant'] "
-                "is deprecated; use the first-class SelectionRequest.tenant field",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "tenant", str(self.metadata["tenant"]))
         if self.k <= 0:
             raise ValueError("k must be positive")
         if self.batch.size == 0:
@@ -186,9 +168,10 @@ class SelectionResponse:
     policy: str | None = None  # scheduling / routing policy in effect
     fused_group: int | None = None  # gang id in the fused schedule trace
     threshold: float | None = None  # dispersion threshold in effect
-    #: Data-plane provenance (DESIGN.md §12): ``"hit"`` (memoized),
-    #: ``"coalesced"`` (attached to an in-flight leader) or ``None``
-    #: (served by a full or residue pass).
+    #: Fleet data-plane provenance (DESIGN.md §12): ``"hit"``
+    #: (memoized), ``"coalesced"`` (attached to an in-flight leader) or
+    #: ``None`` (served by a full or residue pass, or on a tier with no
+    #: plane).
     cache: str | None = None
     #: Submitting tenant id (DESIGN.md §13); ``None`` = untenanted.
     tenant: str | None = None
@@ -252,13 +235,23 @@ class RequestHandle:
         return self._server._response_for(self.request_id) is not None
 
     def cancel(self, at: float | None = None) -> bool:
-        """Request cancellation; returns False if already completed."""
-        return self._server._cancel(self.request_id, at)
+        """Request cancellation; returns False unless still pending."""
+        return self._server._cancel(self.request, at)
 
     def result(self) -> SelectionResponse:
-        """The response, draining the server if still pending."""
+        """The response, draining the server if still pending.
+
+        Raises ``RuntimeError`` without draining when the request was
+        already drained and its response is no longer retained
+        (``max_retained`` evicts the oldest).
+        """
         response = self._server._response_for(self.request_id)
         if response is None:
+            if not self._server._is_pending(self.request):
+                raise RuntimeError(
+                    f"request {self.request_id!r} was already drained and its response "
+                    f"is no longer retained (max_retained={self._server.max_retained})"
+                )
             self._server.drain()
             response = self._server._response_for(self.request_id)
         if response is None:  # pragma: no cover - defensive
@@ -339,13 +332,19 @@ class ServerBase:
     def _response_for(self, request_id: str | int) -> SelectionResponse | None:
         return self._responses.get(request_id)
 
-    def _cancel(self, request_id: str | int, at: float | None) -> bool:
-        if request_id in self._responses:
+    def _is_pending(self, request: SelectionRequest) -> bool:
+        return any(pending is request for pending in self._pending)
+
+    def _cancel(self, request: SelectionRequest, at: float | None) -> bool:
+        # Only a request still awaiting its drain takes a cancel: a
+        # served one (retained or evicted) must not leave an intent
+        # behind for a later request reusing its id.
+        if not self._is_pending(request):
             return False
         # ``None`` = cancel before it ever starts: offset 0 precedes or
         # coincides with every arrival, so the request is dropped at
         # admission regardless of its arrival offset.
-        self._cancels[request_id] = 0.0 if at is None else float(at)
+        self._cancels[request.request_id] = 0.0 if at is None else float(at)  # type: ignore[index]
         return True
 
     def _cancel_offset(self, request: SelectionRequest) -> float | None:
@@ -530,7 +529,6 @@ class DeviceServer(ServerBase):
                     policy=self.policy,
                     fused_group=fused_groups.get(outcome.request_id),
                     threshold=threshold,
-                    cache=outcome.cache,
                     tenant=request.tenant,
                 )
             )
@@ -557,6 +555,12 @@ class FleetServer(ServerBase):
     def __init__(self, fleet: FleetService) -> None:
         super().__init__()
         self.fleet = fleet
+
+    def submit(self, request: SelectionRequest) -> RequestHandle:
+        # Reject here, not mid-drain: a drain that raised after handing
+        # earlier requests to the fleet would strand them there.
+        self.fleet.check_hedge(request.hedge_after_ms)
+        return super().submit(request)
 
     def _serve(self, pending: list[SelectionRequest]) -> list[SelectionResponse]:
         fleet = self.fleet

@@ -183,11 +183,10 @@ class DataPlane:
     """Fleet-shared memo + candidate-row cache (DESIGN.md §12).
 
     The plane is a passive directory: it never touches a clock or a
-    scheduler.  Owners (:class:`~repro.core.fleet.FleetService`, or a
-    :class:`~repro.core.service.SemanticSelectionService` for
-    device-tier use) drive it through four calls — :meth:`fingerprint`,
-    :meth:`admit`, :meth:`complete`, :meth:`invalidate` — and remain
-    responsible for serving leaders and resolving follower outcomes.
+    scheduler.  Its one owner, :class:`~repro.core.fleet.FleetService`,
+    drives it through four calls — :meth:`fingerprint`, :meth:`admit`,
+    :meth:`complete`, :meth:`invalidate` — and stays responsible for
+    serving leaders and resolving follower outcomes.
     Follower payloads are opaque to the plane.
     """
 
@@ -207,30 +206,17 @@ class DataPlane:
         self._pending: dict[str, _PendingEntry] = {}
         self._stats = DataPlaneStats()
         self.events: EventLog | None = None
-        self.events_tier = "fleet"
-        self.events_replica: int | None = None
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
-    def attach_event_log(
-        self, log: EventLog | None, tier: str = "fleet", replica: int | None = None
-    ) -> None:
+    def attach_event_log(self, log: EventLog | None) -> None:
         self.events = log
-        self.events_tier = tier
-        self.events_replica = replica
 
     def _emit(self, kind: str, at: float, request: Any = None, **data: Any) -> None:
         if self.events is None:
             return
-        self.events.emit(
-            kind,
-            at=at,
-            tier=self.events_tier,
-            request=request,
-            replica=self.events_replica,
-            **data,
-        )
+        self.events.emit(kind, at=at, tier="fleet", request=request, **data)
 
     def stats(self) -> DataPlaneStats:
         """A snapshot of the counters plus current directory sizes."""
@@ -302,16 +288,12 @@ class DataPlane:
         payload: Any = None,
         at: float = 0.0,
         request: Any = None,
-        overlap: bool = True,
     ) -> AdmitDecision:
         """Route one request through the plane.
 
         ``payload`` is the owner's opaque handle (e.g. the FleetRequest)
         stored on pending entries so :meth:`complete`/:meth:`invalidate`
         can hand followers back for resolution or re-dispatch.
-        ``overlap=False`` disables layer 2 for this admission — the
-        device-tier owner has no reduced-pass machinery, so letting the
-        planner engage would count overlap hits it cannot serve.
         """
         stats = self._stats
         stats.requests += 1
@@ -341,7 +323,7 @@ class DataPlane:
             self._pending[fp] = _PendingEntry(leader=payload)
 
         decision = AdmitDecision(kind="leader")
-        if self.config.overlap_reuse and overlap:
+        if self.config.overlap_reuse:
             plan = self._overlap_plan(batch)
             if plan is not None:
                 decision.shared, decision.residue = plan

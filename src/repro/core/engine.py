@@ -8,21 +8,22 @@ forwarding (§3.3) with the four techniques of §4 behind the flags of
 
 An engine runs against one simulated :class:`~repro.device.platforms.Device`.
 ``prepare()`` performs one-time setup (loading resident weights) and is
-timed separately from per-request ``rerank()`` latency, matching how
-the paper measures steady-state inference.
+timed separately from per-request latency, matching how the paper
+measures steady-state inference.
 
 Execution is *step-based* (DESIGN.md §6): ``start(batch, k)`` returns a
 resumable :class:`RerankTask` whose ``step()`` advances exactly one
 layer of work, so a :class:`~repro.core.scheduler.DeviceScheduler` can
 time-multiplex several in-flight requests on one device at layer
-boundaries.  ``rerank()`` remains the thin drive-to-completion loop, so
-a solo request executes the exact same operation sequence as before the
-refactor (bit-identical results and latencies).
+boundaries.  :meth:`RerankTask.run` is the thin drive-to-completion
+loop, so a solo request executes the same operation sequence whether
+it runs alone or under a scheduler (bit-identical results and
+latencies).  Callers serve requests through the engine tier of the
+request API, :class:`~repro.core.api.EngineServer` (DESIGN.md §8).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,7 +74,7 @@ class RerankResult:
     prune_events: list[PruneEvent] = field(default_factory=list)
     chunk_size: int | None = None
     terminated_early: bool = False
-    #: The ``k`` the caller asked for.  ``rerank()`` clamps ``k`` to the
+    #: The ``k`` the caller asked for.  ``start()`` clamps ``k`` to the
     #: candidate-pool size; this field keeps the clamp observable instead
     #: of silent (``None`` only for results built outside the task path).
     requested_k: int | None = None
@@ -307,34 +308,12 @@ class EngineBase:
         the eventual :class:`RerankResult` (``requested_k``).
         """
         if not self._prepared:
-            raise RuntimeError(f"{self.name}: rerank() before prepare()")
+            raise RuntimeError(f"{self.name}: start() before prepare()")
         if k <= 0:
             raise ValueError("k must be positive")
         if batch.size == 0:
             raise ValueError("batch has no candidates")
         return RerankTask(self, batch, min(k, batch.size), requested_k=k)
-
-    def rerank(self, batch: CandidateBatch, k: int) -> RerankResult:
-        """Deprecated: blocking pass over one request.
-
-        Legacy shim for the request-centric API (DESIGN.md §8): it
-        wraps the arguments in a :class:`~repro.core.api.SelectionRequest`
-        and serves it through an :class:`~repro.core.api.EngineServer`.
-        Migrate per ``docs/api.md``; the step API (:meth:`start` /
-        :meth:`RerankTask.run`) remains the non-deprecated low-level
-        execution path.
-        """
-        warnings.warn(
-            "EngineBase.rerank() is deprecated; submit a SelectionRequest "
-            "through repro.core.api.EngineServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .api import EngineServer, SelectionRequest
-
-        response = EngineServer(self).submit(SelectionRequest(batch=batch, k=k)).result()
-        assert response.result is not None  # no deadline, no cancel → always ok
-        return response.result
 
     def _claim_request_id(self) -> int:
         request_id = self._request_counter

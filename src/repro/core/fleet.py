@@ -43,7 +43,6 @@ coherent simulated axis.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -533,10 +532,10 @@ class FleetService:
         :class:`~repro.core.service.SemanticSelectionService`
         (``precision_target``, ``sample_rate``, ``step``, bounds).
 
-    Usage: :meth:`submit` requests (optionally with explicit arrival
-    times on the fleet clock), then :meth:`drain` to run the admission
-    loop to completion; :meth:`idle_maintenance` between traffic waves
-    runs the coordinated calibration pass.
+    Usage: :meth:`submit_request` requests (optionally with explicit
+    arrival times on the fleet clock), then :meth:`drain` to run the
+    admission loop to completion; :meth:`idle_maintenance` between
+    traffic waves runs the coordinated calibration pass.
     """
 
     def __init__(
@@ -583,7 +582,7 @@ class FleetService:
                 self.fleet_config.data_plane_config,
                 model_key=f"{model.config.name}:{model.config.model_seed}",
             )
-            self.data_plane.attach_event_log(event_log, tier="fleet")
+            self.data_plane.attach_event_log(event_log)
         #: Fleet-shared embedding residency (§12 layer 3); every
         #: replica's engine resolves rows against this one directory.
         self.embedding_plane: SharedEmbeddingCache | None = None
@@ -715,23 +714,6 @@ class FleetService:
         """
         return self._dropped
 
-    def submit(self, batch: CandidateBatch, k: int, at: float | None = None) -> int:
-        """Deprecated: admit one request; returns its fleet-local id.
-
-        Legacy shim over :meth:`submit_request` — the request-centric
-        path is a :class:`~repro.core.api.SelectionRequest` submitted
-        through :class:`~repro.core.api.FleetServer` (DESIGN.md §8,
-        ``docs/api.md``).  ``at`` is the arrival instant on the fleet
-        clock (defaults to *now*).
-        """
-        warnings.warn(
-            "FleetService.submit() is deprecated; submit a SelectionRequest "
-            "through repro.core.api.FleetServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(batch, k, at=at)
-
     def submit_request(
         self,
         batch: CandidateBatch,
@@ -776,13 +758,7 @@ class FleetService:
             raise ValueError("deadline must lie after the request's arrival")
         if hedge_after_ms is not None and hedge_after_ms <= 0:
             raise ValueError("hedge_after_ms must be positive")
-        if hedge_after_ms is not None and self.fleet_config.intra_concurrency > 1:
-            # Concurrent dispatch runs each batch as one scheduler wave
-            # and never hedges; reject rather than drop the hedge.
-            raise ValueError(
-                "hedge_after_ms is not supported with intra_concurrency > 1 "
-                f"(this fleet has intra_concurrency={self.fleet_config.intra_concurrency})"
-            )
+        self.check_hedge(hedge_after_ms)
         if client_id is not None:
             if client_id in self._pending_client_ids:
                 raise ValueError(
@@ -820,6 +796,20 @@ class FleetService:
             hedge_after_ms=hedge_after_ms,
         )
         return request.request_id
+
+    def check_hedge(self, hedge_after_ms: float | None) -> None:
+        """Reject a hedge this fleet cannot honour (``ValueError``).
+
+        Concurrent dispatch runs each batch as one scheduler wave and
+        never hedges; reject rather than drop the hedge.
+        :class:`~repro.core.api.FleetServer` calls this at submit
+        (DESIGN.md §8), before anything reaches the fleet's queue.
+        """
+        if hedge_after_ms is not None and self.fleet_config.intra_concurrency > 1:
+            raise ValueError(
+                "hedge_after_ms is not supported with intra_concurrency > 1 "
+                f"(this fleet has intra_concurrency={self.fleet_config.intra_concurrency})"
+            )
 
     def _emit(self, kind: str, at: float, request=None, replica: int | None = None, **data):
         """Publish a fleet-tier event (DESIGN.md §10); no-op without a sink."""
@@ -1359,9 +1349,10 @@ class FleetService:
     def _plane_label(request: FleetRequest) -> str | int:
         return request.client_id if request.client_id is not None else request.request_id
 
-    def _full_weight_bytes(self, replica: ReplicaHandle, result: RerankResult) -> int:
+    @staticmethod
+    def _weight_bytes(service: SemanticSelectionService, result: RerankResult) -> int:
         """SSD weight traffic a pass of this result's depth swept."""
-        store = replica.service.engine.store
+        store = service.engine.store
         return sum(
             store.layer_nbytes(layer) for layer in range(result.layers_executed)
         )
@@ -1455,7 +1446,7 @@ class FleetService:
             service_seconds=(
                 outcome.service_seconds if outcome.service_seconds is not None else 0.0
             ),
-            weight_bytes=self._full_weight_bytes(replica, result),
+            weight_bytes=self._weight_bytes(replica.service, result),
             at=outcome.finish,
             request=self._plane_label(request),
         )
@@ -1543,7 +1534,7 @@ class FleetService:
             if partial is None:  # cancelled mid-residue
                 return None
             residue_seconds = service.device.clock.now - before
-            residue_bytes = service._weight_bytes(partial)
+            residue_bytes = self._weight_bytes(service, partial)
         else:
             residue_seconds = 0.0
             residue_bytes = 0
@@ -1570,7 +1561,7 @@ class FleetService:
             shared,
             residue,
             residue_seconds,
-            service._weight_bytes(residue_result),
+            self._weight_bytes(service, residue_result),
         )
 
     def _replay_overlap(
@@ -1587,7 +1578,7 @@ class FleetService:
             saved_seconds = residue_seconds * (float(shared.size) / float(residue.size))
         else:
             saved_seconds = result.latency_seconds
-        full_bytes = service._weight_bytes(result)
+        full_bytes = self._weight_bytes(service, result)
         assert self.data_plane is not None
         self.data_plane.note_saved(saved_seconds, max(0, full_bytes - residue_bytes))
         return result

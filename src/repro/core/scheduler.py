@@ -1,16 +1,17 @@
 """DeviceScheduler: concurrent multi-request serving on one device (DESIGN.md §6).
 
-One engine used to serve strictly one request at a time — `rerank()`
-held the device for the whole monolithic pass.  The step-based
+One engine used to serve strictly one request at a time — a blocking
+pass held the device for the whole monolithic forward.  The step-based
 execution core (:class:`~repro.core.engine.RerankTask`) turns a pass
 into a resumable sequence of layer steps, and this module adds the
 scheduler that time-multiplexes several in-flight passes on the single
 :class:`~repro.device.clock.VirtualClock`:
 
-* **Admission** — requests are :meth:`~DeviceScheduler.submit`\\ ted
-  with arrival times on the device clock; at most ``max_concurrency``
-  tasks hold device resources at once (memory for hidden states and
-  stream buffers is per in-flight task), the rest wait in the queue.
+* **Admission** — requests are admitted by
+  :meth:`~DeviceScheduler.submit_request` with arrival times on the
+  device clock; at most ``max_concurrency`` tasks hold device
+  resources at once (memory for hidden states and stream buffers is
+  per in-flight task), the rest wait in the queue.
   One exception keeps the priority guarantee honest: under the
   ``priority`` policy an arrival may be admitted over the cap while a
   strictly lower-priority task is in flight, so a cap saturated by
@@ -34,7 +35,6 @@ scheduler that time-multiplexes several in-flight passes on the single
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +169,12 @@ class StepEvent:
 
 @dataclass
 class ScheduledOutcome:
-    """Completion record of one request on the device time axis."""
+    """Completion record of one request on the device time axis.
+
+    Always a full pass: memo hits and coalesced followers are resolved
+    by the fleet's data plane (DESIGN.md §12) and never reach a device
+    scheduler.
+    """
 
     request_id: int
     priority: int
@@ -181,10 +186,6 @@ class ScheduledOutcome:
     result: RerankResult
     sample: bool | None = None
     deadline: float | None = None  # absolute device-clock deadline, if any
-    #: Data-plane provenance (DESIGN.md §12): ``"hit"`` (memoized,
-    #: never occupied a scheduler slot), ``"coalesced"`` (attached to
-    #: an in-flight leader) or ``None`` (served by a full pass).
-    cache: str | None = None
 
     @property
     def queue_wait(self) -> float:
@@ -255,8 +256,10 @@ class DeviceScheduler:
     The engine must already be ``prepare()``\\ d.  Typical use::
 
         scheduler = DeviceScheduler(engine, SchedulerConfig(policy="priority"))
-        scheduler.submit(batch_a, k=10)                       # batch lane
-        scheduler.submit(batch_b, k=3, priority=LANE_INTERACTIVE, at=0.1)
+        scheduler.submit_request(batch_a, k=10)               # batch lane
+        scheduler.submit_request(
+            batch_b, k=3, priority=LANE_INTERACTIVE, arrival=0.1
+        )
         outcomes = scheduler.drain()
 
     ``drain()`` replays arrivals on the device clock and runs the
@@ -302,30 +305,6 @@ class DeviceScheduler:
     def pending_requests(self) -> int:
         return len(self._pending)
 
-    def submit(
-        self,
-        batch: CandidateBatch,
-        k: int,
-        at: float | None = None,
-        priority: int = LANE_BATCH,
-        sample: bool | None = None,
-    ) -> int:
-        """Deprecated: admit one request; returns its scheduler-local id.
-
-        Legacy shim over :meth:`submit_request` — the request-centric
-        path is a :class:`~repro.core.api.SelectionRequest` submitted
-        through :class:`~repro.core.api.DeviceServer` (DESIGN.md §8,
-        ``docs/api.md``).  ``at`` is the arrival instant on the device
-        clock (defaults to *now*); ``priority`` selects the lane.
-        """
-        warnings.warn(
-            "DeviceScheduler.submit() is deprecated; submit a SelectionRequest "
-            "through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.submit_request(batch, k, arrival=at, priority=priority, sample=sample)
-
     def submit_request(
         self,
         batch: CandidateBatch,
@@ -345,7 +324,10 @@ class DeviceScheduler:
         ``client_id`` is the caller's correlation id; a duplicate among
         the in-flight (submitted, not yet drained) requests raises
         ``ValueError`` instead of silently colliding when outcomes are
-        correlated back to callers.
+        correlated back to callers.  ``SemanticSelectionService.serve_requests``
+        admits every wave request here, behind
+        :class:`~repro.core.api.DeviceServer` (DESIGN.md §8) and the
+        fleet's concurrent dispatch.
         """
         arrival = self.clock.now if arrival is None else float(arrival)
         if arrival < self.clock.now:

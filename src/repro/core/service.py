@@ -10,13 +10,13 @@ falls below the target, down when there is headroom.
 :class:`SemanticSelectionService` implements that loop around a live
 :class:`~repro.core.engine.PrismEngine`:
 
-* :meth:`select` serves requests at the current threshold, logging a
-  deterministic ``sample_rate`` fraction of them;
-* :meth:`select_concurrent` serves a wave of requests through the
-  step-multiplexing :class:`~repro.core.scheduler.DeviceScheduler`
-  (DESIGN.md §6): up to ``max_concurrency`` requests share the device,
-  interleaved at layer boundaries, with the same deterministic
-  :class:`SampleStride` feeding the idle-check log;
+* :meth:`serve_requests` serves a wave of requests at the current
+  threshold through the step-multiplexing
+  :class:`~repro.core.scheduler.DeviceScheduler` (DESIGN.md §6): up to
+  ``max_concurrency`` requests share the device, interleaved at layer
+  boundaries, and a deterministic :class:`SampleStride` logs a
+  ``sample_rate`` fraction of them for idle checking (callers reach it
+  through :class:`~repro.core.api.DeviceServer`);
 * :meth:`idle_maintenance` models the device-idle background pass — it
   replays the logged requests unpruned on a *shadow* device (so the
   serving clock and memory are untouched), measures top-K agreement,
@@ -39,16 +39,10 @@ from typing import TYPE_CHECKING, Sequence
 from ..device.platforms import Device, DeviceProfile
 from ..model.transformer import CandidateBatch, CrossEncoderModel
 from .config import PrismConfig
-from .data_plane import DataPlane, SharedEmbeddingCache, clone_result
+from .data_plane import SharedEmbeddingCache
 from .engine import PrismEngine, RerankResult
 from .metrics import top_k_overlap
-from .scheduler import (
-    LANE_BATCH,
-    DeviceScheduler,
-    DroppedRequest,
-    ScheduledOutcome,
-    SchedulerConfig,
-)
+from .scheduler import DeviceScheduler, DroppedRequest, ScheduledOutcome, SchedulerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports service)
     from .api import SelectionRequest
@@ -113,9 +107,8 @@ class DeviceWave:
     """Internal record of one scheduler-driven serving wave.
 
     Produced by :meth:`SemanticSelectionService.serve_requests`; the
-    :class:`~repro.core.api.DeviceServer` adapter turns it into
-    :class:`~repro.core.api.SelectionResponse`\\ s, and the legacy
-    ``select_concurrent`` shim returns its ``outcomes`` directly.
+    :class:`~repro.core.api.DeviceServer` adapter (DESIGN.md §8) turns
+    it into :class:`~repro.core.api.SelectionResponse`\\ s.
     ``request_ids`` aligns with the wave's input order, mapping each
     input to its scheduler-local id.
     """
@@ -147,16 +140,24 @@ class SemanticSelectionService:
     min_threshold / max_threshold:
         Clamp range for the walk.
     max_concurrency:
-        In-flight request cap of the concurrent serving mode
-        (:meth:`select_concurrent`); ``1`` keeps the service strictly
-        serial.  Each in-flight request holds its own hidden-state and
-        stream-buffer memory, so the cap bounds serving overhead.
+        In-flight request cap of a :meth:`serve_requests` wave; ``1``
+        keeps the service strictly serial.  Each in-flight request
+        holds its own hidden-state and stream-buffer memory, so the cap
+        bounds serving overhead.
     shared_weights:
         Serve concurrent requests from one refcounted weight plane
         (DESIGN.md §7) instead of per-request streamers: N in-flight
         same-model requests read each layer from the SSD once.  Pairs
         naturally with the ``fusion`` scheduling policy; solo requests
         stay bit-identical either way.
+    embedding_plane:
+        Fleet-shared embedding row directory (DESIGN.md §12 layer 3)
+        the engine resolves rows against; ``None`` keeps the engine's
+        private §4.4 cache.
+
+    The service owns no data plane: memoization and coalescing are
+    fleet admission, and the fleet is the plane's only owner
+    (DESIGN.md §12).  Every request a wave serves is a full pass.
     """
 
     def __init__(
@@ -171,7 +172,6 @@ class SemanticSelectionService:
         max_threshold: float = 1.5,
         max_concurrency: int = 1,
         shared_weights: bool = False,
-        data_plane: DataPlane | None = None,
         embedding_plane: SharedEmbeddingCache | None = None,
         event_log=None,
         events_replica: int | None = None,
@@ -206,17 +206,6 @@ class SemanticSelectionService:
             model, self.device, self.config, embedding_plane=embedding_plane
         )
         self.engine.prepare()
-        #: Device-tier data plane (DESIGN.md §12 layers 1+2, memoization
-        #: and coalescing only — partial-overlap reuse is the fleet
-        #: coordinator's job).  ``None`` serves every request by a full
-        #: pass, byte-identical to a service built without the plane.
-        self.data_plane = data_plane
-        if data_plane is not None:
-            data_plane.on_threshold(self.threshold, at=self.device.clock.now)
-            if event_log is not None:
-                data_plane.attach_event_log(
-                    event_log, tier="device", replica=events_replica
-                )
         #: Observability sink (DESIGN.md §10), attached *after* prepare
         #: so the log carries serving-time events, not the one-time
         #: weight-load prologue.  ``None`` observes nothing.
@@ -226,7 +215,7 @@ class SemanticSelectionService:
         self.stats = ServiceStats()
         self._pending_samples: list[SampledRequest] = []
         self._stride = SampleStride(sample_rate)
-        #: The scheduler of the most recent :meth:`select_concurrent`
+        #: The scheduler of the most recent :meth:`serve_requests`
         #: wave — its ``stats()`` (lane percentiles, queue waits,
         #: throughput) and ``trace_text()`` stay reachable after the
         #: wave completes.
@@ -241,10 +230,6 @@ class SemanticSelectionService:
         value = float(np.clip(value, self.min_threshold, self.max_threshold))
         self.engine.pruner.dispersion_threshold = value
         self.config = replace(self.config, dispersion_threshold=value)
-        if self.data_plane is not None:
-            # Recalibration invalidates cached selections (DESIGN.md
-            # §12): the plane bumps its epoch when the value changed.
-            self.data_plane.on_threshold(value, at=self.device.clock.now)
 
     def apply_threshold(self, value: float) -> float:
         """Externally set the operating threshold (clamped); returns it.
@@ -259,35 +244,6 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     # serving path
     # ------------------------------------------------------------------
-    def select(
-        self, batch: CandidateBatch, k: int, sample: bool | None = None
-    ) -> RerankResult:
-        """Deprecated: serve one request; log it for idle checking.
-
-        Legacy shim over the request-centric API (DESIGN.md §8): wrap
-        the arguments in a :class:`~repro.core.api.SelectionRequest`
-        and submit through :class:`~repro.core.api.DeviceServer`
-        instead (``docs/api.md`` maps every call site).
-
-        ``sample`` overrides the internal sampling policy for this
-        request: ``True`` forces the request into the idle-check log,
-        ``False`` keeps it out, and ``None`` (default) applies the
-        deterministic ``sample_rate`` stride.  External drivers (the
-        fleet admission layer) use the override to keep the sampled
-        stream uniform across replicas even under skewed routing.
-        """
-        warnings.warn(
-            "SemanticSelectionService.select() is deprecated; submit a "
-            "SelectionRequest through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if k <= 0:
-            raise ValueError("k must be positive")
-        result = self._serve_solo(batch, k, sample=sample)
-        assert result is not None  # no cancellation on the legacy path
-        return result
-
     def _serve_solo(
         self,
         batch: CandidateBatch,
@@ -297,12 +253,15 @@ class SemanticSelectionService:
     ) -> RerankResult | None:
         """Serve one request to completion on the serving engine.
 
-        The internal solo path shared by the legacy ``select`` shim and
-        the fleet's serial dispatch.  ``cancel_at`` (absolute device
-        time) cancels the pass at its next layer boundary — the task is
-        closed (releasing any weight-plane refcounts) and ``None`` is
-        returned; cancelled requests are neither counted as served nor
-        logged for idle checking.
+        The fleet's serial dispatch path, and the residue pass of a
+        partial-overlap leader (DESIGN.md §12).  ``sample`` overrides the
+        service's own stride (the fleet keeps one fleet-wide stride so
+        skewed routing cannot bias the sampled stream); ``None`` applies
+        it.  ``cancel_at`` (absolute device time) cancels the pass at
+        its next layer boundary — the task is closed (releasing any
+        weight-plane refcounts) and ``None`` is returned; cancelled
+        requests are neither counted as served nor logged for idle
+        checking.
         """
         result = self.engine.start(batch, k).run(cancel_at=cancel_at)
         if result is None:
@@ -317,69 +276,6 @@ class SemanticSelectionService:
                 SampledRequest(batch=batch, k=k, served_top=result.top_indices.copy())
             )
         return result
-
-    def select_concurrent(
-        self,
-        requests: Sequence[tuple[CandidateBatch, int]],
-        arrivals: Sequence[float] | None = None,
-        priorities: Sequence[int] | None = None,
-        samples: Sequence[bool | None] | None = None,
-        policy: str = "round_robin",
-        quantum_layers: int = 1,
-        max_skew: float = 0.0,
-    ) -> list[ScheduledOutcome]:
-        """Deprecated: serve a wave of requests concurrently.
-
-        Legacy shim over :meth:`serve_requests` — it zips the parallel
-        argument sequences into :class:`~repro.core.api.SelectionRequest`
-        objects and returns the wave's raw
-        :class:`~repro.core.scheduler.ScheduledOutcome`\\ s.  Migrate to
-        :class:`~repro.core.api.DeviceServer` (``docs/api.md``).
-
-        ``arrivals`` are offsets in seconds from the call instant
-        (default: all due immediately); ``priorities`` pick scheduler
-        lanes (default: batch lane); ``max_skew`` threads through to
-        the ``fusion`` policy's group-join bound.  Sampling semantics
-        match :meth:`select`: decided per request in submission order
-        through the deterministic :class:`SampleStride` (or forced via
-        ``samples``), so the idle-check log cannot depend on policy.
-        """
-        warnings.warn(
-            "SemanticSelectionService.select_concurrent() is deprecated; submit "
-            "SelectionRequests through repro.core.api.DeviceServer (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from .api import SelectionRequest
-
-        requests = list(requests)
-        if arrivals is not None and len(arrivals) != len(requests):
-            raise ValueError("arrivals must match requests")
-        if priorities is not None and len(priorities) != len(requests):
-            raise ValueError("priorities must match requests")
-        if samples is not None and len(samples) != len(requests):
-            raise ValueError("samples must match requests")
-        # Construct (and thereby validate) the whole wave before any
-        # state moves — SelectionRequest.__post_init__ enforces the
-        # same bounds the parallel-sequence API documented.
-        wave_requests = [
-            SelectionRequest(
-                batch=batch,
-                k=k,
-                request_id=index,
-                arrival=arrivals[index] if arrivals is not None else None,
-                priority=priorities[index] if priorities is not None else LANE_BATCH,
-                sample=samples[index] if samples is not None else None,
-            )
-            for index, (batch, k) in enumerate(requests)
-        ]
-        wave = self.serve_requests(
-            wave_requests,
-            policy=policy,
-            quantum_layers=quantum_layers,
-            max_skew=max_skew,
-        )
-        return wave.outcomes
 
     def serve_requests(
         self,
@@ -408,46 +304,10 @@ class SemanticSelectionService:
         ``sample`` override); only completed requests enter the
         idle-check log.  The scheduler stays reachable as
         :attr:`last_scheduler` for ``stats()`` and ``trace_text()``.
-
-        With a :attr:`data_plane` attached (DESIGN.md §12), requests
-        first pass through the plane: memo hits and coalesced followers
-        resolve without ever occupying a scheduler slot (their outcomes
-        carry negative synthetic ids and ``cache`` provenance); only
-        leaders — and requests opting out via ``memoize=False`` — enter
-        the scheduler wave.
         """
         requests = list(requests)
         if cancels is not None and len(cancels) != len(requests):
             raise ValueError("cancels must match requests")
-        if self.data_plane is not None:
-            return self._serve_requests_plane(
-                requests,
-                policy=policy,
-                quantum_layers=quantum_layers,
-                max_skew=max_skew,
-                edf=edf,
-                cancels=cancels,
-            )
-        return self._serve_wave(
-            requests,
-            policy=policy,
-            quantum_layers=quantum_layers,
-            max_skew=max_skew,
-            edf=edf,
-            cancels=cancels,
-        )
-
-    def _serve_wave(
-        self,
-        requests: "list[SelectionRequest]",
-        *,
-        policy: str,
-        quantum_layers: int,
-        max_skew: float,
-        edf: bool,
-        cancels: Sequence[float | None] | None,
-    ) -> DeviceWave:
-        """The plane-less scheduler wave (the pre-§12 serving core)."""
         if self.engine.weight_plane is not None and policy == "fifo" and len(requests) > 1:
             # Run-to-completion over the plane keeps every admitted
             # task's frontier at layer 0 while the first runs, so
@@ -520,15 +380,8 @@ class SemanticSelectionService:
         )
 
     # ------------------------------------------------------------------
-    # data-plane serving path (DESIGN.md §12)
+    # shadow passes
     # ------------------------------------------------------------------
-    def _weight_bytes(self, result: RerankResult) -> int:
-        """SSD weight traffic a pass of this result's depth swept."""
-        store = self.engine.store
-        return sum(
-            store.layer_nbytes(layer) for layer in range(result.layers_executed)
-        )
-
     def replay_selection(self, batch: CandidateBatch, k: int) -> RerankResult:
         """Full-batch selection replay on a zero-cost shadow engine.
 
@@ -546,302 +399,6 @@ class SemanticSelectionService:
         result = engine.start(batch, k).run()
         assert result is not None  # shadow passes are never cancelled
         return result
-
-    def _serve_requests_plane(
-        self,
-        requests: "list[SelectionRequest]",
-        *,
-        policy: str,
-        quantum_layers: int,
-        max_skew: float,
-        edf: bool,
-        cancels: Sequence[float | None] | None,
-    ) -> DeviceWave:
-        """Device-tier plane serving: memoization + in-flight coalescing.
-
-        Synthetic outcomes (memo hits, resolved followers) carry
-        negative scheduler ids ``-(input_index + 1)`` so they can never
-        collide with the wave scheduler's 0-based ids, and ``cache``
-        provenance (``"hit"``/``"coalesced"``).  A leader that is
-        dropped (shed/cancelled/faulted) invalidates its pending entry
-        and its followers re-dispatch — the first becomes the new
-        leader on the serving engine, siblings re-coalesce — so a dead
-        leader never poisons the memo and never strands a follower.
-        """
-        plane = self.data_plane
-        assert plane is not None
-        origin = self.device.clock.now
-        request_ids: list[int] = [0] * len(requests)
-        synthetic_outcomes: list[ScheduledOutcome] = []
-        synthetic_drops: list[DroppedRequest] = []
-        leaders: list[tuple[int, "SelectionRequest", float | None, str | None]] = []
-        redispatch: list[tuple[int, "SelectionRequest", float | None]] = []
-
-        def abs_cancel(cancel: float | None) -> float | None:
-            return origin + cancel if cancel is not None else None
-
-        def synth_hit(index: int, request: "SelectionRequest", result, at: float) -> None:
-            arrival = origin + request.arrival_offset
-            self.stats.requests_served += 1
-            synthetic_outcomes.append(
-                ScheduledOutcome(
-                    request_id=-(index + 1),
-                    priority=request.priority,
-                    arrival=arrival,
-                    start=at,
-                    finish=at,
-                    service_seconds=0.0,
-                    preempted=False,
-                    result=result,
-                    sample=False,
-                    deadline=(
-                        arrival + request.deadline
-                        if request.deadline is not None
-                        else None
-                    ),
-                    cache="hit",
-                )
-            )
-
-        def resolve_followers(followers, result, finish: float) -> None:
-            """Hand a completed leader's result to its followers."""
-            for payload, attached_at in followers:
-                f_index, f_request, f_cancel = payload
-                f_cancel_abs = abs_cancel(f_cancel)
-                done = max(finish, attached_at)
-                if f_cancel_abs is not None and f_cancel_abs < done:
-                    self.stats.requests_dropped += 1
-                    synthetic_drops.append(
-                        DroppedRequest(
-                            request_id=-(f_index + 1),
-                            priority=f_request.priority,
-                            arrival=origin + f_request.arrival_offset,
-                            at=f_cancel_abs,
-                            reason="cancelled",
-                            deadline=(
-                                origin + f_request.arrival_offset + f_request.deadline
-                                if f_request.deadline is not None
-                                else None
-                            ),
-                            client_id=f_request.request_id,
-                        )
-                    )
-                    continue
-                self.stats.requests_served += 1
-                synthetic_outcomes.append(
-                    ScheduledOutcome(
-                        request_id=-(f_index + 1),
-                        priority=f_request.priority,
-                        arrival=attached_at,
-                        start=done,
-                        finish=done,
-                        service_seconds=0.0,
-                        preempted=False,
-                        result=clone_result(result),
-                        sample=False,
-                        deadline=(
-                            origin + f_request.arrival_offset + f_request.deadline
-                            if f_request.deadline is not None
-                            else None
-                        ),
-                        cache="coalesced",
-                    )
-                )
-
-        # ---- plane admission (input order) ---------------------------
-        for index, request in enumerate(requests):
-            cancel = cancels[index] if cancels is not None else None
-            request_ids[index] = -(index + 1)
-            if request.memoize is False:
-                leaders.append((index, request, cancel, None))
-                continue
-            arrival = origin + request.arrival_offset
-            cancel_abs = abs_cancel(cancel)
-            if cancel_abs is not None and cancel_abs <= arrival:
-                # Cancelled before it could arrive: the ordinary
-                # scheduler drop path handles it, bypassing the plane.
-                leaders.append((index, request, cancel, None))
-                continue
-            fp = plane.fingerprint(
-                request.batch,
-                request.k,
-                threshold=self.threshold,
-                sample_rate=self.sample_rate,
-            )
-            decision = plane.admit(
-                fp,
-                request.batch,
-                payload=(index, request, cancel),
-                at=arrival,
-                request=request.request_id,
-                overlap=False,
-            )
-            if decision.kind == "hit":
-                synth_hit(index, request, decision.result, arrival)
-            elif decision.kind == "coalesced":
-                pass  # resolved when its leader completes or dies
-            else:
-                leaders.append((index, request, cancel, fp))
-
-        # ---- leader wave through the ordinary scheduler --------------
-        wave = self._serve_wave(
-            [request for _, request, _, _ in leaders],
-            policy=policy,
-            quantum_layers=quantum_layers,
-            max_skew=max_skew,
-            edf=edf,
-            cancels=[cancel for _, _, cancel, _ in leaders],
-        )
-        by_id = {outcome.request_id: outcome for outcome in wave.outcomes}
-        dropped_by_id = {drop.request_id: drop for drop in wave.dropped}
-        for (index, request, cancel, fp), scheduler_id in zip(
-            leaders, wave.request_ids
-        ):
-            request_ids[index] = scheduler_id
-            if fp is None:
-                continue
-            outcome = by_id.get(scheduler_id)
-            if outcome is not None:
-                followers = plane.complete(
-                    fp,
-                    request.batch,
-                    outcome.result,
-                    service_seconds=outcome.service_seconds,
-                    weight_bytes=self._weight_bytes(outcome.result),
-                    at=outcome.finish,
-                    request=request.request_id,
-                )
-                resolve_followers(followers, outcome.result, outcome.finish)
-            else:
-                drop = dropped_by_id[scheduler_id]
-                redispatch.extend(
-                    payload
-                    for payload, _ in plane.invalidate(
-                        fp, at=drop.at, reason=drop.reason, request=request.request_id
-                    )
-                )
-
-        # ---- continuation: re-dispatch stranded followers ------------
-        # Served solo on the serving engine at the post-wave clock; the
-        # first stranded follower of each dead leader becomes the new
-        # leader, later siblings re-coalesce onto it.  Terminates: every
-        # follower either completes, coalesces onto a completing
-        # leader, or drops on an already-due cancel/deadline.
-        pending = list(redispatch)
-        while pending:
-            f_index, f_request, f_cancel = pending.pop(0)
-            sid = -(f_index + 1)
-            now = self.device.clock.now
-            cancel_abs = abs_cancel(f_cancel)
-            arrival = origin + f_request.arrival_offset
-            deadline_abs = (
-                arrival + f_request.deadline if f_request.deadline is not None else None
-            )
-            if cancel_abs is not None and cancel_abs <= now:
-                self.stats.requests_dropped += 1
-                synthetic_drops.append(
-                    DroppedRequest(
-                        request_id=sid,
-                        priority=f_request.priority,
-                        arrival=arrival,
-                        at=max(arrival, cancel_abs),
-                        reason="cancelled",
-                        deadline=deadline_abs,
-                        client_id=f_request.request_id,
-                    )
-                )
-                continue
-            if deadline_abs is not None and now >= deadline_abs:
-                self.stats.requests_dropped += 1
-                synthetic_drops.append(
-                    DroppedRequest(
-                        request_id=sid,
-                        priority=f_request.priority,
-                        arrival=arrival,
-                        at=now,
-                        reason="shed",
-                        deadline=deadline_abs,
-                        client_id=f_request.request_id,
-                    )
-                )
-                continue
-            fp = plane.fingerprint(
-                f_request.batch,
-                f_request.k,
-                threshold=self.threshold,
-                sample_rate=self.sample_rate,
-            )
-            decision = plane.admit(
-                fp,
-                f_request.batch,
-                payload=(f_index, f_request, f_cancel),
-                at=now,
-                request=f_request.request_id,
-                overlap=False,
-            )
-            if decision.kind == "hit":
-                synth_hit(f_index, f_request, decision.result, now)
-                continue
-            if decision.kind == "coalesced":
-                continue
-            start = self.device.clock.now
-            result = self._serve_solo(
-                f_request.batch, f_request.k, sample=False, cancel_at=cancel_abs
-            )
-            finish = self.device.clock.now
-            if result is None:  # cancelled mid-pass (already counted)
-                synthetic_drops.append(
-                    DroppedRequest(
-                        request_id=sid,
-                        priority=f_request.priority,
-                        arrival=arrival,
-                        at=finish,
-                        reason="cancelled",
-                        deadline=deadline_abs,
-                        client_id=f_request.request_id,
-                    )
-                )
-                pending.extend(
-                    payload
-                    for payload, _ in plane.invalidate(
-                        fp, at=finish, reason="cancelled", request=f_request.request_id
-                    )
-                )
-                continue
-            followers = plane.complete(
-                fp,
-                f_request.batch,
-                result,
-                service_seconds=finish - start,
-                weight_bytes=self._weight_bytes(result),
-                at=finish,
-                request=f_request.request_id,
-            )
-            synthetic_outcomes.append(
-                ScheduledOutcome(
-                    request_id=sid,
-                    priority=f_request.priority,
-                    arrival=arrival,
-                    start=start,
-                    finish=finish,
-                    service_seconds=finish - start,
-                    preempted=False,
-                    result=result,
-                    sample=False,
-                    deadline=deadline_abs,
-                )
-            )
-            resolve_followers(followers, result, finish)
-
-        outcomes = wave.outcomes + synthetic_outcomes
-        outcomes.sort(key=lambda o: (o.finish, o.request_id))
-        return DeviceWave(
-            outcomes=outcomes,
-            dropped=wave.dropped + synthetic_drops,
-            scheduler=wave.scheduler,
-            origin=origin,
-            request_ids=request_ids,
-        )
 
     # ------------------------------------------------------------------
     # idle path

@@ -4,11 +4,9 @@ One ``SelectionRequest`` flows unchanged through every tier:
 ``EngineServer`` (direct), ``DeviceServer`` (scheduler + service
 loop), ``FleetServer`` (batched, routed replicas).  The intent fields
 are real — deadlines shed at admission, cancellation closes in-flight
-tasks at layer boundaries — and the legacy ``rerank``/``select``/
-``submit`` entry points survive as shims emitting DeprecationWarning.
+tasks at layer boundaries.
 """
 
-import numpy as np
 import pytest
 
 import repro.core as core
@@ -213,6 +211,32 @@ class TestRequestHandle:
         handle.result()
         assert not handle.cancel()
 
+    def test_evicted_handle_cannot_cancel_a_reused_id(self):
+        """A served request whose response was evicted takes no cancel,
+        so nothing is left behind for a later request reusing its id."""
+        server = EngineServer(make_engine())
+        server.max_retained = 1
+        evicted = server.submit(SelectionRequest(batch=make_batch(), k=3, request_id="x"))
+        evicted.result()
+        server.submit(SelectionRequest(batch=make_batch(query_idx=1), k=3)).result()
+        assert not evicted.done  # its response is gone
+        assert not evicted.cancel()
+        reused = server.submit(
+            SelectionRequest(batch=make_batch(query_idx=2), k=3, request_id="x")
+        )
+        assert reused.result().ok
+
+    def test_evicted_handle_result_raises_without_draining(self):
+        server = EngineServer(make_engine())
+        server.max_retained = 1
+        evicted = server.submit(SelectionRequest(batch=make_batch(), k=3))
+        evicted.result()
+        server.submit(SelectionRequest(batch=make_batch(query_idx=1), k=3)).result()
+        unrelated = server.submit(SelectionRequest(batch=make_batch(query_idx=2), k=3))
+        with pytest.raises(RuntimeError, match="no longer retained"):
+            evicted.result()
+        assert not unrelated.done and server._pending == [unrelated.request]
+
 
 class TestDeadlines:
     def test_shed_request_never_reaches_engine(self):
@@ -365,40 +389,21 @@ class TestFleetCorrelation:
         assert all(r.lane == LANE_INTERACTIVE for r in responses)
 
 
-class TestDeprecationShims:
-    def test_rerank_warns_and_matches(self):
-        engine = make_engine()
-        batch = make_batch()
-        via_api = (
-            EngineServer(engine)
-            .submit(SelectionRequest(batch=batch, k=4))
-            .result()
-            .result
-        )
-        with pytest.warns(DeprecationWarning, match="rerank"):
-            legacy = engine.rerank(batch, 4)
-        np.testing.assert_array_equal(legacy.top_indices, via_api.top_indices)
-
-    def test_select_warns(self):
-        service = make_service()
-        with pytest.warns(DeprecationWarning, match="select"):
-            service.select(make_batch(), 3)
-
-    def test_select_concurrent_warns(self):
-        service = make_service()
-        with pytest.warns(DeprecationWarning, match="select_concurrent"):
-            outcomes = service.select_concurrent([(make_batch(), 3)])
-        assert len(outcomes) == 1
-
-    def test_scheduler_submit_warns(self):
-        scheduler = DeviceScheduler(make_engine())
-        with pytest.warns(DeprecationWarning, match="submit"):
-            scheduler.submit(make_batch(), 3)
-
-    def test_fleet_submit_warns(self):
-        fleet = make_fleet(num_replicas=1)
-        with pytest.warns(DeprecationWarning, match="submit"):
-            fleet.submit(make_batch(), 3)
+class TestFleetRejection:
+    def test_unsupported_hedge_rejected_before_queueing(self):
+        """A hedge the fleet cannot honour fails at submit, so the drain
+        never strands the requests queued before it."""
+        server = FleetServer(make_fleet(fleet_config=FleetConfig(intra_concurrency=2)))
+        first = server.submit(SelectionRequest(batch=make_batch(), k=3, request_id="a"))
+        with pytest.raises(ValueError, match="hedge_after_ms"):
+            server.submit(
+                SelectionRequest(
+                    batch=make_batch(query_idx=1), k=3, request_id="b", hedge_after_ms=5.0
+                )
+            )
+        assert first.result().ok
+        later = server.submit(SelectionRequest(batch=make_batch(query_idx=2), k=3))
+        assert later.result().ok
 
 
 class TestResponseTiming:

@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.api import SelectionRequest
+from repro.core.api import FleetServer, SelectionRequest, serve_all
 from repro.core.config import PrismConfig
 from repro.core.data_plane import (
     DataPlane,
@@ -530,18 +530,14 @@ class TestPlaneEvents:
 
 
 # ----------------------------------------------------------------------
-# device-tier plane (memoization + coalescing only)
+# the plane through the public request API (FleetServer)
 # ----------------------------------------------------------------------
-class TestDeviceTierPlane:
-    def make_service(self, plane=True, **kwargs):
-        return SemanticSelectionService(
-            shared_model(QWEN3_0_6B),
-            get_profile("nvidia_5070"),
-            config=PrismConfig(numerics=False),
-            max_concurrency=4,
-            data_plane=DataPlane(model_key="qwen") if plane else None,
-            **kwargs,
-        )
+class TestFleetServerPlane:
+    """The fleet is the plane's only owner: memo hits, coalesced twins
+    and the ``memoize`` opt-out surface on :class:`SelectionResponse`."""
+
+    def make_server(self, plane=True):
+        return FleetServer(make_fleet(1, data_plane=plane, intra_concurrency=4))
 
     def wave_requests(self, batches):
         return [
@@ -551,51 +547,50 @@ class TestDeviceTierPlane:
         ]
 
     def test_coalescing_and_memoization_in_one_wave(self, batches):
-        service = self.make_service()
-        wave = service.serve_requests(self.wave_requests(batches))
-        # Align outcomes to input order via the wave's id mapping —
-        # coalesced followers tie on finish, so sorted order lies.
-        by_id = {o.request_id: o for o in wave.outcomes}
-        leader, twin, other = (by_id[i] for i in wave.request_ids)
-        assert twin.cache == "coalesced" and twin.request_id < 0
-        assert twin.service_seconds == 0.0
+        server = self.make_server()
+        by_id = {r.request_id: r for r in serve_all(server, self.wave_requests(batches))}
+        leader, twin, other = by_id["leader"], by_id["twin"], by_id["other"]
+        assert all(r.ok for r in by_id.values())
+        assert twin.cache == "coalesced" and twin.service_seconds == 0.0
         assert leader.cache is None and other.cache is None
         assert selection_bytes(twin.result) == selection_bytes(leader.result)
-        # A verbatim repeat wave memo-hits without touching the engine.
-        repeat = service.serve_requests(
-            [SelectionRequest(batch=batches[0], k=5, request_id="again")]
+        # A verbatim repeat memo-hits without touching a replica.
+        (hit,) = serve_all(
+            server, [SelectionRequest(batch=batches[0], k=5, request_id="again")]
         )
-        (hit,) = repeat.outcomes
         assert hit.cache == "hit" and hit.service_seconds == 0.0
+        assert hit.replica is None
         assert selection_bytes(hit.result) == selection_bytes(leader.result)
-        stats = service.data_plane.stats()
+        stats = server.fleet.stats().data_plane
         assert stats.coalesced == 1 and stats.memo_hits == 1
-        # The device-tier owner has no reduced-pass machinery: layer 2
-        # must never have engaged.
-        assert stats.overlap_hits == 0
 
-    def test_plane_selections_match_plane_off_service(self, batches):
-        plane_on = self.make_service().serve_requests(self.wave_requests(batches))
-        plane_off = self.make_service(plane=False).serve_requests(
-            self.wave_requests(batches)
-        )
-        on_by_id = {o.request_id: o for o in plane_on.outcomes}
-        off_by_id = {o.request_id: o for o in plane_off.outcomes}
-        for on_id, off_id in zip(plane_on.request_ids, plane_off.request_ids):
-            assert selection_bytes(on_by_id[on_id].result) == selection_bytes(
-                off_by_id[off_id].result
-            )
+    def test_plane_selections_match_plane_off_fleet(self, batches):
+        selections = {}
+        for plane in (True, False):
+            responses = serve_all(self.make_server(plane), self.wave_requests(batches))
+            selections[plane] = {r.request_id: selection_bytes(r.result) for r in responses}
+        assert selections[True] == selections[False]
 
-    def test_memoize_false_bypasses_the_device_plane(self, batches):
-        service = self.make_service()
-        wave = service.serve_requests(
+    def test_memoize_false_bypasses_the_plane(self, batches):
+        server = self.make_server()
+        responses = serve_all(
+            server,
             [
                 SelectionRequest(batch=batches[0], k=5, request_id="a", memoize=False),
                 SelectionRequest(batch=batches[0], k=5, request_id="b", memoize=False),
-            ]
+            ],
         )
-        assert all(o.cache is None for o in wave.outcomes)
-        assert service.data_plane.stats().requests == 0
+        assert all(r.ok and r.cache is None and r.replica is not None for r in responses)
+        assert server.fleet.stats().data_plane.requests == 0
+
+    def test_service_owns_no_plane(self):
+        """The device tier has no plane of its own to attach."""
+        with pytest.raises(TypeError):
+            SemanticSelectionService(
+                shared_model(QWEN3_0_6B),
+                get_profile("nvidia_5070"),
+                data_plane=DataPlane(model_key="qwen"),
+            )
 
 
 # ----------------------------------------------------------------------

@@ -94,23 +94,23 @@ class TestEmptyCandidateBatch:
 
 class TestDegeneratePools:
     def test_single_candidate_pool(self):
-        result = make_engine().rerank(make_batch(1), 1)
+        result = make_engine().start(make_batch(1), 1).run()
         assert result.top_indices.tolist() == [0]
 
     def test_k_equals_pool_size(self):
-        result = make_engine().rerank(make_batch(5), 5)
+        result = make_engine().start(make_batch(5), 5).run()
         assert sorted(result.top_indices.tolist()) == list(range(5))
 
     def test_two_candidates_top_one(self):
         batch = make_batch(2, relevance=[0.9, 0.1])
-        result = make_engine().rerank(batch, 1)
+        result = make_engine().start(batch, 1).run()
         assert result.top_indices.tolist() == [0]
 
     def test_identical_relevance_pool(self):
         """All candidates equally relevant: no crash, K returned, and
         no pruning should trigger (no distinct clusters exist)."""
         batch = make_batch(12, relevance=[0.5] * 12)
-        result = make_engine().rerank(batch, 4)
+        result = make_engine().start(batch, 4).run()
         assert result.k == 4
         for event in result.prune_events:
             # Any event must still partition correctly.
@@ -120,14 +120,14 @@ class TestDegeneratePools:
         """Half clearly relevant, half clearly not, K = the split point:
         the easiest possible pruning case — should terminate early."""
         batch = make_batch(16, relevance=[0.9] * 8 + [0.1] * 8)
-        result = make_engine().rerank(batch, 8)
+        result = make_engine().start(batch, 8).run()
         assert result.terminated_early
         assert set(result.top_indices.tolist()) == set(range(8))
 
     def test_sequential_requests_share_engine(self):
         engine = make_engine()
-        first = engine.rerank(make_batch(10, seed_base=1), 5)
-        second = engine.rerank(make_batch(10, seed_base=2), 5)
+        first = engine.start(make_batch(10, seed_base=1), 5).run()
+        second = engine.start(make_batch(10, seed_base=2), 5).run()
         assert first.k == second.k == 5
         # Memory returns to baseline between requests.
         stats = engine.device.memory.stats()
@@ -141,7 +141,7 @@ class TestMassiveCandidatePools:
     def test_200_candidates_bounded_hidden_memory(self):
         config = PrismConfig(numerics=False, hidden_offload="auto")
         engine = make_engine(config)
-        result = engine.rerank(make_batch(200, length=450), 10)
+        result = engine.start(make_batch(200, length=450), 10).run()
         assert result.k == 10
         hidden_peak = engine.device.memory.stats().peak_by_category.get("hidden", 0)
         assert hidden_peak <= config.hidden_memory_budget * 1.1
@@ -151,7 +151,7 @@ class TestMassiveCandidatePools:
         peaks = {}
         for n in (40, 200):
             engine = make_engine(PrismConfig(numerics=False))
-            engine.rerank(make_batch(n, length=450), 10)
+            engine.start(make_batch(n, length=450), 10).run()
             peaks[n] = engine.device.memory.stats().peak_bytes
         assert peaks[200] < 2.2 * peaks[40]
 
@@ -159,14 +159,14 @@ class TestMassiveCandidatePools:
         latencies = {}
         for n in (25, 100):
             engine = make_engine(PrismConfig(numerics=False, pruning_enabled=False))
-            latencies[n] = engine.rerank(make_batch(n, length=450), 10).latency_seconds
+            latencies[n] = engine.start(make_batch(n, length=450), 10).run().latency_seconds
         ratio = latencies[100] / latencies[25]
         assert 3.0 < ratio < 5.0
 
     def test_offload_writes_and_reads_hidden_states(self):
         config = PrismConfig(numerics=False, hidden_offload="on")
         engine = make_engine(config)
-        engine.rerank(make_batch(60, length=450), 10)
+        engine.start(make_batch(60, length=450), 10).run()
         ssd = engine.device.ssd
         hidden_writes = [r for r in ssd.request_log if "hidden-ring/write" in r.tag]
         hidden_reads = [r for r in ssd.request_log if "hidden-ring/read" in r.tag]
@@ -193,7 +193,7 @@ class TestConfigurationMatrix:
             embedding_cache=cache,
             numerics=False,
         )
-        result = make_engine(config).rerank(batch, 3)
+        result = make_engine(config).start(batch, 3).run()
         assert set(result.top_indices.tolist()) == {0, 1, 2}
 
 
@@ -211,11 +211,11 @@ class TestPlatformEdgeCases:
         device = get_profile("nvidia_5070").create()
         engine = HFEngine(shared_model(QWEN3_0_6B), device, batch_size=16, numerics=False)
         engine.prepare()
-        result = engine.rerank(make_batch(3), 2)
+        result = engine.start(make_batch(3), 2).run()
         assert result.k == 2
 
     def test_long_documents_clamped_to_max_seq_len(self):
         batch = make_batch(4, length=2000)
         assert (batch.lengths <= QWEN3_0_6B.max_seq_len).all()
-        result = make_engine().rerank(batch, 2)
+        result = make_engine().start(batch, 2).run()
         assert result.k == 2

@@ -10,6 +10,7 @@ from repro.baselines import (
     HFQuantEngine,
     prism_quant_engine,
 )
+from repro.core.api import DeviceServer, EngineServer, SelectionRequest, serve_all
 from repro.core.config import PrismConfig
 from repro.core.engine import PrismEngine
 from repro.core.scheduler import (
@@ -112,9 +113,15 @@ class TestTaskAPI:
             task.step()
 
     def test_manual_stepping_equals_rerank(self):
+        """Stepping a task by hand selects what the request path does."""
         batch = make_batch()
-        stepped = make_prism().start(batch, 5).run()
-        blocking = make_prism().rerank(batch, 5)
+        task = make_prism().start(batch, 5)
+        while not task.step():
+            pass
+        stepped = task.result
+        blocking = (
+            EngineServer(make_prism()).submit(SelectionRequest(batch=batch, k=5)).result().result
+        )
         assert np.array_equal(stepped.top_indices, blocking.top_indices)
         assert np.array_equal(stepped.top_scores, blocking.top_scores)
         assert stepped.latency_seconds == pytest.approx(blocking.latency_seconds)
@@ -123,19 +130,19 @@ class TestTaskAPI:
 class TestRequestedK:
     def test_clamp_recorded(self):
         """The silent k-clamp is now observable on the result."""
-        result = make_prism().rerank(make_batch(num_candidates=5), 50)
+        result = make_prism().start(make_batch(num_candidates=5), 50).run()
         assert result.k == 5
         assert result.requested_k == 50
         assert result.k_clamped
 
     def test_unclamped_request(self):
-        result = make_prism().rerank(make_batch(num_candidates=12), 5)
+        result = make_prism().start(make_batch(num_candidates=12), 5).run()
         assert result.k == 5
         assert result.requested_k == 5
         assert not result.k_clamped
 
     def test_clamp_recorded_on_baselines(self):
-        result = _prepared(HFEngine).rerank(make_batch(num_candidates=5), 9)
+        result = _prepared(HFEngine).start(make_batch(num_candidates=5), 9).run()
         assert (result.k, result.requested_k, result.k_clamped) == (5, 9, True)
 
 
@@ -160,20 +167,20 @@ class TestConfigValidation:
         engine = make_prism()
         scheduler = DeviceScheduler(engine)
         with pytest.raises(ValueError):
-            scheduler.submit(make_batch(), 5, at=engine.device.clock.now - 1.0)
+            scheduler.submit_request(make_batch(), 5, arrival=engine.device.clock.now - 1.0)
 
     def test_negative_priority_rejected(self):
         scheduler = DeviceScheduler(make_prism())
         with pytest.raises(ValueError):
-            scheduler.submit(make_batch(), 5, priority=-1)
+            scheduler.submit_request(make_batch(), 5, priority=-1)
 
     def test_invalid_k_rejected_at_submit(self):
         """A bad k must fail at submit, before any request runs — not
         mid-drain after other requests already consumed device time."""
         scheduler = DeviceScheduler(make_prism())
-        scheduler.submit(make_batch(), 5)
+        scheduler.submit_request(make_batch(), 5)
         with pytest.raises(ValueError):
-            scheduler.submit(make_batch(), 0)
+            scheduler.submit_request(make_batch(), 0)
 
     def test_unprepared_engine_rejected(self):
         device = get_profile("nvidia_5070").create()
@@ -192,12 +199,12 @@ def _mixed_workload(engine, policy, quantum_layers=1, max_concurrency=4):
         ),
     )
     now = engine.device.clock.now
-    scheduler.submit(make_batch(num_candidates=16, query_idx=0), 8, at=now)
-    scheduler.submit(make_batch(num_candidates=12, query_idx=1), 5, at=now)
-    scheduler.submit(
+    scheduler.submit_request(make_batch(num_candidates=16, query_idx=0), 8, arrival=now)
+    scheduler.submit_request(make_batch(num_candidates=12, query_idx=1), 5, arrival=now)
+    scheduler.submit_request(
         make_batch(num_candidates=6, query_idx=2),
         3,
-        at=now + 0.05,
+        arrival=now + 0.05,
         priority=LANE_INTERACTIVE,
     )
     return scheduler
@@ -232,14 +239,14 @@ class TestSoloEquivalence:
     def test_preempted_equals_solo(self, name):
         factory = ENGINE_FACTORIES[name]
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(3)]
-        solo = [factory().rerank(batch, 4) for batch in batches]
+        solo = [factory().start(batch, 4).run() for batch in batches]
 
         engine = factory()
         scheduler = DeviceScheduler(
             engine, SchedulerConfig(policy="round_robin", quantum_layers=1)
         )
         for batch in batches:
-            scheduler.submit(batch, 4)
+            scheduler.submit_request(batch, 4)
         outcomes = {o.request_id: o for o in scheduler.drain()}
         interleaved = any(o.preempted for o in outcomes.values())
         assert interleaved, "round-robin over 3 tasks must interleave steps"
@@ -305,7 +312,7 @@ class TestPolicies:
             engine, SchedulerConfig(policy="fusion", max_concurrency=3)
         )
         for idx in range(3):
-            scheduler.submit(make_batch(num_candidates=10, query_idx=idx), 4)
+            scheduler.submit_request(make_batch(num_candidates=10, query_idx=idx), 4)
         scheduler.drain()
         sizes = scheduler.fused_group_sizes()
         assert max(sizes) == 3
@@ -332,9 +339,11 @@ class TestPolicies:
             )
             now = engine.device.clock.now
             for idx in range(2):
-                scheduler.submit(make_batch(num_candidates=12, query_idx=idx), 5, at=now)
-            late = scheduler.submit(
-                make_batch(num_candidates=6, query_idx=2), 3, at=now + 0.02
+                scheduler.submit_request(
+                    make_batch(num_candidates=12, query_idx=idx), 5, arrival=now
+                )
+            late = scheduler.submit_request(
+                make_batch(num_candidates=6, query_idx=2), 3, arrival=now + 0.02
             )
             outcomes = {o.request_id: o for o in scheduler.drain()}
             return outcomes, late
@@ -392,18 +401,25 @@ class TestServiceConcurrentMode:
         defaults.update(kwargs)
         return SemanticSelectionService(**defaults)
 
+    def _wave(self, batches, **overrides):
+        return [
+            SelectionRequest(batch=batch, k=4, request_id=index, **overrides)
+            for index, batch in enumerate(batches)
+        ]
+
     def test_concurrent_selections_match_serial(self):
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
-        serial = self._service()
-        serial_results = [serial.select(batch, 4) for batch in batches]
-        concurrent = self._service()
-        outcomes = concurrent.select_concurrent(
-            [(batch, 4) for batch in batches], policy="round_robin"
+        serial = serve_all(
+            DeviceServer(self._service(max_concurrency=1), policy="fifo"), self._wave(batches)
         )
-        by_id = {o.request_id: o for o in outcomes}
-        for index, reference in enumerate(serial_results):
+        concurrent = serve_all(
+            DeviceServer(self._service(), policy="round_robin"), self._wave(batches)
+        )
+        by_id = {r.request_id: r for r in concurrent}
+        for reference in serial:
             assert np.array_equal(
-                by_id[index].result.top_indices, reference.top_indices
+                by_id[reference.request_id].result.top_indices,
+                reference.result.top_indices,
             )
 
     def test_sampling_stride_preserved(self):
@@ -411,7 +427,7 @@ class TestServiceConcurrentMode:
         and independent of completion order."""
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
         service = self._service(sample_rate=0.5)
-        service.select_concurrent([(batch, 4) for batch in batches], policy="priority")
+        serve_all(DeviceServer(service, policy="priority"), self._wave(batches))
         assert service.stats.requests_served == 4
         assert service.stats.requests_sampled == 2
         assert service.pending_samples == 2
@@ -419,15 +435,19 @@ class TestServiceConcurrentMode:
     def test_sample_overrides_respected(self):
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(3)]
         service = self._service()
-        service.select_concurrent(
-            [(batch, 4) for batch in batches], samples=[True, False, True]
+        serve_all(
+            DeviceServer(service, policy="round_robin"),
+            [
+                SelectionRequest(batch=batch, k=4, sample=sample)
+                for batch, sample in zip(batches, (True, False, True))
+            ],
         )
         assert service.stats.requests_sampled == 2
 
     def test_mismatched_kwarg_lengths_rejected(self):
         service = self._service()
         with pytest.raises(ValueError):
-            service.select_concurrent([(make_batch(), 4)], arrivals=[0.0, 1.0])
+            service.serve_requests(self._wave([make_batch()]), cancels=[None, 1.0])
 
     def test_rejected_wave_leaves_sampling_stride_untouched(self):
         """A wave that fails validation must not consume stride state:
@@ -435,18 +455,16 @@ class TestServiceConcurrentMode:
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
         service = self._service(sample_rate=0.5)
         with pytest.raises(ValueError):
-            service.select_concurrent(
-                [(batches[0], 4), (batches[1], 0)]  # second request invalid
-            )
+            service.serve_requests(self._wave(batches[:2]), cancels=[None])
         assert service.stats.requests_served == 0
         assert service.last_scheduler is None
-        service.select_concurrent([(batch, 4) for batch in batches])
+        serve_all(DeviceServer(service, policy="round_robin"), self._wave(batches))
         assert service.stats.requests_sampled == 2  # same as an untouched stride
 
     def test_idle_maintenance_after_concurrent_wave(self):
         service = self._service(sample_rate=1.0)
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(2)]
-        service.select_concurrent([(batch, 4) for batch in batches])
+        serve_all(DeviceServer(service, policy="round_robin"), self._wave(batches))
         report = service.idle_maintenance()
         assert report is not None
         assert report.samples_checked == 2

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.api import DeviceServer, SelectionRequest
 from repro.core.config import PrismConfig
 from repro.core.service import SemanticSelectionService
 from repro.data.datasets import get_dataset
@@ -29,6 +30,12 @@ def make_service(**kwargs):
     return SemanticSelectionService(**defaults)
 
 
+def select(service, batch, k, sample=None):
+    """Serve one request on the service's device tier; returns its result."""
+    request = SelectionRequest(batch=batch, k=k, sample=sample)
+    return DeviceServer(service).submit(request).result().result
+
+
 class TestValidation:
     def test_bad_precision_target(self):
         with pytest.raises(ValueError):
@@ -50,26 +57,26 @@ class TestValidation:
 class TestServing:
     def test_select_returns_results(self, batches):
         service = make_service()
-        result = service.select(batches[0], 10)
+        result = select(service, batches[0], 10)
         assert result.k == 10
         assert service.stats.requests_served == 1
 
     def test_sampling_follows_rate(self, batches):
         service = make_service(sample_rate=0.5)
         for batch in batches:
-            service.select(batch, 10)
+            select(service, batch, 10)
         assert service.stats.requests_sampled == 3  # 6 requests × 0.5
 
     def test_full_sampling(self, batches):
         service = make_service(sample_rate=1.0)
         for batch in batches[:3]:
-            service.select(batch, 10)
+            select(service, batch, 10)
         assert service.pending_samples == 3
 
     def test_served_results_match_engine_threshold(self, batches):
         service = make_service()
-        a = service.select(batches[0], 10)
-        direct = service.engine.rerank(batches[0], 10)
+        a = select(service, batches[0], 10)
+        direct = service.engine.start(batches[0], 10).run()
         assert set(a.top_indices.tolist()) == set(direct.top_indices.tolist())
 
     def test_full_sampling_accumulator_never_drifts(self, batches):
@@ -79,7 +86,7 @@ class TestServing:
         service = make_service(sample_rate=1.0)
         for round_no in range(5):
             for batch in batches:
-                service.select(batch, 10)
+                select(service, batch, 10)
         assert service.stats.requests_sampled == service.stats.requests_served == 30
         assert service._stride.accumulator == 0.0
 
@@ -87,13 +94,13 @@ class TestServing:
         service = make_service(sample_rate=0.25)
         for _ in range(2):
             for batch in batches:
-                service.select(batch, 10)
+                select(service, batch, 10)
         assert service.stats.requests_sampled == 3  # 12 requests x 0.25
 
     def test_forced_sampling_override(self, batches):
         service = make_service(sample_rate=0.25)
-        service.select(batches[0], 10, sample=True)
-        service.select(batches[1], 10, sample=False)
+        select(service, batches[0], 10, sample=True)
+        select(service, batches[1], 10, sample=False)
         assert service.stats.requests_sampled == 1
         assert service.pending_samples == 1
         # Forced decisions must not consume the deterministic stride.
@@ -117,7 +124,7 @@ class TestIdleMaintenance:
         service = make_service(sample_rate=1.0, precision_target=0.8, step=0.05)
         start = service.threshold
         for batch in batches[:4]:
-            service.select(batch, 10)
+            select(service, batch, 10)
         report = service.idle_maintenance()
         assert report is not None
         assert report.sampled_precision >= 0.8
@@ -128,7 +135,7 @@ class TestIdleMaintenance:
         upward (the paper's 'raise for precision' branch)."""
         service = make_service(sample_rate=1.0, precision_target=0.95, step=0.05)
         for batch in batches[:2]:
-            service.select(batch, 10)
+            select(service, batch, 10)
         monkeypatch.setattr(service, "_sampled_precision", lambda: (2, 0.5))
         start = service.threshold
         report = service.idle_maintenance()
@@ -139,7 +146,7 @@ class TestIdleMaintenance:
             sample_rate=1.0, precision_target=0.5, step=0.5, min_threshold=0.02
         )
         for _ in range(3):
-            service.select(batches[0], 10)
+            select(service, batches[0], 10)
             service.idle_maintenance()
         assert service.threshold == pytest.approx(0.02)
 
@@ -151,7 +158,7 @@ class TestIdleMaintenance:
         )
         monkeypatch.setattr(service, "_sampled_precision", lambda: (1, 0.0))
         for _ in range(3):
-            service.select(batches[0], 10)
+            select(service, batches[0], 10)
             report = service.idle_maintenance()
         assert service.threshold == pytest.approx(0.9)
         assert report is not None and not report.adjusted  # pinned at the bound
@@ -160,19 +167,19 @@ class TestIdleMaintenance:
         """A pass clears the log; the next idle pass with nothing new
         sampled must return None rather than re-judging stale data."""
         service = make_service(sample_rate=1.0)
-        service.select(batches[0], 10)
+        select(service, batches[0], 10)
         assert service.idle_maintenance() is not None
         assert service.idle_maintenance() is None
 
     def test_samples_cleared_after_pass(self, batches):
         service = make_service(sample_rate=1.0)
-        service.select(batches[0], 10)
+        select(service, batches[0], 10)
         service.idle_maintenance()
         assert service.pending_samples == 0
 
     def test_history_recorded(self, batches):
         service = make_service(sample_rate=1.0)
-        service.select(batches[0], 10)
+        select(service, batches[0], 10)
         service.idle_maintenance()
         assert service.stats.maintenance_passes == 1
         assert len(service.stats.history) == 1
@@ -181,7 +188,7 @@ class TestIdleMaintenance:
         """Ground-truth re-execution is idle-time work on shadow
         devices — serving latency must not absorb it."""
         service = make_service(sample_rate=1.0)
-        service.select(batches[0], 10)
+        select(service, batches[0], 10)
         before = service.device.clock.now
         service.idle_maintenance()
         assert service.device.clock.now == before
@@ -193,11 +200,11 @@ class TestClosedLoop:
         threshold down while precision holds, making later requests
         faster than the first ones."""
         service = make_service(sample_rate=1.0, precision_target=0.8, step=0.08)
-        first = service.select(batches[0], 10).latency_seconds
+        first = select(service, batches[0], 10).latency_seconds
         for round_no in range(4):
             for batch in batches:
-                service.select(batch, 10)
+                select(service, batch, 10)
             service.idle_maintenance()
-        last = service.select(batches[0], 10).latency_seconds
+        last = select(service, batches[0], 10).latency_seconds
         assert service.threshold < PrismConfig().dispersion_threshold
         assert last <= first

@@ -296,24 +296,3 @@ class TestRequestApiThreading:
         by_id = {r.request_id: r for r in responses}
         assert by_id["a"].tenant == "acme"
         assert by_id["b"].tenant is None
-
-    def test_metadata_tenant_shim_warns_and_promotes(self, batches):
-        from repro.core.api import SelectionRequest
-
-        with pytest.warns(DeprecationWarning, match="metadata"):
-            request = SelectionRequest(
-                batch=batches[0], k=2, metadata={"tenant": "legacy"}
-            )
-        assert request.tenant == "legacy"
-
-    def test_explicit_tenant_wins_over_metadata(self, batches):
-        import warnings
-
-        from repro.core.api import SelectionRequest
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            request = SelectionRequest(
-                batch=batches[0], k=2, tenant="first", metadata={"tenant": "legacy"}
-            )
-        assert request.tenant == "first"
