@@ -89,11 +89,10 @@ class SelectionRequest:
         (``True`` forces logging, ``False`` suppresses it, ``None``
         applies the deterministic stride).
     hedge_after_ms:
-        Fleet tier, serial replicas: if the request has not completed
-        this many milliseconds after arrival, duplicate it onto a
-        second healthy replica — first result wins, the loser is
-        cancelled at its next layer boundary (DESIGN.md §9).  A fleet
-        with ``intra_concurrency > 1`` rejects it with ``ValueError``.
+        Fleet tier: if the request has not completed this many
+        milliseconds after arrival, duplicate it onto a second healthy
+        replica — first result wins, the loser is cancelled at its next
+        layer boundary (DESIGN.md §9).
     memoize:
         Fleet tier, data plane on: the plane opt-out (DESIGN.md §12).
         ``False`` bypasses the request memo/coalescing cache entirely
@@ -545,9 +544,9 @@ class FleetServer(ServerBase):
 
     Wraps a :class:`~repro.core.fleet.FleetService`; provenance names
     the replica that served each request, and the fleet's routing
-    policy.  Deadlines shed at dispatch; cancellation drops pending
-    requests and closes mid-pass tasks on replicas serving with
-    ``intra_concurrency > 1``.
+    policy.  Deadlines shed at dispatch or at the replica scheduler's
+    admission; cancellation drops pending requests and closes mid-pass
+    tasks at their next layer boundary.
     """
 
     tier = "fleet"
@@ -555,12 +554,6 @@ class FleetServer(ServerBase):
     def __init__(self, fleet: FleetService) -> None:
         super().__init__()
         self.fleet = fleet
-
-    def submit(self, request: SelectionRequest) -> RequestHandle:
-        # Reject here, not mid-drain: a drain that raised after handing
-        # earlier requests to the fleet would strand them there.
-        self.fleet.check_hedge(request.hedge_after_ms)
-        return super().submit(request)
 
     def _serve(self, pending: list[SelectionRequest]) -> list[SelectionResponse]:
         fleet = self.fleet

@@ -88,20 +88,21 @@ class FleetConfig:
         estimate (higher = adapts faster).
     intra_concurrency:
         In-flight request cap *inside* each replica (DESIGN.md §6).
-        ``1`` keeps replicas serial (a dispatched batch executes
-        request-by-request); above 1, a dispatched batch is served
-        through the replica's :class:`~repro.core.scheduler.DeviceScheduler`,
-        multiplexing its requests at layer boundaries — replica-level
-        routing composed with intra-replica concurrency.
+        Every dispatched batch is served as one wave through the
+        replica's :class:`~repro.core.scheduler.DeviceScheduler`: at
+        ``1`` its requests run one after another, above 1 they
+        multiplex at layer boundaries — replica-level routing composed
+        with intra-replica concurrency.
     intra_policy:
-        Scheduling policy of the intra-replica scheduler (only used
-        when ``intra_concurrency > 1``); ``fusion`` gang-schedules a
-        dispatched batch layer by layer.
+        Scheduling policy of the intra-replica scheduler, applied to
+        every wave at any cap; ``fusion`` gang-schedules a dispatched
+        batch layer by layer.
     shared_weight_plane:
         Serve every replica from a refcounted shared weight plane
         (DESIGN.md §7): the requests of a dispatched batch read each
         layer from the replica's SSD once instead of once per request.
-        Meaningful with ``intra_concurrency > 1``.
+        Saves traffic only while several passes are in flight, i.e.
+        with an ``intra_concurrency`` above 1.
     max_skew:
         Group-join bound of the ``fusion`` intra-replica policy
         (seconds); see :class:`~repro.core.scheduler.SchedulerConfig`.
@@ -337,8 +338,8 @@ class RequestOutcome:
     lane: int = LANE_BATCH
     deadline: float | None = None
     #: When this request's own service began on the replica (fleet
-    #: time).  ``start`` is the *batch* dispatch instant; in a serially
-    #: served batch the later requests start well after it.
+    #: time).  ``start`` is the *batch* dispatch instant; a request the
+    #: wave kept queued behind the replica's cap starts well after it.
     service_start: float | None = None
     #: Time spent in this request's own execution (excludes the queue,
     #: the dispatch overhead, and — under intra-replica multiplexing —
@@ -611,7 +612,7 @@ class FleetService:
             self.data_plane.on_threshold(self.threshold, at=0.0)
         self._next_request_id = 0
         self._pending: list[FleetRequest] = []
-        self._pending_client_ids: set[str | int] = set()
+        self._pending_labels: set[str | int] = set()
         self._dropped: list[DroppedRequest] = []
         self._outcomes: list[RequestOutcome] = []
         self._queue_depth_samples: list[tuple[float, int]] = []
@@ -734,10 +735,13 @@ class FleetService:
         ``at``, ``deadline`` and ``cancel_at`` are absolute instants on
         the fleet clock (``at=None`` means *now*); arrivals may be
         submitted out of order and are replayed in arrival order by
-        :meth:`drain`.  ``client_id`` is echoed on the outcome — a
-        duplicate among the in-flight (submitted, not yet drained)
-        requests raises ``ValueError`` instead of silently colliding in
-        outcome correlation.  ``sample`` overrides the fleet-wide
+        :meth:`drain`.  ``client_id`` is echoed on the outcome and
+        labels the request's events on every tier (the fleet id labels
+        an anonymous request) — a label already used by an in-flight
+        (submitted, not yet drained) request raises ``ValueError``
+        instead of silently colliding in outcome correlation, and an
+        anonymous request skips fleet ids an in-flight client id
+        already uses.  ``sample`` overrides the fleet-wide
         sampling stride, and ``hedge_after_ms`` arms a straggler hedge
         (DESIGN.md §9).  ``tenant`` names the submitting tenant for
         the §13 admission plane (token buckets + fair queuing); it is
@@ -758,14 +762,14 @@ class FleetService:
             raise ValueError("deadline must lie after the request's arrival")
         if hedge_after_ms is not None and hedge_after_ms <= 0:
             raise ValueError("hedge_after_ms must be positive")
-        self.check_hedge(hedge_after_ms)
-        if client_id is not None:
-            if client_id in self._pending_client_ids:
-                raise ValueError(
-                    f"duplicate in-flight request id {client_id!r}: already "
-                    "submitted and not yet drained"
-                )
-            self._pending_client_ids.add(client_id)
+        if client_id is None:
+            while self._next_request_id in self._pending_labels:
+                self._next_request_id += 1
+        elif client_id in self._pending_labels:
+            raise ValueError(
+                f"duplicate in-flight request id {client_id!r}: already "
+                "submitted and not yet drained"
+            )
         request = FleetRequest(
             request_id=self._next_request_id,
             batch=batch,
@@ -782,6 +786,7 @@ class FleetService:
         )
         self._next_request_id += 1
         self._pending.append(request)
+        self._pending_labels.add(self._plane_label(request))
         if self._first_arrival is None or arrival < self._first_arrival:
             self._first_arrival = arrival
         self._emit(
@@ -797,27 +802,13 @@ class FleetService:
         )
         return request.request_id
 
-    def check_hedge(self, hedge_after_ms: float | None) -> None:
-        """Reject a hedge this fleet cannot honour (``ValueError``).
-
-        Concurrent dispatch runs each batch as one scheduler wave and
-        never hedges; reject rather than drop the hedge.
-        :class:`~repro.core.api.FleetServer` calls this at submit
-        (DESIGN.md §8), before anything reaches the fleet's queue.
-        """
-        if hedge_after_ms is not None and self.fleet_config.intra_concurrency > 1:
-            raise ValueError(
-                "hedge_after_ms is not supported with intra_concurrency > 1 "
-                f"(this fleet has intra_concurrency={self.fleet_config.intra_concurrency})"
-            )
-
     def _emit(self, kind: str, at: float, request=None, replica: int | None = None, **data):
         """Publish a fleet-tier event (DESIGN.md §10); no-op without a sink."""
         if self.events is not None:
             label = None
             tenant = None
             if request is not None:
-                label = request.client_id if request.client_id is not None else request.request_id
+                label = self._plane_label(request)
                 tenant = request.tenant
             self.events.emit(
                 kind, at=at, tier="fleet", request=label, replica=replica, tenant=tenant, **data
@@ -848,7 +839,7 @@ class FleetService:
         """
         pending = sorted(self._pending, key=lambda r: (r.arrival, r.request_id))
         self._pending.clear()
-        self._pending_client_ids.clear()
+        self._pending_labels.clear()
         max_batch = self.fleet_config.max_batch
         max_wait = self.fleet_config.max_wait_ms * 1e-3
         queue: list[FleetRequest] = []
@@ -995,20 +986,26 @@ class FleetService:
     def _dispatch(
         self, requests: list[FleetRequest], now: float, pool: list[ReplicaHandle]
     ) -> tuple[list[RequestOutcome], list[FleetRequest]]:
-        """Hand one batch to a replica; returns (outcomes, failover retries).
+        """Serve one batch on a replica as one wave; returns (outcomes,
+        failover retries).
 
-        With ``intra_concurrency == 1`` the batch executes serially,
-        request by request.  Above 1, the whole batch enters the
-        replica's :class:`~repro.core.scheduler.DeviceScheduler` and
-        its requests multiplex at layer boundaries (DESIGN.md §6);
-        selections stay byte-identical either way, only completion
-        times move.
+        The batch enters the replica's
+        :class:`~repro.core.scheduler.DeviceScheduler`, which runs up to
+        ``intra_concurrency`` of its requests at once under
+        ``intra_policy``, multiplexed at layer boundaries (DESIGN.md
+        §6); selections are byte-identical at any cap, only completion
+        times move.  Fleet-clock intent (deadlines, cancellations) is
+        rebased onto the wave origin as relative offsets; requests whose
+        deadline already passed are shed here, before the wave, so the
+        scheduler never sees an expired deadline (DESIGN.md §8).
 
-        A :class:`~repro.device.faults.DeviceFault` during the batch
-        (DESIGN.md §9) marks the replica's health and turns the failed
-        request — plus, serially, the rest of the batch behind it —
-        into retries the drain loop requeues onto healthy replicas.
+        A :class:`~repro.device.faults.DeviceFault` (DESIGN.md §9) fails
+        the pass it hit — a crash, every pass on the replica — and marks
+        the replica's health; the failed requests come back as retries
+        the drain loop requeues onto healthy replicas.
         """
+        from .api import SelectionRequest
+
         cfg = self.fleet_config
         replica = self._routing.choose(pool, now, len(requests))
         # A batch carrying failover retries cannot start before the
@@ -1025,96 +1022,134 @@ class FleetService:
                 attempts=request.attempts,
             )
         replica.sync_to(start)
-        clock = replica.service.device.clock
-        clock.advance(cfg.dispatch_overhead_ms * 1e-3)
+        replica.service.device.clock.advance(cfg.dispatch_overhead_ms * 1e-3)
+        origin = replica.local_now  # wave origin on the fleet axis
         outcomes: list[RequestOutcome] = []
         retries: list[FleetRequest] = []
-        if cfg.intra_concurrency > 1:
-            outcomes, retries = self._dispatch_concurrent(requests, replica, start)
-        else:
-            for index, request in enumerate(requests):
-                local_now = replica.local_now
-                if self._drop_due(request, local_now):
-                    continue
-                plan = self._overlap_plans.pop(request.request_id, None)
-                try:
-                    if plan is not None:
-                        # Partial-overlap leader (DESIGN.md §12): the
-                        # replica executes only the residue rows; the
-                        # exact full-batch selection is recovered by a
-                        # zero-cost shadow replay.
-                        result = self._serve_overlap(replica, request, plan)
-                    else:
-                        result = replica.service._serve_solo(
-                            request.batch,
-                            request.k,
-                            sample=self._request_sample(request),
-                            cancel_at=(
-                                request.cancel_at + replica.origin
-                                if request.cancel_at is not None
-                                else None
-                            ),
-                        )
-                except DeviceFault as fault:
-                    at = replica.local_now
-                    self._record_failure(replica, at)
-                    # The faulted leader must never poison the memo:
-                    # its pending entry dies with it, and its followers
-                    # re-dispatch (DESIGN.md §12).
-                    self._plane_invalidate(requests[index], at, fault.kind)
-                    # The faulted request and everything still queued
-                    # behind it on this replica fail over together.
-                    retries.extend(
-                        self._requeue(requests[index:], replica, at, fault)
-                    )
-                    break
-                if result is None:  # cancelled mid-pass on the replica
-                    self._drop(request, "cancelled", replica.local_now)
-                    continue
-                finish = replica.local_now
-                outcome = RequestOutcome(
-                    request_id=request.request_id,
-                    replica=replica.index,
-                    arrival=request.arrival,
-                    start=start,
-                    finish=finish,
-                    result=result,
-                    client_id=request.client_id,
-                    lane=request.priority,
-                    deadline=request.deadline,
-                    service_start=local_now,
-                    service_seconds=finish - local_now,
-                    attempts=request.attempts,
-                    failed_over_from=request.failed_over_from,
-                    tenant=request.tenant,
+        wave_inputs: list[tuple[FleetRequest, SelectionRequest, float | None]] = []
+        plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for request in requests:
+            if self._drop_due(request, origin):
+                continue
+            plan = self._overlap_plans.pop(request.request_id, None)
+            residue = plan[1] if plan is not None else None
+            if residue is not None and residue.size == 0:
+                # Every candidate row is cached: no residue to execute.
+                # The exact selection comes from the zero-cost shadow
+                # replay; the replica is never occupied (DESIGN.md §12).
+                outcome = self._complete(
+                    request,
+                    replica.index,
+                    self._replay_overlap(replica.service, request, plan),
+                    start=origin,
+                    finish=origin,
                 )
                 outcomes.append(outcome)
-                self._update_ewma(replica, len(outcomes), result.latency_seconds)
-                # The health probe uses the replica-observed service
-                # span (finish − service start): it includes injected
-                # stalls, which the engine's own latency accounting —
-                # started inside the first step — does not see.
-                self._record_success(
-                    replica, finish - local_now, result.layers_executed + 1
+                outcomes.extend(self._plane_complete(request, outcome, replica))
+                continue
+            if residue is None:
+                batch, k = request.batch, request.k
+                sample = request.sample if request.sample is not None else self._admit_sample()
+            else:
+                plans[request.request_id] = plan
+                # Overlap leaders serve a residue sub-batch — not the
+                # request the calibration log expects — so they never
+                # feed the idle-check samples.
+                batch, k, sample = (
+                    request.batch.select(residue),
+                    min(request.k, int(residue.size)),
+                    False,
                 )
-                if plan is None:
+            cancel = request.cancel_at - origin if request.cancel_at is not None else None
+            wave_inputs.append(
+                (
+                    request,
+                    SelectionRequest(
+                        batch=batch,
+                        k=k,
+                        request_id=self._plane_label(request),
+                        priority=request.priority,
+                        deadline=(
+                            request.deadline - origin if request.deadline is not None else None
+                        ),
+                        sample=sample,
+                        tenant=request.tenant,
+                    ),
+                    max(0.0, cancel) if cancel is not None else None,
+                )
+            )
+        if wave_inputs:
+            wave = replica.service.serve_requests(
+                [selection for _, selection, _ in wave_inputs],
+                policy=cfg.intra_policy,
+                max_skew=cfg.max_skew,
+                cancels=[cancel for _, _, cancel in wave_inputs],
+            )
+            by_scheduler_id = {
+                scheduler_id: request
+                for scheduler_id, (request, _, _) in zip(wave.request_ids, wave_inputs)
+            }
+            for scheduled in wave.outcomes:
+                request = by_scheduler_id[scheduled.request_id]
+                plan = plans.get(request.request_id)
+                result = scheduled.result
+                if plan is not None:
+                    # The scheduler served only the residue rows; recover
+                    # the exact full-batch selection by shadow replay and
+                    # credit the skipped rows to the plane (DESIGN.md §12).
+                    result = self._replay_overlap(
+                        replica.service,
+                        request,
+                        plan,
+                        residue_seconds=scheduled.service_seconds,
+                        residue_bytes=self._weight_bytes(replica.service, result),
+                    )
+                outcome = self._complete(
+                    request,
+                    replica.index,
+                    result,
+                    start=start,
+                    finish=scheduled.finish - replica.origin,
+                    service_start=scheduled.start - replica.origin,
+                    service_seconds=scheduled.service_seconds,
                     # An overlap leader already served a reduced pass;
                     # racing a full-pass duplicate would undo the win.
-                    self._maybe_hedge(request, outcome, replica, pool)
-                # After hedging: a winning duplicate already rewrote the
-                # outcome, so the event carries the final provenance.
-                self._emit(
-                    "complete",
-                    at=outcome.finish,
-                    request=request,
-                    replica=outcome.replica,
-                    latency=outcome.latency,
-                    attempts=outcome.attempts,
-                    hedged=outcome.hedged,
+                    hedge=(replica, pool) if plan is None else None,
+                )
+                outcomes.append(outcome)
+                # Under multiplexing, result.latency_seconds spans other
+                # requests' interleaved steps; the scheduler's service
+                # time is the true per-request cost EWMA must learn.
+                self._update_ewma(replica, len(outcomes), scheduled.service_seconds)
+                self._record_success(
+                    replica,
+                    scheduled.service_seconds,
+                    scheduled.result.layers_executed + 1,
                 )
                 # Memoize after hedging so the memo holds the final
                 # result; followers resolve against it (DESIGN.md §12).
                 outcomes.extend(self._plane_complete(request, outcome, replica))
+            failed: list[tuple[FleetRequest, float, str]] = []
+            for drop in wave.dropped:
+                request = by_scheduler_id[drop.request_id]
+                at = drop.at - replica.origin
+                if drop.reason == "failed":
+                    self._plane_invalidate(request, at, drop.detail or "device_fault")
+                    failed.append((request, at, drop.detail))
+                else:
+                    self._drop(request, drop.reason, at)
+            if failed:
+                # One health strike per faulted dispatch, not per victim —
+                # a crash that kills an 8-deep wave is still one fault.
+                first_at = min(at for _, at, _ in failed)
+                self._record_failure(replica, first_at)
+                fault = DeviceFault(failed[0][2] or "device_fault", at=first_at)
+                retries = self._requeue(
+                    [request for request, _, _ in failed],
+                    replica,
+                    max(at for _, at, _ in failed),
+                    fault,
+                )
         replica.busy_until = replica.local_now
         replica.busy_seconds += replica.busy_until - start
         # Hedge-won outcomes already counted for the winning backup.
@@ -1125,168 +1160,60 @@ class FleetService:
         self._check_latency_health(replica, replica.busy_until)
         return outcomes, retries
 
-    def _dispatch_concurrent(
-        self, requests: list[FleetRequest], replica: ReplicaHandle, start: float
-    ) -> tuple[list[RequestOutcome], list[FleetRequest]]:
-        """Serve one dispatched batch through the replica's scheduler.
+    def _complete(
+        self,
+        request: FleetRequest,
+        replica: int | None,
+        result: RerankResult,
+        *,
+        start: float,
+        finish: float,
+        service_start: float | None = None,
+        service_seconds: float = 0.0,
+        cache: str | None = None,
+        hedge: tuple[ReplicaHandle, list[ReplicaHandle]] | None = None,
+    ) -> RequestOutcome:
+        """Build one request's completion record and publish its
+        ``complete`` event — every completion ends here, the way every
+        drop ends in :meth:`_drop`: wave outcomes, memo hits, coalesced
+        followers and all-shared overlap leaders (DESIGN.md §12).
 
-        Fleet-clock intent (deadlines, cancellations) is rebased onto
-        the replica's wave origin as relative offsets; requests whose
-        deadline already passed are shed here, before the wave, so the
-        scheduler never sees an expired deadline.  Requests the
-        scheduler failed on a device fault (DESIGN.md §9) come back as
-        failover retries rather than drops.
+        ``service_start`` defaults to ``finish`` (a completion that
+        occupied no replica time).  ``hedge`` = (primary, pool) runs the
+        straggler hedge (DESIGN.md §9) first, so the outcome and the
+        event carry a winning duplicate's provenance.
         """
-        from .api import SelectionRequest
-
-        cfg = self.fleet_config
-        origin_fleet = replica.local_now  # wave origin on the fleet axis
-        wave_inputs: list[tuple[FleetRequest, SelectionRequest, float | None]] = []
-        outcomes: list[RequestOutcome] = []
-        plans: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for request in requests:
-            if self._drop_due(request, origin_fleet):
-                continue
-            plan = self._overlap_plans.pop(request.request_id, None)
-            if plan is not None and plan[1].size == 0:
-                # Every candidate row is cached: no residue to execute.
-                # The exact selection comes from the zero-cost shadow
-                # replay; the replica is never occupied (DESIGN.md §12).
-                outcome = self._complete_overlap_instant(
-                    request, replica, plan, origin_fleet
-                )
-                outcomes.append(outcome)
-                outcomes.extend(self._plane_complete(request, outcome, replica))
-                continue
-            if plan is not None:
-                plans[request.request_id] = plan
-            cancel = (
-                request.cancel_at - origin_fleet if request.cancel_at is not None else None
-            )
-            shared, residue = plan if plan is not None else (None, None)
-            wave_inputs.append(
-                (
-                    request,
-                    SelectionRequest(
-                        batch=(
-                            request.batch.select(residue)
-                            if residue is not None
-                            else request.batch
-                        ),
-                        k=(
-                            min(request.k, int(residue.size))
-                            if residue is not None
-                            else request.k
-                        ),
-                        request_id=request.request_id,
-                        priority=request.priority,
-                        deadline=(
-                            request.deadline - origin_fleet
-                            if request.deadline is not None
-                            else None
-                        ),
-                        # Overlap leaders serve a residue sub-batch —
-                        # not the request the calibration log expects —
-                        # so they never feed the idle-check samples.
-                        sample=(
-                            False
-                            if residue is not None
-                            else self._request_sample(request)
-                        ),
-                    ),
-                    max(0.0, cancel) if cancel is not None else None,
-                )
-            )
-        if not wave_inputs:
-            return outcomes, []
-        wave = replica.service.serve_requests(
-            [selection for _, selection, _ in wave_inputs],
-            policy=cfg.intra_policy,
-            max_skew=cfg.max_skew,
-            cancels=[cancel for _, _, cancel in wave_inputs],
+        outcome = RequestOutcome(
+            request_id=request.request_id,
+            replica=replica,
+            arrival=request.arrival,
+            start=start,
+            finish=finish,
+            result=result,
+            client_id=request.client_id,
+            lane=request.priority,
+            deadline=request.deadline,
+            service_start=finish if service_start is None else service_start,
+            service_seconds=service_seconds,
+            attempts=request.attempts,
+            failed_over_from=request.failed_over_from,
+            cache=cache,
+            tenant=request.tenant,
         )
-        by_scheduler_id = {
-            scheduler_id: request
-            for scheduler_id, (request, _, _) in zip(wave.request_ids, wave_inputs)
-        }
-        for scheduled_outcome in wave.outcomes:
-            request = by_scheduler_id[scheduled_outcome.request_id]
-            plan = plans.get(request.request_id)
-            if plan is not None:
-                # The scheduler served only the residue rows; recover
-                # the exact full-batch selection by shadow replay and
-                # credit the skipped rows to the plane (DESIGN.md §12).
-                result = self._finish_overlap(
-                    replica,
-                    request,
-                    plan,
-                    residue_result=scheduled_outcome.result,
-                    residue_seconds=scheduled_outcome.service_seconds,
-                )
-            else:
-                result = scheduled_outcome.result
-            self._emit(
-                "complete",
-                at=scheduled_outcome.finish - replica.origin,
-                request=request,
-                replica=replica.index,
-                latency=(scheduled_outcome.finish - replica.origin) - request.arrival,
-                attempts=request.attempts,
-                hedged=False,
-            )
-            outcome = RequestOutcome(
-                request_id=request.request_id,
-                replica=replica.index,
-                arrival=request.arrival,
-                start=start,
-                finish=scheduled_outcome.finish - replica.origin,
-                result=result,
-                client_id=request.client_id,
-                lane=request.priority,
-                deadline=request.deadline,
-                service_start=scheduled_outcome.start - replica.origin,
-                service_seconds=scheduled_outcome.service_seconds,
-                attempts=request.attempts,
-                failed_over_from=request.failed_over_from,
-                tenant=request.tenant,
-            )
-            outcomes.append(outcome)
-            # Under multiplexing, result.latency_seconds spans other
-            # requests' interleaved steps; the scheduler's service
-            # time is the true per-request cost EWMA must learn.
-            self._update_ewma(replica, len(outcomes), scheduled_outcome.service_seconds)
-            self._record_success(
-                replica,
-                scheduled_outcome.service_seconds,
-                scheduled_outcome.result.layers_executed + 1,
-            )
-            outcomes.extend(self._plane_complete(request, outcome, replica))
-        retries: list[FleetRequest] = []
-        failed: list[tuple[FleetRequest, float, str]] = []
-        for drop in wave.dropped:
-            request = by_scheduler_id[drop.request_id]
-            at = drop.at - replica.origin
-            if drop.reason == "failed":
-                self._plane_invalidate(request, at, drop.detail or "device_fault")
-                failed.append((request, at, drop.detail))
-            else:
-                self._drop(request, drop.reason, at)
-        if failed:
-            # One health strike per faulted dispatch, not per victim —
-            # a crash that kills an 8-deep wave is still one fault.
-            first_at = min(at for _, at, _ in failed)
-            self._record_failure(replica, first_at)
-            fault = DeviceFault(failed[0][2] or "device_fault", at=first_at)
-            retries = self._requeue(
-                [request for request, _, _ in failed],
-                replica,
-                max(at for _, at, _ in failed),
-                fault,
-            )
-        return outcomes, retries
-
-    def _request_sample(self, request: FleetRequest) -> bool:
-        return request.sample if request.sample is not None else self._admit_sample()
+        if hedge is not None:
+            self._maybe_hedge(request, outcome, *hedge)
+        provenance = {"cache": cache} if cache is not None else {}
+        self._emit(
+            "complete",
+            at=outcome.finish,
+            request=request,
+            replica=outcome.replica,
+            latency=outcome.latency,
+            attempts=outcome.attempts,
+            hedged=outcome.hedged,
+            **provenance,
+        )
+        return outcome
 
     def _drop_due(self, request: FleetRequest, fleet_now: float) -> bool:
         """Drop a request whose cancel/deadline is already due; True if dropped."""
@@ -1347,6 +1274,7 @@ class FleetService:
     # ------------------------------------------------------------------
     @staticmethod
     def _plane_label(request: FleetRequest) -> str | int:
+        """The request's label on every tier: the client id, else the fleet id."""
         return request.client_id if request.client_id is not None else request.request_id
 
     @staticmethod
@@ -1400,34 +1328,9 @@ class FleetService:
                     decision.residue,
                 )
             return None
-        outcome = RequestOutcome(
-            request_id=request.request_id,
-            replica=None,
-            arrival=request.arrival,
-            start=at,
-            finish=at,
-            result=decision.result,
-            client_id=request.client_id,
-            lane=request.priority,
-            deadline=request.deadline,
-            service_start=at,
-            service_seconds=0.0,
-            attempts=request.attempts,
-            failed_over_from=request.failed_over_from,
-            cache="hit",
-            tenant=request.tenant,
+        return self._complete(
+            request, None, decision.result, start=at, finish=at, cache="hit"
         )
-        self._emit(
-            "complete",
-            at=at,
-            request=request,
-            replica=None,
-            latency=at - request.arrival,
-            attempts=request.attempts,
-            hedged=False,
-            cache="hit",
-        )
-        return outcome
 
     def _plane_complete(
         self, request: FleetRequest, outcome: RequestOutcome, replica: ReplicaHandle
@@ -1459,33 +1362,14 @@ class FleetService:
                 self._drop(follower, "cancelled", follower.cancel_at)
                 continue
             resolved.append(
-                RequestOutcome(
-                    request_id=follower.request_id,
-                    replica=outcome.replica,
-                    arrival=follower.arrival,
+                self._complete(
+                    follower,
+                    outcome.replica,
+                    clone_result(result),
                     start=attached_at,
                     finish=finish,
-                    result=clone_result(result),
-                    client_id=follower.client_id,
-                    lane=follower.priority,
-                    deadline=follower.deadline,
-                    service_start=finish,
-                    service_seconds=0.0,
-                    attempts=follower.attempts,
-                    failed_over_from=follower.failed_over_from,
                     cache="coalesced",
-                    tenant=follower.tenant,
                 )
-            )
-            self._emit(
-                "complete",
-                at=finish,
-                request=follower,
-                replica=outcome.replica,
-                latency=finish - follower.arrival,
-                attempts=follower.attempts,
-                hedged=False,
-                cache="coalesced",
             )
         return resolved
 
@@ -1503,76 +1387,24 @@ class FleetService:
         )
         self._plane_redispatch.extend(payload for payload, _ in followers)
 
-    def _serve_overlap(
-        self,
-        replica: ReplicaHandle,
-        request: FleetRequest,
-        plan: tuple[np.ndarray, np.ndarray],
-    ) -> RerankResult | None:
-        """Serial overlap leader: residue pass + exact shadow replay.
-
-        The replica's clock advances only for the residue rows — the
-        shared rows' scores are already determined (ScoreDynamics keys
-        them on (model_seed, uid, relevance, layer), independent of
-        batch composition), so the full-batch replay on a shadow
-        engine is zero-cost and byte-identical to a full serving pass.
-        """
-        shared, residue = plan
-        service = replica.service
-        if residue.size:
-            before = service.device.clock.now
-            partial = service._serve_solo(
-                request.batch.select(residue),
-                min(request.k, int(residue.size)),
-                sample=False,
-                cancel_at=(
-                    request.cancel_at + replica.origin
-                    if request.cancel_at is not None
-                    else None
-                ),
-            )
-            if partial is None:  # cancelled mid-residue
-                return None
-            residue_seconds = service.device.clock.now - before
-            residue_bytes = self._weight_bytes(service, partial)
-        else:
-            residue_seconds = 0.0
-            residue_bytes = 0
-        return self._replay_overlap(
-            service, request, shared, residue, residue_seconds, residue_bytes
-        )
-
-    def _finish_overlap(
-        self,
-        replica: ReplicaHandle,
-        request: FleetRequest,
-        plan: tuple[np.ndarray, np.ndarray],
-        *,
-        residue_result: RerankResult,
-        residue_seconds: float,
-    ) -> RerankResult:
-        """Concurrent overlap leader: swap the residue result for the
-        exact full-batch replay after its wave completed."""
-        shared, residue = plan
-        service = replica.service
-        return self._replay_overlap(
-            service,
-            request,
-            shared,
-            residue,
-            residue_seconds,
-            self._weight_bytes(service, residue_result),
-        )
-
     def _replay_overlap(
         self,
         service: SemanticSelectionService,
         request: FleetRequest,
-        shared: np.ndarray,
-        residue: np.ndarray,
-        residue_seconds: float,
-        residue_bytes: int,
+        plan: tuple[np.ndarray, np.ndarray],
+        residue_seconds: float = 0.0,
+        residue_bytes: int = 0,
     ) -> RerankResult:
+        """An overlap leader's exact full-batch selection (DESIGN.md §12).
+
+        The replica executed only the residue rows — the shared rows'
+        scores are already determined (ScoreDynamics keys them on
+        (model_seed, uid, relevance, layer), independent of batch
+        composition), so the full-batch replay on a shadow engine is
+        zero-cost and byte-identical to a full serving pass.  The
+        skipped rows' time and weight traffic are credited to the plane.
+        """
+        shared, residue = plan
         result = service.replay_selection(request.batch, request.k)
         if residue.size:
             saved_seconds = residue_seconds * (float(shared.size) / float(residue.size))
@@ -1582,44 +1414,6 @@ class FleetService:
         assert self.data_plane is not None
         self.data_plane.note_saved(saved_seconds, max(0, full_bytes - residue_bytes))
         return result
-
-    def _complete_overlap_instant(
-        self,
-        request: FleetRequest,
-        replica: ReplicaHandle,
-        plan: tuple[np.ndarray, np.ndarray],
-        at: float,
-    ) -> RequestOutcome:
-        """An all-shared overlap leader: pure replay, zero service time."""
-        shared, residue = plan
-        result = self._replay_overlap(
-            replica.service, request, shared, residue, 0.0, 0
-        )
-        self._emit(
-            "complete",
-            at=at,
-            request=request,
-            replica=replica.index,
-            latency=at - request.arrival,
-            attempts=request.attempts,
-            hedged=False,
-        )
-        return RequestOutcome(
-            request_id=request.request_id,
-            replica=replica.index,
-            arrival=request.arrival,
-            start=at,
-            finish=at,
-            result=result,
-            client_id=request.client_id,
-            lane=request.priority,
-            deadline=request.deadline,
-            service_start=at,
-            service_seconds=0.0,
-            attempts=request.attempts,
-            failed_over_from=request.failed_over_from,
-            tenant=request.tenant,
-        )
 
     # ------------------------------------------------------------------
     # resilience plane (DESIGN.md §9)
@@ -1705,16 +1499,17 @@ class FleetService:
         primary: ReplicaHandle,
         pool: list[ReplicaHandle],
     ) -> None:
-        """Straggler hedging (DESIGN.md §9), serial dispatch path.
+        """Straggler hedging (DESIGN.md §9), run for each wave outcome.
 
         If the primary copy had not completed ``hedge_after_ms`` after
-        the request's arrival, a duplicate is launched on the least
-        loaded *other* healthy replica at exactly that instant, racing
-        the primary with a cancellation scheduled at the primary's
-        finish.  First result wins: a faster duplicate replaces the
-        outcome's payload (provenance flips to the winning replica);
-        a slower one is cancelled mid-pass at its next layer boundary
-        through the ordinary cancel path, releasing its resources.
+        the request's arrival, a duplicate is served as a one-request
+        wave on the least loaded *other* healthy replica from exactly
+        that instant, racing the primary with a cancellation scheduled
+        at the primary's finish.  First result wins: a faster duplicate
+        replaces the outcome's payload (provenance flips to the winning
+        replica); a slower one is cancelled mid-pass at its next layer
+        boundary through the ordinary cancel path, releasing its
+        resources.
 
         Determinism note: the primary's copy always runs to completion
         on its replica — the simulator commits one replica's timeline
@@ -1722,6 +1517,8 @@ class FleetService:
         (an upper bound on the real system, which would cancel it at
         the duplicate's finish).
         """
+        from .api import SelectionRequest
+
         if request.hedge_after_ms is None or request.attempts > 1:
             # A failover retry is already running on its second
             # replica; racing a third would let the duplicate start
@@ -1742,22 +1539,29 @@ class FleetService:
         backup.service.device.clock.advance(
             self.fleet_config.dispatch_overhead_ms * 1e-3
         )
-        service_start = backup.local_now
-        try:
-            result = backup.service._serve_solo(
-                request.batch,
-                request.k,
-                sample=False,  # the primary copy already fed the stride
-                cancel_at=outcome.finish + backup.origin,
-            )
-        except DeviceFault:
-            self._record_failure(backup, backup.local_now)
-            result = None
+        wave = backup.service.serve_requests(
+            [
+                SelectionRequest(
+                    batch=request.batch,
+                    k=request.k,
+                    request_id=self._plane_label(request),
+                    priority=request.priority,
+                    sample=False,  # the primary copy already fed the stride
+                    tenant=request.tenant,
+                )
+            ],
+            policy=self.fleet_config.intra_policy,
+            max_skew=self.fleet_config.max_skew,
+            cancels=[max(0.0, outcome.finish - backup.local_now)],
+        )
+        for drop in wave.dropped:
+            if drop.reason == "failed":
+                self._record_failure(backup, drop.at - backup.origin)
         finish = backup.local_now
         backup.busy_seconds += finish - start
         backup.busy_until = finish
         outcome.hedged = True
-        won = result is not None and finish < outcome.finish
+        won = bool(wave.outcomes) and finish < outcome.finish
         self._emit(
             "hedge",
             at=start,
@@ -1767,14 +1571,15 @@ class FleetService:
             primary=primary.index,
             won=won,
         )
-        if result is not None and finish < outcome.finish:
+        if won:
+            (duplicate,) = wave.outcomes
             self._hedges_won += 1
             backup.requests_served += 1
             outcome.replica = backup.index
             outcome.finish = finish
-            outcome.result = result
-            outcome.service_start = service_start
-            outcome.service_seconds = finish - service_start
+            outcome.result = duplicate.result
+            outcome.service_start = duplicate.start - backup.origin
+            outcome.service_seconds = duplicate.service_seconds
 
     def _autoscale(self, now: float, queue_depth: int) -> None:
         """One controller decision between dispatches (DESIGN.md §9).

@@ -126,6 +126,9 @@ class ScheduledRequest:
     #: dropped at admission if still waiting, closed at its next layer
     #: boundary (releasing weight-plane refcounts) if in flight.
     cancel_at: float | None = None
+    #: Submitting tenant, echoed into every event and drop record of
+    #: this request.
+    tenant: str | None = None
 
 
 @dataclass
@@ -316,6 +319,7 @@ class DeviceScheduler:
         deadline: float | None = None,
         cancel_at: float | None = None,
         client_id: str | int | None = None,
+        tenant: str | None = None,
     ) -> int:
         """Admit one request with full intent; returns its scheduler id.
 
@@ -324,10 +328,11 @@ class DeviceScheduler:
         ``client_id`` is the caller's correlation id; a duplicate among
         the in-flight (submitted, not yet drained) requests raises
         ``ValueError`` instead of silently colliding when outcomes are
-        correlated back to callers.  ``SemanticSelectionService.serve_requests``
+        correlated back to callers.  ``tenant`` labels the request's
+        events and drop record.  ``SemanticSelectionService.serve_requests``
         admits every wave request here, behind
-        :class:`~repro.core.api.DeviceServer` (DESIGN.md §8) and the
-        fleet's concurrent dispatch.
+        :class:`~repro.core.api.DeviceServer` (DESIGN.md §8) and every
+        fleet dispatch.
         """
         arrival = self.clock.now if arrival is None else float(arrival)
         if arrival < self.clock.now:
@@ -361,6 +366,7 @@ class DeviceScheduler:
             deadline=deadline,
             cancel_at=cancel_at,
             client_id=client_id,
+            tenant=tenant,
         )
         self._next_id += 1
         self._pending.append(request)
@@ -559,6 +565,7 @@ class DeviceScheduler:
                 deadline=request.deadline,
                 client_id=request.client_id,
                 detail=detail,
+                tenant=request.tenant,
             )
         )
         kind = {"shed": "shed", "cancelled": "cancel", "failed": "fail"}[reason]
@@ -574,6 +581,7 @@ class DeviceScheduler:
                 tier="device",
                 request=label,
                 replica=self.engine.device.events_replica,
+                tenant=request.tenant,
                 **data,
             )
 

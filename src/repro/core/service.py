@@ -244,39 +244,6 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     # serving path
     # ------------------------------------------------------------------
-    def _serve_solo(
-        self,
-        batch: CandidateBatch,
-        k: int,
-        sample: bool | None = None,
-        cancel_at: float | None = None,
-    ) -> RerankResult | None:
-        """Serve one request to completion on the serving engine.
-
-        The fleet's serial dispatch path, and the residue pass of a
-        partial-overlap leader (DESIGN.md §12).  ``sample`` overrides the
-        service's own stride (the fleet keeps one fleet-wide stride so
-        skewed routing cannot bias the sampled stream); ``None`` applies
-        it.  ``cancel_at`` (absolute device time) cancels the pass at
-        its next layer boundary — the task is closed (releasing any
-        weight-plane refcounts) and ``None`` is returned; cancelled
-        requests are neither counted as served nor logged for idle
-        checking.
-        """
-        result = self.engine.start(batch, k).run(cancel_at=cancel_at)
-        if result is None:
-            self.stats.requests_dropped += 1
-            return None
-        self.stats.requests_served += 1
-        if sample is None:
-            sample = self._stride.admit()
-        if sample:
-            self.stats.requests_sampled += 1
-            self._pending_samples.append(
-                SampledRequest(batch=batch, k=k, served_top=result.top_indices.copy())
-            )
-        return result
-
     def serve_requests(
         self,
         requests: "Sequence[SelectionRequest]",
@@ -304,16 +271,27 @@ class SemanticSelectionService:
         ``sample`` override); only completed requests enter the
         idle-check log.  The scheduler stays reachable as
         :attr:`last_scheduler` for ``stats()`` and ``trace_text()``.
+
+        A fleet replica serves every dispatched batch as one such wave,
+        partial-overlap residue passes (DESIGN.md §12) and hedge
+        duplicates included.
         """
         requests = list(requests)
         if cancels is not None and len(cancels) != len(requests):
             raise ValueError("cancels must match requests")
-        if self.engine.weight_plane is not None and policy == "fifo" and len(requests) > 1:
+        if (
+            self.engine.weight_plane is not None
+            and policy == "fifo"
+            and self.max_concurrency > 1
+            and len(requests) > 1
+        ):
             # Run-to-completion over the plane keeps every admitted
             # task's frontier at layer 0 while the first runs, so
             # nothing can be reaped: the sweep caches the whole model
             # in memory.  Legitimate on big-RAM devices, but silent
-            # OOM bait on the 8 GiB profiles — make it a choice.
+            # OOM bait on the 8 GiB profiles — make it a choice.  With
+            # one task in flight only one plane pass is open, so the
+            # residency cannot build up.
             warnings.warn(
                 "shared weight plane with the run-to-completion 'fifo' policy keeps "
                 "every swept layer resident until the last admitted task passes it "
@@ -353,6 +331,7 @@ class SemanticSelectionService:
                     ),
                     cancel_at=origin + cancel if cancel is not None else None,
                     client_id=request.request_id,
+                    tenant=request.tenant,
                 )
             )
         self.last_scheduler = scheduler

@@ -389,19 +389,21 @@ class TestFleetCorrelation:
         assert all(r.lane == LANE_INTERACTIVE for r in responses)
 
 
-class TestFleetRejection:
-    def test_unsupported_hedge_rejected_before_queueing(self):
-        """A hedge the fleet cannot honour fails at submit, so the drain
-        never strands the requests queued before it."""
+class TestFleetHedging:
+    def test_hedged_request_served_at_intra_concurrency(self):
+        """A hedge composes with intra-replica concurrency: the armed
+        request and its batch neighbour are served by the same server,
+        its duplicate races on the second replica, and a later request
+        still drains."""
         server = FleetServer(make_fleet(fleet_config=FleetConfig(intra_concurrency=2)))
         first = server.submit(SelectionRequest(batch=make_batch(), k=3, request_id="a"))
-        with pytest.raises(ValueError, match="hedge_after_ms"):
-            server.submit(
-                SelectionRequest(
-                    batch=make_batch(query_idx=1), k=3, request_id="b", hedge_after_ms=5.0
-                )
+        hedged = server.submit(
+            SelectionRequest(
+                batch=make_batch(query_idx=1), k=3, request_id="b", hedge_after_ms=5.0
             )
+        )
         assert first.result().ok
+        assert hedged.result().ok and hedged.result().hedged
         later = server.submit(SelectionRequest(batch=make_batch(query_idx=2), k=3))
         assert later.result().ok
 

@@ -14,7 +14,12 @@ run, three structural laws:
   terminate twice).
 * **Refcount balance** — shared weight-plane acquires and releases
   balance to zero, even through cancellations and crashes.
+* **Cross-tier pairing** — every fleet dispatch reaches its replica's
+  device tier under the same request label, and every device admission
+  answers a fleet dispatch (or hedge) of that label to that replica.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -100,6 +105,39 @@ def check_exactly_one_terminal(log: EventLog) -> None:
             )
 
 
+def check_cross_tier(log: EventLog) -> None:
+    """Fleet dispatches and device admissions pair up per (label, replica).
+
+    Each fleet ``dispatch`` is followed by that replica's device
+    ``admit`` of the same label, unless the fleet dropped the request at
+    the wave origin (a fleet shed/cancel before any admission).  Each
+    device admission answers such a dispatch, or a fleet ``hedge`` to
+    that replica for a duplicate — the hedge event is stamped after the
+    race, so duplicates are matched by count, not by order.
+    """
+    hedges = Counter(
+        (e.request, e.replica) for e in log if e.tier == "fleet" and e.kind == "hedge"
+    )
+    awaiting: dict = {}  # label -> replica of its unanswered dispatch
+    for event in log:
+        if event.tier == "fleet" and event.kind == "dispatch":
+            assert event.request not in awaiting, f"{event.request} dispatched twice"
+            awaiting[event.request] = event.replica
+        elif event.tier == "fleet" and event.kind in ("shed", "cancel"):
+            awaiting.pop(event.request, None)  # dropped at the wave origin
+        elif event.tier == "device" and event.kind == "admit":
+            key = (event.request, event.replica)
+            if awaiting.get(event.request) == event.replica:
+                del awaiting[event.request]
+            else:
+                assert hedges[key] > 0, (
+                    f"device admit of {event.request!r} on replica {event.replica} "
+                    "answers no fleet dispatch or hedge"
+                )
+                hedges[key] -= 1
+    assert not awaiting, f"fleet dispatches never reached their replica: {awaiting}"
+
+
 def check_plane_balance(log: EventLog) -> None:
     acquires = sum(1 for e in log if e.kind == "acquire")
     releases = sum(1 for e in log if e.kind == "release")
@@ -141,6 +179,10 @@ class TestScenarioInvariants:
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_exactly_one_terminal_per_admission(self, scenario_logs, name):
         check_exactly_one_terminal(scenario_logs[name])
+
+    @pytest.mark.parametrize("name", ("fleet", "resilience"))
+    def test_fleet_dispatches_pair_with_device_admissions(self, scenario_logs, name):
+        check_cross_tier(scenario_logs[name])
 
     @pytest.mark.parametrize("name", ALL_SCENARIOS)
     def test_plane_refcounts_balance(self, scenario_logs, name):

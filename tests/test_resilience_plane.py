@@ -333,6 +333,27 @@ class TestFleetFailover:
         assert sorted(o.request_id for o in outcomes) == ids
         assert any(o.attempts > 1 for o in outcomes)
 
+    def test_read_error_fails_over_only_the_faulted_pass(self, batches):
+        """An SSD read error kills the pass that issued the read, not the
+        replica: the requests queued behind it in the same wave still
+        complete there, on their first attempt."""
+        fleet = make_fleet(
+            2,
+            max_batch=3,
+            max_wait_ms=0.0,
+            fault_plan=FaultPlan(
+                [FaultEvent(FAULT_SSD_READ_ERROR, at=0.01, replica=0)]
+            ),
+        )
+        for i, batch in enumerate(batches[:3]):
+            fleet.submit_request(batch, 5, at=0.0, client_id=f"r{i}")
+        by_id = {outcome.client_id: outcome for outcome in fleet.drain()}
+        assert fleet.stats().failovers == 1
+        assert by_id["r0"].attempts == 2 and by_id["r0"].failed_over_from == (0,)
+        for client_id in ("r1", "r2"):
+            assert by_id[client_id].replica == 0
+            assert by_id[client_id].attempts == 1
+
     def test_retries_bounded(self, batches):
         """With zero retries, the crash's victims drop as failed —
         bounded failover, never a loop."""
@@ -534,10 +555,18 @@ class TestHedging:
             fleet.submit_request(batches[0], 5, hedge_after_ms=0.0)
         with pytest.raises(ValueError):
             SelectionRequest(batch=batches[0], k=5, hedge_after_ms=-1.0)
-        # Concurrent dispatch never hedges: refuse the knob, never drop it.
-        concurrent = make_fleet(2, intra_concurrency=2)
-        with pytest.raises(ValueError, match="hedge_after_ms.*intra_concurrency"):
-            concurrent.submit_request(batches[0], 5, hedge_after_ms=100.0)
+        # A valid hedge composes with intra-replica concurrency: the
+        # stalled primary loses to the duplicate's wave on replica 1.
+        plan = FaultPlan(
+            [FaultEvent(FAULT_REPLICA_STALL, at=0.0, replica=0, duration=1.0)]
+        )
+        concurrent = make_fleet(
+            2, max_batch=1, max_wait_ms=0.0, intra_concurrency=2, fault_plan=plan
+        )
+        concurrent.submit_request(batches[0], 5, hedge_after_ms=300.0)
+        (outcome,) = concurrent.drain()
+        assert outcome.hedged and outcome.replica == 1
+        assert concurrent.stats().hedges_won == 1
 
 
 # ----------------------------------------------------------------------
@@ -718,6 +747,17 @@ class TestDuplicateRequestIds:
             scheduler.submit_request(batches[1], 5, client_id=7)
         scheduler.drain()
         scheduler.submit_request(batches[1], 5, client_id=7)
+
+    def test_client_id_never_collides_with_a_fleet_id(self, batches):
+        """Every tier labels a request by its client id, else its fleet
+        id: a collision is settled at submission, never mid-drain."""
+        fleet = make_fleet(1)
+        fleet.submit_request(batches[0], 5, client_id=1)
+        anonymous = fleet.submit_request(batches[1], 5)
+        assert anonymous == 2  # fleet id 1 is an in-flight label
+        with pytest.raises(ValueError, match="duplicate in-flight request id"):
+            fleet.submit_request(batches[2], 5, client_id=2)
+        assert len(fleet.drain()) == 2
 
     def test_distinct_ids_still_fine(self, batches):
         fleet = make_fleet(1)

@@ -1,5 +1,7 @@
 """Tests for the self-calibrating selection service (§4.1 deployed mode)."""
 
+import warnings
+
 import pytest
 
 from repro.core.api import DeviceServer, SelectionRequest
@@ -105,6 +107,19 @@ class TestServing:
         assert service.pending_samples == 1
         # Forced decisions must not consume the deterministic stride.
         assert service._stride.accumulator == 0.0
+
+    def test_fifo_plane_warning_needs_concurrency(self, batches):
+        """Run-to-completion over the shared weight plane risks
+        whole-model residency only with several passes open: a cap of 1
+        serves the wave silently, a cap of 2 still warns."""
+        wave = [SelectionRequest(batch=batch, k=5) for batch in batches[:3]]
+        serial = make_service(max_concurrency=1, shared_weights=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            serial.serve_requests(wave, policy="fifo")
+        concurrent = make_service(max_concurrency=2, shared_weights=True)
+        with pytest.warns(RuntimeWarning, match="whole-model residency"):
+            concurrent.serve_requests(wave, policy="fifo")
 
     def test_apply_threshold_clamps(self):
         service = make_service(min_threshold=0.1, max_threshold=0.5)

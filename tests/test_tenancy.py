@@ -296,3 +296,39 @@ class TestRequestApiThreading:
         by_id = {r.request_id: r for r in responses}
         assert by_id["a"].tenant == "acme"
         assert by_id["b"].tenant is None
+
+    def test_device_tier_events_carry_tenant(self, batches):
+        """The device tier labels its events and drops with the tenant:
+        the tenant fold behind ``cli serve --tier device`` sees every
+        completion under its tenant, not under an empty label."""
+        from repro.core.api import DeviceServer, SelectionRequest, serve_all
+        from repro.core.service import SemanticSelectionService
+        from repro.core.telemetry import TelemetryCollector
+
+        log = EventLog()
+        subscription = log.subscribe()
+        service = SemanticSelectionService(
+            shared_model(QWEN3_0_6B),
+            get_profile("nvidia_5070"),
+            config=PrismConfig(numerics=False),
+            max_concurrency=2,
+            event_log=log,
+        )
+        requests = [
+            SelectionRequest(
+                batch=batches[i], k=2, request_id=f"d{i}", tenant="ab"[i % 2]
+            )
+            for i in range(4)
+        ]
+        requests.append(
+            SelectionRequest(batch=batches[4], k=2, request_id="late", tenant="c", deadline=1e-6)
+        )
+        serve_all(DeviceServer(service, policy="round_robin"), requests)
+        collector = TelemetryCollector(tenant_tier="device")
+        collector.consume(subscription)
+        completed = collector.tenant_completed
+        assert completed.value("a") == 2 and completed.value("b") == 2
+        assert completed.total() == 4
+        assert {e.tenant for e in log if e.tier == "device"} == {"a", "b", "c"}
+        (drop,) = service.last_scheduler.dropped
+        assert drop.reason == "shed" and drop.tenant == "c"
