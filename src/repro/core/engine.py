@@ -390,8 +390,12 @@ class EngineBase:
     @staticmethod
     def _subset_state(state: ForwardState, positions: np.ndarray) -> ForwardState:
         # Row subsets of the float64 hidden batch keep each survivor's
-        # exact semantic channel (DESIGN.md §11).
+        # exact semantic channel (DESIGN.md §11), and column subsets of
+        # the noise table keep the survivors' draws for later layers.
         sub = ForwardState(batch=state.batch.select(positions), layer_done=state.layer_done)
+        if state.noise is not None:
+            sub.noise = state.noise[:, positions]
+            sub.noise_from = state.noise_from
         if state.hidden is not None:
             assert state.sim_lengths is not None
             sub.hidden = state.hidden[positions]

@@ -53,13 +53,13 @@ _TO_UNIT = 2.0**-53
 _TO_ANGLE = 2.0 * np.pi * 2.0**-53
 
 
-def _noise_offset(model_seed: int, layer: int) -> np.uint64:
+def _noise_offset(model_seed: int, layer: int | np.ndarray) -> np.uint64 | np.ndarray:
     """The per-(seed, layer) part of the noise counter, plus SplitMix64's
-    first increment (all arithmetic mod 2^64)."""
+    first increment (all arithmetic mod 2^64); ``layer`` may be an array."""
     with np.errstate(over="ignore"):
         return (
             np.uint64(model_seed & 0xFFFFFFFF) * _SEED_PRIME
-            + np.uint64(layer)
+            + np.asarray(layer, dtype=np.uint64)
             + _SPLITMIX_GAMMA
         )
 
@@ -71,8 +71,13 @@ def _splitmix64_finalise(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT_31)
 
 
-def _normals(uids: np.ndarray, offset: np.uint64) -> np.ndarray:
-    """Box–Muller over two chained SplitMix64 draws of ``uids * prime + offset``."""
+def _normals(uids: np.ndarray, offset: np.uint64 | np.ndarray) -> np.ndarray:
+    """Box–Muller over two chained SplitMix64 draws of ``uids * prime + offset``.
+
+    Elementwise, so ``offset`` may be a column of per-layer offsets that
+    broadcasts against ``uids`` into a (layers, candidates) table: every
+    entry is the draw that candidate gets at that layer alone.
+    """
     with np.errstate(over="ignore"):  # 0-d inputs take the scalar path
         base = _splitmix64_finalise(uids * _UID_PRIME + offset)
         other = _splitmix64_finalise(base + _SPLITMIX_GAMMA)
@@ -154,7 +159,13 @@ class SemanticsConfig:
 
 
 class ScoreDynamics:
-    """Evaluates provisional scores for candidates at any layer depth."""
+    """Evaluates provisional scores for candidates at any layer depth.
+
+    A pass draws its noise once: :meth:`noise` fills a (layers ×
+    candidates) table in one call, and :meth:`scores_from_noise` turns a
+    row of it into that layer's scores.  :meth:`scores_at` is the same
+    draw and formula for one layer.
+    """
 
     def __init__(self, config: SemanticsConfig, num_layers: int, model_seed: int) -> None:
         if num_layers <= 0:
@@ -162,8 +173,12 @@ class ScoreDynamics:
         self.config = config
         self.num_layers = num_layers
         self.model_seed = model_seed
-        #: layer -> (fanout, noise scale, noise offset), filled on first use.
-        self._layer_terms: dict[int, tuple[float, float, np.uint64]] = {}
+        #: Per layer: (fanout, noise scale), and the noise counter offset.
+        self._terms = [
+            (config.fanout(p), config.noise_scale(p))
+            for p in map(self.progress, range(num_layers))
+        ]
+        self._offsets = _noise_offset(model_seed, np.arange(num_layers))
 
     def progress(self, layer: int) -> float:
         """Depth fraction after executing layer ``layer`` (0-based)."""
@@ -185,14 +200,28 @@ class ScoreDynamics:
         candidate_uids = np.asarray(candidate_uids)
         if relevance.shape != candidate_uids.shape:
             raise ValueError("relevance and candidate_uids must align")
-        terms = self._layer_terms.get(layer)
-        if terms is None:
-            p = self.progress(layer)
-            cfg = self.config
-            terms = (cfg.fanout(p), cfg.noise_scale(p), _noise_offset(self.model_seed, layer))
-            self._layer_terms[layer] = terms
-        fanout, noise_scale, offset = terms
-        eps = _normals(np.asarray(candidate_uids, dtype=np.uint64), offset)
+        self.progress(layer)
+        eps = _normals(np.asarray(candidate_uids, dtype=np.uint64), self._offsets[layer])
+        return self.scores_from_noise(layer, relevance, eps)
+
+    def noise(self, candidate_uids: np.ndarray, first_layer: int = 0) -> np.ndarray:
+        """The noise ε of every layer from ``first_layer`` on (rows) for
+        every candidate (columns), in one SplitMix64/Box–Muller call.
+
+        Entry ``[ℓ - first_layer, c]`` is the draw :meth:`scores_at`
+        makes for candidate ``c`` after layer ``ℓ``, whatever else shares
+        the table.
+        """
+        self.progress(first_layer)
+        uids = np.asarray(candidate_uids, dtype=np.uint64)
+        return _normals(uids, self._offsets[first_layer:, None])
+
+    def scores_from_noise(
+        self, layer: int, relevance: np.ndarray, eps: np.ndarray
+    ) -> np.ndarray:
+        """Scores after ``layer`` from that layer's noise ``eps``."""
+        relevance = np.asarray(relevance, dtype=np.float64)
+        fanout, noise_scale = self._terms[layer]
         anchor = self.config.anchor
         return anchor + (relevance - anchor) * fanout + noise_scale * eps
 

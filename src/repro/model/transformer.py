@@ -93,6 +93,10 @@ class ForwardState:
     hidden: np.ndarray | None = None
     sim_lengths: np.ndarray | None = None
     scores: np.ndarray | None = None  # provisional scores at layer_done
+    #: The pass's score noise, drawn once on its first score: row
+    #: ``ℓ - noise_from`` holds every candidate's draw after layer ``ℓ``.
+    noise: np.ndarray | None = None
+    noise_from: int = 0
     extra: dict = field(default_factory=dict)
 
     @property
@@ -189,9 +193,7 @@ class CrossEncoderModel:
             assert state.sim_lengths is not None
             scores = self.classifier.score(state.hidden, state.sim_lengths)
         else:
-            scores = self.dynamics.scores_at(
-                state.layer_done, state.batch.relevance, state.batch.uids
-            )
+            scores = self._semantic_scores(state, state.layer_done)
         state.scores = scores
         return scores
 
@@ -203,6 +205,16 @@ class CrossEncoderModel:
         return self.score(state)
 
     # ------------------------------------------------------------------
+    def _semantic_scores(self, state: ForwardState, layer: int) -> np.ndarray:
+        """The semantic scores after ``layer``, from that layer's row of
+        the state's noise table; the first read draws the table from
+        that depth to the last layer in one call."""
+        if state.noise is None or layer < state.noise_from:
+            state.noise = self.dynamics.noise(state.batch.uids, layer)
+            state.noise_from = layer
+        eps = state.noise[layer - state.noise_from]
+        return self.dynamics.scores_from_noise(layer, state.batch.relevance, eps)
+
     def _inject(self, state: ForwardState, layer: int) -> None:
         """Write the semantic channel after ``layer`` (-1 = embedding)
         into the readout token, channel 0."""
@@ -210,6 +222,6 @@ class CrossEncoderModel:
         if layer < 0:
             values = np.full(state.size, self.config.semantics.anchor)
         else:
-            values = self.dynamics.scores_at(layer, state.batch.relevance, state.batch.uids)
+            values = self._semantic_scores(state, layer)
         positions = self.classifier.readout_positions(state.sim_lengths)
         state.hidden[np.arange(state.size), positions, 0] = values

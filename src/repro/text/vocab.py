@@ -8,7 +8,9 @@ LRU cache sized at 10 % of the vocabulary sustains a high hit rate.
 ``Vocabulary`` provides a rank-frequency model over token ids:
 token id *r* (0-based rank) has probability ∝ 1/(r+1)^s.  Sampling is
 done via the inverse-CDF over the precomputed cumulative weights, which
-keeps draws deterministic under a seeded generator.
+keeps draws deterministic under a seeded generator.  A guide table over
+the unit interval narrows each uniform to the few CDF entries its
+bucket spans, so a draw needs no search over the whole CDF.
 """
 
 from __future__ import annotations
@@ -17,6 +19,10 @@ import itertools
 from typing import Sequence
 
 import numpy as np
+
+#: Most guide-table buckets per vocabulary: a power of two, so that
+#: ``u * buckets`` and ``j / buckets`` are exact in float64.
+MAX_GUIDE_BUCKETS = 1 << 16
 
 
 class Vocabulary:
@@ -48,6 +54,11 @@ class Vocabulary:
         weights = ranks ** (-self.zipf_s)
         self._cdf = np.cumsum(weights)
         self._cdf /= self._cdf[-1]
+        # guide[j] = searchsorted(cdf, j / buckets): the first rank a
+        # uniform in bucket j can draw; guide[j + 1] bounds the last.
+        self._buckets = min(MAX_GUIDE_BUCKETS, 1 << (n_regular - 1).bit_length())
+        edges = np.arange(self._buckets + 1) / self._buckets
+        self._guide = np.searchsorted(self._cdf, edges, side="left").astype(np.int32)
 
     @property
     def num_regular(self) -> int:
@@ -66,13 +77,39 @@ class Vocabulary:
         is the sequence :meth:`sample` would draw alone; the inverse-CDF
         lookup then runs once over all of them.
         """
+        if len(rngs) != len(counts):
+            raise ValueError(f"{len(rngs)} generators for {len(counts)} counts")
         if any(count < 0 for count in counts):
             raise ValueError("count must be non-negative")
+        if len(counts) == 0:
+            return []
         u = np.concatenate([rng.random(count) for rng, count in zip(rngs, counts)])
-        ids = np.searchsorted(self._cdf, u, side="left") + self.num_special
-        ids = ids.astype(np.int64, copy=False)
+        ids = self._ranks(u) + np.int64(self.num_special)
         ends = itertools.accumulate(counts)
         return [ids[end - count : end] for count, end in zip(counts, ends)]
+
+    def _ranks(self, u: np.ndarray) -> np.ndarray:
+        """``np.searchsorted(self._cdf, u, side="left")`` for ``u`` in [0, 1).
+
+        Bit for bit: ``u * buckets`` is exact (a power of two), so its
+        floor ``j`` has ``j / buckets <= u < (j + 1) / buckets``, and the
+        answer lies in ``[guide[j], guide[j + 1]]``.  Keys whose bounds
+        are equal are done; the rest take a binary search (by descending
+        powers of two) bounded to their bucket.  A probe past the bucket
+        reads a CDF entry ``>= u`` and never moves the key.
+        """
+        j = (u * self._buckets).astype(np.intp)
+        ranks = self._guide[j]
+        span = self._guide[j + 1] - ranks
+        wide = np.flatnonzero(span)
+        if wide.size:
+            keys, found = u[wide], ranks[wide]
+            for bit in reversed(range(int(span[wide].max()).bit_length())):
+                step = 1 << bit
+                below = np.take(self._cdf, found + (step - 1), mode="clip") < keys
+                np.add(found, step, out=found, where=below)
+            ranks[wide] = found
+        return ranks
 
     def token_probability(self, token_id: int) -> float:
         """Stationary probability of a regular token id (0 for specials)."""

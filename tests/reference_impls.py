@@ -2,14 +2,16 @@
 
 These are the straightforward versions the production modules were
 rewritten from: ``repro.core.clustering``, ``repro.core.pruning``'s CV
-trigger, ``repro.model.semantics``' noise draw, the two LRU row caches
+trigger, ``repro.model.semantics``' noise draw (per layer, and the
+per-pass table built from it row by row), the two LRU row caches
 (``EmbeddingCache`` and ``SharedEmbeddingCache``), the memory tracker
 (``repro.device.memory.MemoryTracker``) and request packing
-(``Vocabulary.sample``, ``Tokenizer.build_pair``/``batch_pairs`` and
-``build_batch``).  The production code must match them bit for bit;
-the property tests in ``tests/test_fast_path_equivalence.py`` and the
-end-to-end guards there compare the two.  Keep them simple and
-unchanged: they are the oracle, not a second code path.
+(``Vocabulary.sample`` as one search over the whole CDF,
+``Tokenizer.build_pair``/``batch_pairs`` and ``build_batch``).  The
+production code must match them bit for bit; the property tests in
+``tests/test_fast_path_equivalence.py`` and the end-to-end guards there
+compare the two.  Keep them simple and unchanged: they are the oracle,
+not a second code path.
 
 The float64 transformer layer and the per-crossing function that runs it
 (:class:`TransformerLayer`, :func:`forward_layer`) are the oracle for
@@ -199,6 +201,17 @@ def _unit_normals(model_seed: int, candidate_uids: np.ndarray, layer: int) -> np
     u2 = (other >> np.uint64(11)).astype(np.float64) / float(1 << 53)
     u1 = np.maximum(u1, 1e-12)
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+
+
+def noise(dynamics, candidate_uids: np.ndarray, first_layer: int = 0) -> np.ndarray:
+    """``ScoreDynamics.noise``'s table built row by row: one per-layer
+    draw for every layer from ``first_layer`` to the last."""
+    return np.array(
+        [
+            _unit_normals(dynamics.model_seed, candidate_uids, layer)
+            for layer in range(first_layer, dynamics.num_layers)
+        ]
+    )
 
 
 def scores_at(dynamics, layer: int, relevance: np.ndarray, candidate_uids: np.ndarray):

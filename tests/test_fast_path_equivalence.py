@@ -10,6 +10,7 @@ so no prune decision, latency or memory staircase can drift.
 """
 
 import struct
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,14 +20,16 @@ from hypothesis import strategies as st
 from repro.core import clustering, pruning
 from repro.core.data_plane import SharedEmbeddingCache
 from repro.core.embedding_cache import EmbeddingCache
+from repro.core.engine import EngineBase
 from repro.data.datasets import ALL_DATASETS, get_dataset
 from repro.data.workloads import CandidateSpec, RerankQuery, build_batch
 from repro.device.clock import VirtualClock
 from repro.device.executor import DeviceExecutor
 from repro.device.memory import MemoryTracker, OutOfMemoryError
 from repro.device.platforms import NVIDIA_5070
-from repro.harness.runner import SYSTEMS, run_system
+from repro.harness.runner import SYSTEMS, run_system, shared_model
 from repro.model import semantics
+from repro.model.transformer import CandidateBatch
 from repro.model.zoo import get_model_config
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import Vocabulary
@@ -135,6 +138,9 @@ class TestPruningTrigger:
         assert same_bits(np.float64(got), np.float64(want))
 
 
+MODELS = st.sampled_from(["qwen3-reranker-0.6b", "qwen3-reranker-8b", "bge-reranker-v2-m3"])
+
+
 class TestScoreNoise:
     @EXACT
     @given(
@@ -154,10 +160,7 @@ class TestScoreNoise:
         assert type(got) is type(want) and same_bits(got, want)
 
     @EXACT
-    @given(
-        model=st.sampled_from(["qwen3-reranker-0.6b", "qwen3-reranker-8b", "bge-reranker-v2-m3"]),
-        data=st.data(),
-    )
+    @given(model=MODELS, data=st.data())
     def test_scores_at_bitwise(self, model, data):
         config = get_model_config(model)
         dynamics = semantics.ScoreDynamics(config.semantics, config.num_layers, config.model_seed)
@@ -170,6 +173,76 @@ class TestScoreNoise:
                 dynamics.scores_at(layer, relevance, uids),
                 ref.scores_at(dynamics, layer, relevance, uids),
             )
+
+    @EXACT
+    @given(model=MODELS, data=st.data())
+    def test_noise_table_entries_are_the_per_layer_draws(self, model, data):
+        """Each entry is the reference draw of that one candidate at that
+        one layer, whichever uids share the table and in whatever order."""
+        dynamics = shared_model(get_model_config(model)).dynamics
+        last = dynamics.num_layers - 1
+        pool = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=12, unique=True))
+        uids = np.array(data.draw(st.permutations(pool))[: data.draw(st.integers(1, len(pool)))])
+        first = data.draw(st.one_of(st.sampled_from([0, last]), st.integers(0, last)))
+        table = dynamics.noise(uids, first)
+        assert table.shape == (dynamics.num_layers - first, uids.size)
+        assert same_bits(table, ref.noise(dynamics, uids, first))
+        for row, layer in enumerate(range(first, dynamics.num_layers)):
+            for column, uid in enumerate(uids):
+                solo = ref._unit_normals(dynamics.model_seed, np.array([uid]), layer)
+                assert same_bits(table[row, column], solo[0])
+
+    @EXACT
+    @given(model=MODELS, data=st.data())
+    def test_pruned_sub_state_scores_match_the_reference(self, model, data):
+        """A pass's scores from its first read on, before and after a
+        prune keeps some columns of its noise table, in any order."""
+        cross_encoder = shared_model(get_model_config(model))
+        dynamics = cross_encoder.dynamics
+        n = data.draw(st.integers(1, 24))
+        uids = data.draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
+        relevance = data.draw(st.lists(st.floats(0, 1), min_size=n, max_size=n))
+        batch = CandidateBatch(
+            tokens=np.zeros((n, 4), dtype=np.int64),
+            lengths=np.full(n, 4),
+            relevance=np.array(relevance),
+            uids=np.array(uids, dtype=np.int64),
+        )
+        first = data.draw(st.integers(0, dynamics.num_layers - 1))
+        prune_at = data.draw(st.integers(first, dynamics.num_layers - 1))
+        state = cross_encoder.embed(batch, numerics=False)
+        for layer in range(dynamics.num_layers):
+            cross_encoder.forward_layer(state, layer)
+            if layer < first:
+                continue
+            want = ref.scores_at(dynamics, layer, state.batch.relevance, state.batch.uids)
+            assert same_bits(cross_encoder.score(state), want)
+            if layer == prune_at:
+                order = data.draw(st.permutations(range(state.size)))
+                keep = np.array(order[: data.draw(st.integers(1, state.size))])
+                state = EngineBase._subset_state(state, keep)
+                assert same_bits(state.batch.uids, batch.uids[keep])
+                want = ref.scores_at(dynamics, layer, state.batch.relevance, state.batch.uids)
+                assert same_bits(cross_encoder.score(state), want)
+
+    @pytest.mark.parametrize("model", ["qwen3-reranker-0.6b", "bge-reranker-v2-m3"])
+    def test_injected_channel_matches_the_reference_at_every_crossing(self, model):
+        """With numerics on, the readout channel after every crossing, and
+        the head's score of it, is the reference score, also after a prune."""
+        config = get_model_config(model)
+        cross_encoder = shared_model(config)
+        dynamics = cross_encoder.dynamics
+        query = get_dataset(ALL_DATASETS[0]).queries(1, 12)[0]
+        batch = build_batch(query, tokenizer_of(config.vocab_size), config.max_seq_len)
+        state = cross_encoder.embed(batch, numerics=True)
+        for layer in range(config.num_layers):
+            cross_encoder.forward_layer(state, layer)
+            if layer == config.num_layers // 2:
+                state = EngineBase._subset_state(state, np.array([7, 1, 2, 10]))
+            want = ref.scores_at(dynamics, layer, state.batch.relevance, state.batch.uids)
+            readout = cross_encoder.classifier.readout_positions(state.sim_lengths)
+            assert same_bits(state.hidden[np.arange(state.size), readout, 0], want)
+            assert same_bits(cross_encoder.score(state), want)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +516,17 @@ token_lists = st.lists(st.integers(4, 200), max_size=40).map(
 )
 
 
+class FixedUniforms:
+    """A generator stand-in whose ``random`` returns chosen keys."""
+
+    def __init__(self, keys: np.ndarray) -> None:
+        self.keys = keys
+
+    def random(self, count: int) -> np.ndarray:
+        assert count == self.keys.size
+        return self.keys.copy()
+
+
 class TestPacking:
     @EXACT
     @given(size=vocab_sizes, seed=seeds, length=lengths)
@@ -470,6 +554,28 @@ class TestPacking:
             tokenizer.encode_synthetic(seed, kept),
             ref.encode_synthetic(tokenizer, seed, full)[:kept],
         )
+
+    @pytest.mark.parametrize("zipf_s", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("size", [5, 6, 151_669, 250_002])  # 4 specials + 1, + 2
+    def test_guide_table_edge_keys(self, size, zipf_s):
+        """Keys at 0, on and one ulp either side of every CDF entry, on
+        every bucket edge, and the largest double below 1."""
+        vocab = Vocabulary(size, zipf_s=zipf_s)
+        cdf, buckets = vocab._cdf, vocab._buckets
+        keys = np.concatenate(
+            [
+                [0.0, np.nextafter(1.0, 0.0)],
+                cdf,
+                np.nextafter(cdf, 0.0),
+                np.nextafter(cdf, 2.0),
+                np.arange(buckets) / buckets,
+            ]
+        )
+        keys = keys[keys < 1.0]
+        got = vocab.sample(FixedUniforms(keys), keys.size)
+        assert same_bits(got, ref.sample(vocab, FixedUniforms(keys), keys.size))
+        if size == 250_002 and zipf_s == 2.0:
+            assert np.diff(vocab._guide).max() > 1000  # tail buckets span thousands of ranks
 
     def test_vocabulary_sample_bitwise(self):
         vocab = tokenizer_of(151_669).vocab
@@ -539,6 +645,11 @@ class TestPacking:
             tokenizer.batch_pairs(np.array([5]), [], 16)
         with pytest.raises(ValueError):
             tokenizer.encode_synthetic_many([1, 2], [3, -1])
+        with pytest.raises(ValueError):
+            tokenizer.encode_synthetic_many([1, 2], [5, 5, 5])
+        with pytest.raises(ValueError):
+            tokenizer.encode_synthetic_many([1, 2, 3], [5, 5])
+        assert tokenizer.vocab.sample_many([], []) == []
 
 
 # ---------------------------------------------------------------------------
@@ -565,22 +676,35 @@ def _offline_runs() -> dict:
     return runs
 
 
-def _reference_scores_at(self, layer, relevance, candidate_uids):
-    return ref.scores_at(self, layer, relevance, candidate_uids)
-
-
 def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
     """All five systems over all 18 datasets and three models give the
     same results, latencies and memory staircases with every reference
-    implementation patched in."""
+    implementation patched in.  Each patch counts its calls, so one that
+    a later re-route no longer reaches fails here instead of checking
+    nothing."""
     fast = _offline_runs()
-    monkeypatch.setattr(pruning, "cluster_scores", ref.cluster_scores)
-    monkeypatch.setattr(pruning, "coefficient_of_variation", ref.coefficient_of_variation)
-    monkeypatch.setattr(semantics.ScoreDynamics, "scores_at", _reference_scores_at)
-    monkeypatch.setattr("repro.core.engine.EmbeddingCache", ref.EmbeddingCache)
-    monkeypatch.setattr("repro.device.platforms.MemoryTracker", ref.MemoryTracker)
-    monkeypatch.setattr("repro.harness.runner.build_batch", ref.build_batch)
+    calls: Counter = Counter()
+
+    def counted(name, reference):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return reference(*args, **kwargs)
+
+        return wrapper
+
+    patches = {
+        "repro.core.pruning.cluster_scores": ref.cluster_scores,
+        "repro.core.pruning.coefficient_of_variation": ref.coefficient_of_variation,
+        "repro.model.semantics.ScoreDynamics.noise": ref.noise,  # where engines draw
+        "repro.core.engine.EmbeddingCache": ref.EmbeddingCache,
+        "repro.device.platforms.MemoryTracker": ref.MemoryTracker,
+        "repro.harness.runner.build_batch": ref.build_batch,
+    }
+    for target, oracle in patches.items():
+        monkeypatch.setattr(target, counted(target, oracle))
     reference = _offline_runs()
+    never_ran = set(patches) - set(calls)
+    assert not never_ran, f"patched references never called: {sorted(never_ran)}"
     assert fast.keys() == reference.keys()
     for key, got in fast.items():
         want = reference[key]

@@ -12,7 +12,7 @@ from repro.core.pruning import ProgressiveClusterPruner, coefficient_of_variatio
 from repro.device.clock import VirtualClock
 from repro.device.memory import MemoryTracker
 from repro.device.ssd import SSDDevice, SSDModel
-from repro.model.semantics import _unit_normals
+from repro.model.semantics import ScoreDynamics, SemanticsConfig, _unit_normals
 from repro.text.vocab import Vocabulary
 
 scores_arrays = arrays(
@@ -213,8 +213,16 @@ class TestSemanticsProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_unit_normals_batch_invariant(self, uids, layer, seed):
-        """Each candidate's draw is independent of its batch context."""
+        """Each candidate's draw is independent of its batch context,
+        including its row and column in a pass's noise table."""
         arr = np.array(uids, dtype=np.uint64)
         batched = _unit_normals(seed, arr, layer)
         solo = np.array([_unit_normals(seed, np.array([u], dtype=np.uint64), layer)[0] for u in uids])
         assert np.array_equal(batched, solo)
+        first = layer // 2
+        dynamics = ScoreDynamics(SemanticsConfig(), num_layers=layer + 2, model_seed=seed)
+        table = dynamics.noise(arr, first)
+        assert table.shape == (layer + 2 - first, arr.size)
+        assert table[layer - first].tobytes() == solo.tobytes()
+        for row, at in enumerate(range(first, layer + 2)):
+            assert table[row].tobytes() == _unit_normals(seed, arr, at).tobytes()
