@@ -51,9 +51,7 @@ LLOYD_MAX_ITER = 50
 
 def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = LLOYD_MAX_ITER) -> Clustering:
     """Deterministic Lloyd's k-means over scalar scores."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.size == 0:
-        raise ValueError("scores must be a non-empty 1-D array")
+    scores = _validated(scores)
     if k <= 1:
         return _one_cluster(scores)
     ordered = np.sort(scores)
@@ -61,6 +59,16 @@ def kmeans_1d(scores: np.ndarray, k: int, max_iter: int = LLOYD_MAX_ITER) -> Clu
     if k <= 1:
         return _one_cluster(scores)
     return _lloyd(scores, _quantile_centers(ordered.tolist(), k), max_iter)
+
+
+def _validated(scores: np.ndarray) -> np.ndarray:
+    """The scores as a float64 array; NaN and infinities are rejected."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1 or scores.size == 0:
+        raise ValueError("scores must be a non-empty 1-D array")
+    if not np.isfinite(scores).all():
+        raise ValueError("scores must be finite: no NaN or infinity")
+    return scores
 
 
 def _one_cluster(scores: np.ndarray) -> Clustering:
@@ -225,6 +233,36 @@ def _median(values: np.ndarray) -> float:
     return float(np.add.reduce(values[mid - 1 : mid + 1]) / 2)
 
 
+def _no_split_separates(steps: np.ndarray, top: int, min_separation: float) -> bool:
+    """True when no clustering into 2..``top`` clusters can be well separated.
+
+    ``steps`` are the adjacent differences of more than ``top`` distinct
+    sorted scores, so every step is positive.  The test holds when, for
+    every k in 2..``top``, the (k-1)-th widest step is narrower than
+    ``min_separation`` times the median of the n-k narrowest, and then
+    :func:`_well_separated` rejects every clustering with k >= 2
+    occupied clusters:
+
+    * one made of contiguous runs has k-1 boundary steps, the narrowest
+      no wider than the (k-1)-th widest step; its n-k within-cluster
+      steps dominate the n-k narrowest elementwise, so their median is
+      no smaller (rounding is monotone), and that boundary fails;
+    * one that interleaves in sorted order has clusters c < c' (c of
+      the higher mean) with a point of c below a point of c'.  Were the
+      gaps between consecutive clusters from c to c' all positive, each
+      would lie wholly above the next, and c above c'; so one adjacent
+      gap is <= 0.  Every spacing is positive, and the test at
+      k = ``top`` forces ``min_separation`` > 1, so the threshold is
+      positive and that gap fails.
+    """
+    ranked = np.sort(steps)
+    for k in range(2, top + 1):
+        narrow = ranked.size + 1 - k
+        if not ranked[narrow] < min_separation * _median(ranked[:narrow]):
+            return False
+    return True
+
+
 def cluster_scores(
     scores: np.ndarray,
     max_clusters: int = 6,
@@ -244,22 +282,29 @@ def cluster_scores(
     form a handful of tiers).
 
     Each candidate k is exactly ``kmeans_1d(scores, k)``; the scan sorts
-    the scores once for all of them.
+    the scores once for all of them.  When the scores are distinct and
+    :func:`_no_split_separates` proves that no k >= 2 can pass the
+    separation test, the scan would end on the single cluster, and it
+    returns that cluster without running Lloyd at all: every candidate
+    fails the test or collapses to one occupied cluster, which is
+    bitwise the k = 1 clustering.  Non-finite scores are rejected.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
-        raise ValueError("scores must be non-empty")
+    scores = _validated(scores)
     max_clusters = max(1, min(max_clusters, scores.size))
-    best = kmeans_1d(scores, 1)
+    best = _one_cluster(scores)
     if max_clusters == 1 or best.inertia == 0.0:
         return best
     order = np.argsort(scores)
     ordered = scores[order]
+    distinct = _distinct(ordered)
     # kmeans_1d caps k at the number of distinct scores; with one, every
     # candidate is the single cluster already in hand.
-    top = min(max_clusters, _distinct(ordered))
+    top = min(max_clusters, distinct)
     if top == 1:
         return best
+    if distinct == scores.size > top:
+        if _no_split_separates(ordered[1:] - ordered[:-1], top, min_separation):
+            return best
     values = ordered.tolist()
     candidates: dict[int, Clustering] = {}
     for k in range(2, max_clusters + 1):

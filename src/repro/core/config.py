@@ -52,9 +52,9 @@ class PrismConfig:
     #: Share one refcounted weight plane across concurrent passes
     #: (DESIGN.md §7): the first in-flight request to need a layer
     #: triggers its SSD read, the rest attach for free.  Requires
-    #: ``layer_streaming``; ignored without it.  Off by default — solo
-    #: serving gains nothing and the plane's residency window grows
-    #: with inter-request skew.
+    #: ``layer_streaming``: the config rejects it without.  Off by
+    #: default — solo serving gains nothing and the plane's residency
+    #: window grows with inter-request skew.
     shared_weight_plane: bool = False
 
     # --- embedding table caching (§4.4) ---
@@ -67,8 +67,10 @@ class PrismConfig:
     numerics: bool = True  # run the reduced-width numpy tensors
 
     def __post_init__(self) -> None:
-        if self.dispersion_threshold < 0:
+        if not self.dispersion_threshold >= 0:  # NaN too
             raise ValueError("dispersion_threshold must be non-negative")
+        if self.shared_weight_plane and not self.layer_streaming:
+            raise ValueError("shared_weight_plane requires layer_streaming")
         if self.min_layers_before_pruning < 0:
             raise ValueError("min_layers_before_pruning must be non-negative")
         if self.hidden_offload not in ("off", "on", "auto"):

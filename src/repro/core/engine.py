@@ -435,7 +435,7 @@ class PrismEngine(EngineBase):
         memory = self.device.memory
         memory.alloc("classifier", self.store.classifier_nbytes(), CATEGORY_WEIGHTS)
 
-        if self.config.layer_streaming and self.config.shared_weight_plane:
+        if self.config.shared_weight_plane:
             self.weight_plane = WeightPlane(self.store, self.executor)
 
         if self.embedding_plane is not None:

@@ -79,7 +79,7 @@ class ProgressiveClusterPruner:
         max_clusters: int = 6,
         exact_rank_mode: bool = False,
     ) -> None:
-        if dispersion_threshold < 0:
+        if not dispersion_threshold >= 0:  # NaN too
             raise ValueError("dispersion_threshold must be non-negative")
         self.dispersion_threshold = dispersion_threshold
         self.max_clusters = max_clusters

@@ -228,8 +228,10 @@ class SemanticSelectionService:
 
     def _set_threshold(self, value: float) -> None:
         value = float(np.clip(value, self.min_threshold, self.max_threshold))
+        # The config rejects NaN (which the clip keeps) before either changes.
+        config = replace(self.config, dispersion_threshold=value)
         self.engine.pruner.dispersion_threshold = value
-        self.config = replace(self.config, dispersion_threshold=value)
+        self.config = config
 
     def apply_threshold(self, value: float) -> float:
         """Externally set the operating threshold (clamped); returns it.

@@ -17,6 +17,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrismConfig(dispersion_threshold=-0.1)
 
+    def test_nan_threshold_rejected(self):
+        # ``cv < nan`` is false, so a NaN threshold would cluster on every check.
+        with pytest.raises(ValueError):
+            PrismConfig(dispersion_threshold=float("nan"))
+
+    def test_shared_plane_needs_layer_streaming(self):
+        # Without streaming the engine never builds a plane.
+        with pytest.raises(ValueError, match="layer_streaming"):
+            PrismConfig(shared_weight_plane=True, layer_streaming=False)
+        PrismConfig(shared_weight_plane=True)
+
     def test_negative_min_layers_rejected(self):
         with pytest.raises(ValueError):
             PrismConfig(min_layers_before_pruning=-1)

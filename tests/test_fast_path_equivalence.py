@@ -45,13 +45,19 @@ EXACT = settings(
 
 finite = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 
+#: Three copies of this score sum to a double whose third is the next
+#: double up, so one Lloyd update can tie two clusters' means.
+X_TIE = 0.35578104737391236
+
 
 @st.composite
 def score_vectors(draw) -> np.ndarray:
     """Score vectors with the shapes that stress 1-D k-means: free values,
-    heavy duplicates, values a few ulps apart, constants and tight tiers."""
+    heavy duplicates, values a few ulps apart, constants, tight tiers and
+    Gaussian blobs (the shape of most pruning checks, which the scan
+    settles without Lloyd)."""
     n = draw(st.integers(min_value=1, max_value=64))
-    kind = draw(st.sampled_from(["free", "duplicates", "ulps", "constant", "tiers"]))
+    kind = draw(st.sampled_from(["free", "duplicates", "ulps", "constant", "tiers", "blob"]))
     if kind == "free":
         values = draw(st.lists(finite, min_size=n, max_size=n))
     elif kind == "duplicates":
@@ -63,6 +69,11 @@ def score_vectors(draw) -> np.ndarray:
         values = [base + step * np.spacing(base) for step in steps]
     elif kind == "constant":
         values = [draw(finite)] * n
+    elif kind == "blob":
+        centre = draw(finite)
+        spread = draw(st.sampled_from([1e-3, 1e-2, 0.1]))
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        values = centre + spread * rng.standard_normal(n)
     else:
         centres = draw(st.lists(finite, min_size=1, max_size=5))
         picks = draw(st.lists(st.integers(0, len(centres) - 1), min_size=n, max_size=n))
@@ -89,6 +100,16 @@ class TestClustering:
     @example(scores=np.array([0.1, 0.1, 0.1]), max_clusters=3)
     @example(scores=np.array([0.5, np.nextafter(0.5, 1.0), 0.9, 0.9]), max_clusters=4)
     @example(scores=np.array([-0.0, 0.0, 0.3, 0.3, 0.9]), max_clusters=5)
+    # The widest step is exactly MIN_SEPARATION times the median of the
+    # others, and the test is strict: the scan must run, and it splits.
+    @example(scores=np.array([0.0, 1.0, 2.0, 3.0, 10.0]), max_clusters=2)
+    # n == max_clusters: the all-singleton k passes the separation test.
+    @example(scores=np.array([0.0, 1.0, 2.0, 3.0]), max_clusters=4)
+    # A blob with one tie, which rules the early exit out.
+    @example(scores=np.array([0.5, 0.52, 0.47, 0.52, 0.49, 0.51, 0.53, 0.48]), max_clusters=6)
+    # A centre that cancels to 0.0, and two centres one ulp apart.
+    @example(scores=np.array([-0.5, 0.5, -0.25, 0.25, 3.0, 3.0, 3.0]), max_clusters=3)
+    @example(scores=np.array([0.7, np.nextafter(0.7, 1.0)] * 2), max_clusters=2)
     def test_cluster_scores_bitwise(self, scores, max_clusters):
         got = clustering.cluster_scores(scores, max_clusters=max_clusters)
         assert_same_clustering(got, ref.cluster_scores(scores, max_clusters=max_clusters))
@@ -99,6 +120,11 @@ class TestClustering:
         k=st.integers(min_value=0, max_value=8),
         max_iter=st.sampled_from([0, 1, 2, 50]),
     )
+    @example(scores=np.array([-0.0, 0.0, -0.0, 0.0, 1.0, 1.0]), k=2, max_iter=50)
+    @example(scores=np.repeat([0.5, np.nextafter(0.5, 1.0)], 2), k=2, max_iter=50)
+    # One update leaves both occupied means on the same double: ranked as
+    # numpy's argsort ranks ties.
+    @example(scores=np.array([X_TIE] * 3 + [np.nextafter(X_TIE, 1.0)] * 2), k=2, max_iter=1)
     def test_kmeans_1d_bitwise(self, scores, k, max_iter):
         got = clustering.kmeans_1d(scores, k, max_iter=max_iter)
         assert_same_clustering(got, ref.kmeans_1d(scores, k, max_iter=max_iter))
@@ -124,6 +150,46 @@ class TestClustering:
             scores, np.argsort(scores), candidate, min_separation
         )
         assert got == ref._well_separated(scores, candidate, min_separation)
+
+    def test_blobs_skip_lloyd_and_tiers_do_not(self, monkeypatch):
+        """The early exit stays live: Gaussian blobs of 8 and 20 scores
+        are settled without a Lloyd run, two tiers still run it."""
+        runs = Counter()
+        lloyd = clustering._lloyd
+
+        def counted(*args, **kwargs):
+            runs["lloyd"] += 1
+            return lloyd(*args, **kwargs)
+
+        monkeypatch.setattr(clustering, "_lloyd", counted)
+        rng = np.random.default_rng(4)
+        for n in (8, 20):
+            blob = rng.normal(0.5, 0.02, n)
+            result = clustering.cluster_scores(blob)
+            assert runs["lloyd"] == 0
+            assert_same_clustering(result, ref.cluster_scores(blob))
+        tiers = np.concatenate([rng.normal(0.9, 0.005, 5), rng.normal(0.2, 0.02, 15)])
+        result = clustering.cluster_scores(tiers)
+        assert runs["lloyd"] > 0
+        assert result.num_clusters == 2
+        assert_same_clustering(result, ref.cluster_scores(tiers))
+
+    @pytest.mark.parametrize(
+        "scores",
+        [
+            np.array([-np.inf, 0.117, 0.916, -np.inf, 0.494, 0.901]),
+            np.array([np.nan, 0.5, 0.9]),
+            np.array([0.1, np.inf]),
+        ],
+    )
+    def test_non_finite_scores_rejected(self, scores):
+        """On every path, the one-cluster returns included."""
+        for max_clusters in (1, 4):
+            with pytest.raises(ValueError, match="finite"):
+                clustering.cluster_scores(scores, max_clusters=max_clusters)
+        for k in (1, 2):
+            with pytest.raises(ValueError, match="finite"):
+                clustering.kmeans_1d(scores, k)
 
 
 class TestPruningTrigger:

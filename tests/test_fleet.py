@@ -68,6 +68,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             FleetService(shared_model(QWEN3_0_6B), [])
 
+    def test_shared_plane_needs_layer_streaming(self):
+        with pytest.raises(ValueError, match="layer_streaming"):
+            FleetService.homogeneous(
+                shared_model(QWEN3_0_6B),
+                get_profile("nvidia_5070"),
+                2,
+                fleet_config=FleetConfig(shared_weight_plane=True),
+                config=PrismConfig(layer_streaming=False, numerics=False),
+            )
+
     def test_homogeneous_needs_positive_count(self):
         with pytest.raises(ValueError):
             FleetService.homogeneous(

@@ -59,6 +59,10 @@ class TestTrigger:
         with pytest.raises(ValueError):
             ProgressiveClusterPruner(dispersion_threshold=-0.1)
 
+    def test_nan_threshold_rejected(self):
+        with pytest.raises(ValueError):
+            ProgressiveClusterPruner(dispersion_threshold=float("nan"))
+
     def test_nonpositive_slots_rejected(self):
         pruner = ProgressiveClusterPruner(dispersion_threshold=0.1)
         with pytest.raises(ValueError):

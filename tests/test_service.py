@@ -55,6 +55,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             make_service(min_threshold=0.5, max_threshold=0.4)
 
+    def test_shared_weights_need_layer_streaming(self):
+        with pytest.raises(ValueError, match="layer_streaming"):
+            make_service(
+                config=PrismConfig(layer_streaming=False, numerics=False), shared_weights=True
+            )
+
+    def test_nan_threshold_rejected_and_nothing_changes(self):
+        service = make_service()
+        before = (service.threshold, service.config)
+        with pytest.raises(ValueError):
+            service.apply_threshold(float("nan"))
+        assert (service.threshold, service.config) == before
+
 
 class TestServing:
     def test_select_returns_results(self, batches):
