@@ -298,9 +298,9 @@ from .telemetry import (  # noqa: E402  (appended export)
     Counter,
     Gauge,
     Histogram,
+    LifecycleFold,
     MetricsRegistry,
     TelemetryCollector,
-    fleet_equivalence_report,
     parse_exposition,
     slo_lookup,
 )
@@ -311,9 +311,9 @@ __all__ += [
     "EventSubscription",
     "Gauge",
     "Histogram",
+    "LifecycleFold",
     "MetricsRegistry",
     "TelemetryCollector",
-    "fleet_equivalence_report",
     "parse_exposition",
     "slo_lookup",
     "timeline_events",

@@ -64,7 +64,11 @@ from .engine import RerankResult
 from .resilience import AutoscalerConfig, ReplicaHealth, ResilienceConfig, ScalingEvent
 from .scheduler import LANE_BATCH, SCHEDULING_POLICIES, DroppedRequest
 from .service import MaintenanceReport, SampleStride, SemanticSelectionService
+from .telemetry import LifecycleFold
 from .tenancy import FairAdmission, TenancyConfig, TenantStats
+
+#: A drop's reason → the terminal event kind it emits.
+_DROP_KIND = {"shed": "shed", "cancelled": "cancel", "failed": "fail"}
 
 
 @dataclass(frozen=True)
@@ -421,17 +425,15 @@ class FleetStats:
     #: Per-tenant rollups (p50/p99, shed rate, token debt); empty when
     #: the fleet serves without a tenancy plane.
     tenants: dict[str | None, TenantStats] = field(default_factory=dict)
-
-    def _latencies(self) -> np.ndarray:
-        return np.array([o.latency for o in self.outcomes])
+    #: The lifecycle fold of the outcomes and drops: every count and
+    #: percentile here is a view of it.
+    lifecycle: LifecycleFold = field(default_factory=LifecycleFold)
 
     def latency_percentile(self, p: float) -> float | None:
         """Latency percentile over completed requests; ``None`` when
         nothing completed (an empty sample has no percentiles — a
         number here would silently poison downstream aggregation)."""
-        if not self.outcomes:
-            return None
-        return float(np.percentile(self._latencies(), p))
+        return self.lifecycle.latency.quantile(p, "fleet")
 
     @property
     def p50_latency(self) -> float | None:
@@ -1255,9 +1257,8 @@ class FleetService:
                 tenant=request.tenant,
             )
         )
-        kind = {"shed": "shed", "cancelled": "cancel", "failed": "fail"}[reason]
         self._emit(
-            kind,
+            _DROP_KIND[reason],
             at=at,
             request=request,
             replica=failed_on,
@@ -1735,6 +1736,11 @@ class FleetService:
             r.index: (r.busy_seconds / makespan if makespan > 0 else 0.0)
             for r in self.replicas
         }
+        lifecycle = LifecycleFold()
+        for outcome in self._outcomes:
+            lifecycle.terminal("complete", "fleet", outcome.tenant, latency=outcome.latency)
+        for drop in self._dropped:
+            lifecycle.terminal(_DROP_KIND[drop.reason], "fleet", drop.tenant, reason=drop.detail)
         return FleetStats(
             outcomes=list(self._outcomes),
             queue_depth_samples=list(self._queue_depth_samples),
@@ -1742,9 +1748,7 @@ class FleetService:
             makespan=makespan,
             maintenance_rounds=self._maintenance_rounds,
             failovers=self._failovers,
-            failed_requests=sum(
-                1 for drop in self._dropped if drop.reason == "failed"
-            ),
+            failed_requests=int(lifecycle.failed.total("fleet")),
             hedges_launched=self._hedges_launched,
             hedges_won=self._hedges_won,
             scaling_events=list(self._scaling_events),
@@ -1753,8 +1757,9 @@ class FleetService:
                 self.data_plane.stats() if self.data_plane is not None else None
             ),
             tenants=(
-                self._admission.tenant_stats(self._outcomes, self._dropped)
+                lifecycle.tenant_rollups(self._admission)
                 if self._admission is not None
                 else {}
             ),
+            lifecycle=lifecycle,
         )

@@ -1,32 +1,30 @@
-"""Derived metrics registry over the live event stream (DESIGN.md §14).
+"""One fold over the request lifecycle, and the metrics registry it writes (DESIGN.md §14).
 
 The §10 event log is the single source of truth for everything the
-fleet does; this module derives *live* observables from it — and from
-nothing else.  A :class:`TelemetryCollector` consumes events (usually
-through a bounded :class:`~repro.core.events.EventSubscription`) and
-populates a :class:`MetricsRegistry` of counters, gauges and
-fixed-bucket histograms; the registry renders to Prometheus text
-exposition for scraping (:mod:`repro.harness.live`).
+fleet does.  Every lifecycle number the repo reports — per-tier counts,
+shed and fail reasons, exact latency percentiles, per-tenant rollups
+and the SLO burn rate — is computed by one fold, :class:`LifecycleFold`,
+over admissions and *terminal records* (a complete, shed, cancel or
+fail, with its tier, tenant, latency and reason).  Its state is a
+:class:`MetricsRegistry`'s lifecycle families, so the ``/metrics``
+text, ``FleetStats`` and ``cli trace summary`` are three views of one
+computation and agree by construction:
 
-Because every metric is a pure fold over the tagged event stream, live
-values can never disagree with the replayable log: at drain, the
-registry's counts, shed-reason breakdowns and per-tenant latency
-percentiles equal the post-hoc
-:class:`~repro.core.fleet.FleetStats` *exactly* —
-:func:`fleet_equivalence_report` states the contract and
-``tests/test_telemetry.py`` pins it.  Histograms therefore retain
-their raw samples (exact ``numpy`` percentiles, the FleetStats
-estimator) alongside the fixed buckets used for exposition and for
-the cheap in-terminal quantile estimates (`cli live`).
+* :meth:`~repro.core.fleet.FleetService.stats` folds the fleet's own
+  completion and drop records when it is called;
+* :class:`EventFold` is the one event adapter: it pairs each terminal
+  with its admit and feeds the fold, for
+  :func:`~repro.core.trace.summarize_events` and for the live
+  :class:`TelemetryCollector`, which consumes a bounded
+  :class:`~repro.core.events.EventSubscription` and also keeps the
+  plane's non-lifecycle counters and gauges.
 
-The collector maps the full event taxonomy
-(:data:`~repro.core.events.EVENT_KINDS`) to a stable metric namespace
-(``repro_*``, table in ``docs/observability.md``): request lifecycle
-counters per tier, sheds by reason, cache hits by mode, fused-gang
-occupancy, per-tenant and per-SLO-class latency, token debt at shed
-instants, and SLO burn-rate monitors (observed shed rate over the
-class's shed bound — a burn rate above 1.0 means the §13 contract is
-being violated right now).
+Histograms retain their raw samples, so percentiles are exact
+``numpy`` percentiles; the fixed buckets serve the Prometheus
+exposition (:mod:`repro.harness.live`) and the bucket-estimated
+quantiles a remote scraper reconstructs (`cli live`).  The burn rate
+is the observed shed rate over the class's shed bound — above 1.0 the
+§13 contract is being violated right now.
 """
 
 from __future__ import annotations
@@ -34,18 +32,13 @@ from __future__ import annotations
 import re
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable
 
 import numpy as np
 
-from .events import (
-    SERVING_TIERS,
-    Event,
-    EventLog,
-    EventSubscription,
-)
-from .tenancy import SLO_CLASSES
+from .events import SERVING_TIERS, TERMINAL_KINDS, Event, EventSubscription
+from .tenancy import SLO_CLASSES, FairAdmission, TenantStats
 
 #: Prometheus metric-name / label-name grammar.
 _METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -70,6 +63,17 @@ DEFAULT_LATENCY_BUCKETS = (
     30.0,
     60.0,
 )
+
+
+def _label(value: Any) -> str:
+    """A label value as the registry stores it (``None`` is empty)."""
+    return "" if value is None else str(value)
+
+
+def _percentile(samples: list[float], p: float) -> float | None:
+    """Exact percentile (numpy's linear estimator); ``None`` when there
+    are no samples, since an empty sample has no percentiles."""
+    return float(np.percentile(samples, p)) if samples else None
 
 
 def _escape_label_value(value: str) -> str:
@@ -110,31 +114,24 @@ class MetricFamily:
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
-        self._children: dict[tuple[str, ...], Any] = {}
+        #: Label-value tuple → child, one per series in the exposition.
+        self.children: dict[tuple[str, ...], Any] = {}
 
-    def labels(self, *labelvalues: Any, **labelkw: Any):
+    def labels(self, *labelvalues: Any):
         """The child for one label-value tuple (created on first use)."""
-        if labelkw:
-            if labelvalues:
-                raise ValueError("pass label values positionally or by name, not both")
-            labelvalues = tuple(labelkw[name] for name in self.labelnames)
-        values = tuple("" if v is None else str(v) for v in labelvalues)
+        values = tuple(_label(v) for v in labelvalues)
         if len(values) != len(self.labelnames):
             raise ValueError(
                 f"{self.name}: expected labels {self.labelnames}, got {values!r}"
             )
-        child = self._children.get(values)
+        child = self.children.get(values)
         if child is None:
             child = self._make_child()
-            self._children[values] = child
+            self.children[values] = child
         return child
 
     def _make_child(self):  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def children(self) -> dict[tuple[str, ...], Any]:
-        return self._children
 
     # -- exposition -----------------------------------------------------
     def render(self) -> list[str]:
@@ -142,8 +139,8 @@ class MetricFamily:
             f"# HELP {self.name} {self.help}",
             f"# TYPE {self.name} {self.type_name}",
         ]
-        for labelvalues in sorted(self._children):
-            lines.extend(self._render_child(labelvalues, self._children[labelvalues]))
+        for labelvalues in sorted(self.children):
+            lines.extend(self._render_child(labelvalues, self.children[labelvalues]))
         return lines
 
     def _render_child(self, labelvalues, child) -> list[str]:  # pragma: no cover
@@ -174,12 +171,17 @@ class Counter(MetricFamily):
         self.labels().inc(amount)
 
     def value(self, *labelvalues: Any) -> float:
-        values = tuple("" if v is None else str(v) for v in labelvalues)
-        child = self._children.get(values)
+        child = self.children.get(tuple(_label(v) for v in labelvalues))
         return 0.0 if child is None else child.value
 
-    def total(self) -> float:
-        return sum(child.value for child in self._children.values())
+    def total(self, *prefix: Any) -> float:
+        """Sum over the children whose labels start with ``prefix``."""
+        wanted = tuple(_label(v) for v in prefix)
+        return sum(
+            child.value
+            for labelvalues, child in self.children.items()
+            if labelvalues[: len(wanted)] == wanted
+        )
 
     def _render_child(self, labelvalues, child) -> list[str]:
         suffix = _labels_suffix(self.labelnames, labelvalues)
@@ -195,9 +197,6 @@ class _GaugeValue:
     def set(self, value: float) -> None:
         self.value = float(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
 
 class Gauge(MetricFamily):
     """Last-written value family (queue depths, occupancy, debt)."""
@@ -211,8 +210,7 @@ class Gauge(MetricFamily):
         self.labels().set(value)
 
     def value(self, *labelvalues: Any) -> float:
-        values = tuple("" if v is None else str(v) for v in labelvalues)
-        child = self._children.get(values)
+        child = self.children.get(tuple(_label(v) for v in labelvalues))
         return 0.0 if child is None else child.value
 
     def _render_child(self, labelvalues, child) -> list[str]:
@@ -223,11 +221,9 @@ class Gauge(MetricFamily):
 class HistogramValue:
     """One histogram child: fixed cumulative buckets + raw samples.
 
-    The buckets serve the Prometheus exposition and the cheap
-    :meth:`estimate_quantile`; the retained samples serve
-    :meth:`quantile`, the *exact* ``numpy`` percentile FleetStats uses
-    — which is what makes the live-vs-post-hoc equivalence contract an
-    equality instead of an approximation.
+    The buckets serve the Prometheus exposition; the retained samples
+    serve :meth:`Histogram.quantile`, the exact percentile every
+    lifecycle view reports.
     """
 
     __slots__ = ("bounds", "bucket_counts", "total", "count", "samples")
@@ -245,22 +241,6 @@ class HistogramValue:
         self.total += value
         self.count += 1
         self.samples.append(value)
-
-    def quantile(self, p: float) -> float | None:
-        """Exact percentile over the raw samples (the FleetStats
-        estimator); ``None`` for an empty histogram."""
-        if not self.samples:
-            return None
-        return float(np.percentile(self.samples, p))
-
-    def estimate_quantile(self, p: float) -> float | None:
-        """Bucket-interpolated percentile (no samples needed) — what a
-        scraper can reconstruct from the exposition alone."""
-        if self.count == 0:
-            return None
-        return estimate_quantile_from_buckets(
-            self.cumulative_buckets(), self.count, p
-        )
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``+Inf``."""
@@ -320,25 +300,20 @@ class Histogram(MetricFamily):
     def _make_child(self) -> HistogramValue:
         return HistogramValue(self.bounds)
 
-    def observe(self, value: float) -> None:
-        self.labels().observe(value)
-
     def merged_samples(self, *prefix: Any) -> list[float]:
         """Raw samples across children whose labels start with ``prefix``
         (emission order within a child; order is irrelevant to the
         percentile estimator)."""
-        wanted = tuple("" if v is None else str(v) for v in prefix)
+        wanted = tuple(_label(v) for v in prefix)
         merged: list[float] = []
-        for labelvalues, child in self._children.items():
+        for labelvalues, child in self.children.items():
             if labelvalues[: len(wanted)] == wanted:
                 merged.extend(child.samples)
         return merged
 
     def quantile(self, p: float, *prefix: Any) -> float | None:
-        samples = self.merged_samples(*prefix)
-        if not samples:
-            return None
-        return float(np.percentile(samples, p))
+        """Exact percentile over the samples of :meth:`merged_samples`."""
+        return _percentile(self.merged_samples(*prefix), p)
 
     def _render_child(self, labelvalues, child: HistogramValue) -> list[str]:
         lines = []
@@ -385,13 +360,6 @@ class MetricsRegistry:
     ) -> Histogram:
         return self.register(Histogram(name, help, labelnames, buckets))  # type: ignore[return-value]
 
-    def get(self, name: str) -> MetricFamily | None:
-        return self._families.get(name)
-
-    @property
-    def families(self) -> dict[str, MetricFamily]:
-        return self._families
-
     def render(self) -> str:
         """Prometheus text exposition format 0.0.4."""
         with self.lock:
@@ -404,12 +372,21 @@ class MetricsRegistry:
 # ---------------------------------------------------------------------------
 # exposition parsing (cli live, tests)
 # ---------------------------------------------------------------------------
+_LABEL_VALUE = r'"(?:[^"\\]|\\.)*"'
 _SAMPLE_LINE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    r'(?:\{(?P<labels>(?:[^"}]|' + _LABEL_VALUE + r")*)\})?"
     r"\s+(?P<value>[^\s]+)\s*$"
 )
-_LABEL_PAIR = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
+_LABEL_PAIR = re.compile(r"([a-zA-Z_][a-zA-Z0-9_]*)=(" + _LABEL_VALUE + ")")
+_ESCAPE = re.compile(r"\\(.)")
+
+
+def _unescape_label_value(quoted: str) -> str:
+    """Undo :func:`_escape_label_value` in one left-to-right pass."""
+    return _ESCAPE.sub(
+        lambda match: "\n" if match.group(1) == "n" else match.group(1), quoted[1:-1]
+    )
 
 
 def parse_exposition(text: str) -> dict[str, list[tuple[dict[str, str], float]]]:
@@ -417,18 +394,19 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict[str, str], float]]]
 
     The inverse of :meth:`MetricsRegistry.render`, used by the
     ``cli live`` dashboard and the exposition-grammar tests; raises
-    ``ValueError`` on a malformed sample line.
+    ``ValueError`` on a malformed sample line.  Label values are quoted
+    strings, so braces and escapes inside them are data, not grammar.
     """
     samples: dict[str, list[tuple[dict[str, str], float]]] = {}
-    for line in text.splitlines():
+    for line in text.split("\n"):
         if not line.strip() or line.startswith("#"):
             continue
         match = _SAMPLE_LINE.match(line)
         if match is None:
             raise ValueError(f"malformed exposition line: {line!r}")
         labels = {
-            name: value.replace('\\"', '"').replace("\\n", "\n").replace("\\\\", "\\")
-            for name, value in _LABEL_PAIR.findall(match.group("labels") or "")
+            name: _unescape_label_value(quoted)
+            for name, quoted in _LABEL_PAIR.findall(match.group("labels") or "")
         }
         raw = match.group("value")
         value = float("inf") if raw == "+Inf" else float(raw)
@@ -437,51 +415,62 @@ def parse_exposition(text: str) -> dict[str, list[tuple[dict[str, str], float]]]
 
 
 # ---------------------------------------------------------------------------
-# the event → metrics mapping (DESIGN.md §14)
+# the lifecycle fold (DESIGN.md §14)
 # ---------------------------------------------------------------------------
 @dataclass
-class _ClassBurn:
-    """Per-SLO-class shed accounting behind the burn-rate gauge."""
+class TierSummary:
+    """One serving tier's lifecycle row: counts and latency percentiles.
 
-    submitted: int = 0
+    :meth:`LifecycleFold.tier` fills the percentiles exactly,
+    :func:`dashboard_views` estimates them from a scrape's buckets, and
+    :func:`~repro.core.trace.summarize_events` adds the throughput over
+    the tier's observed span.
+    """
+
+    tier: str
+    admitted: int = 0
+    completed: int = 0
     shed: int = 0
+    cancelled: int = 0
+    failed: int = 0
+    throughput_rps: float | None = None
+    p50_latency: float | None = None
+    p95_latency: float | None = None
+    p99_latency: float | None = None
 
 
-def slo_lookup(tenancy) -> Callable[[str | None], str]:
-    """Tenant → SLO-class-name mapping from a
-    :class:`~repro.core.tenancy.TenancyConfig` (``policy_for``)."""
+@dataclass
+class _TenantTally:
+    """One tenant's terminal records in the tenant tier."""
 
-    def lookup(tenant: str | None) -> str:
-        return tenancy.policy_for(tenant).slo
+    completed: int = 0
+    shed: int = 0
+    #: Cancelled or failed: counted in the tenant's submitted total.
+    lost: int = 0
+    latencies: list[float] = field(default_factory=list)
 
-    return lookup
 
+class LifecycleFold:
+    """The one fold over admissions and terminal records.
 
-class TelemetryCollector:
-    """Folds the §10 event stream into a :class:`MetricsRegistry`.
+    A terminal record is a ``complete``, ``shed``, ``cancel`` or
+    ``fail`` with its tier, tenant, latency (completions) and reason
+    (a shed's verdict, ``deadline`` when empty; a fail's fault kind).
+    The fold writes the registry's lifecycle families — per-tier
+    counts and reasons, the per-tier/SLO latency histogram, per-tenant
+    completions, sheds, latency and token debt, the SLO burn rate — and
+    its views read them back: :meth:`tier` and :meth:`tiers`.
+    :meth:`tenant_rollups` reads a tally of the same records kept per
+    raw tenant id, since exposition labels merge ids that print alike.
 
-    The collector is populated *only* through :meth:`observe` /
-    :meth:`consume` — there is no side channel from the serving stack,
-    which is precisely why the equivalence contract against post-hoc
-    FleetStats is meaningful: both are folds over the same tagged
-    stream.
-
-    Parameters
-    ----------
-    registry:
-        Registry to populate (a fresh one by default).
-    slo_of:
-        Optional tenant → SLO-class-name mapping (see
-        :func:`slo_lookup`); without it tenants fall into the
-        ``"unknown"`` class and no burn rate is derived.
-    tenant_tier:
-        The serving tier whose events drive tenant-level metrics
-        (default ``"fleet"`` — the tier that owns multi-tenant
-        admission; a device-only run passes ``"device"``).  Inner
-        tiers re-announce the same request per replica, so folding
-        every tier into the tenant rollup would double-count.
-    latency_buckets:
-        Bucket bounds for the latency histograms.
+    ``tenant_tier`` is the serving tier whose records drive the tenant
+    and burn-rate metrics (default ``"fleet"``, the tier that owns
+    multi-tenant admission; a device-only run passes ``"device"``).
+    Inner tiers re-announce the same request per replica, so folding
+    every tier into the tenant rollup would double-count.  ``slo_of``
+    maps a tenant to its SLO-class name (see :func:`slo_lookup`);
+    without it tenants fall into the ``"unknown"`` class and no burn
+    rate is derived.
     """
 
     def __init__(
@@ -497,13 +486,13 @@ class TelemetryCollector:
         self.registry = registry if registry is not None else MetricsRegistry()
         self.slo_of = slo_of
         self.tenant_tier = tenant_tier
-        self.events_seen = 0
-        self._arrivals: dict[tuple[str, int | None, str | int | None], float] = {}
-        self._burn: dict[str, _ClassBurn] = {}
+        #: Tenant-tier records per raw tenant id, for the rollups: the
+        #: tenant families' labels merge ids that print alike (``None``
+        #: and ``""``, ``1`` and ``"1"``), which admission keeps apart.
+        self._tenants: dict[Any, _TenantTally] = {}
+        #: SLO class → [tenant-tier admissions, tenant-tier sheds].
+        self._burn: dict[str, list[int]] = {}
         r = self.registry
-        self.events_total = r.counter(
-            "repro_events_total", "Events observed, by kind and tier.", ("kind", "tier")
-        )
         self.admitted = r.counter(
             "repro_requests_admitted_total", "Requests admitted per serving tier.", ("tier",)
         )
@@ -528,6 +517,230 @@ class TelemetryCollector:
             "End-to-end latency of completed requests, by tier and SLO class.",
             ("tier", "slo"),
             buckets=latency_buckets,
+        )
+        self.tenant_completed = r.counter(
+            "repro_tenant_completed_total", "Completed requests per tenant.", ("tenant",)
+        )
+        self.tenant_shed = r.counter(
+            "repro_tenant_shed_total", "Shed requests per tenant, by reason.", ("tenant", "reason")
+        )
+        self.tenant_latency = r.histogram(
+            "repro_tenant_latency_seconds",
+            "End-to-end latency of completed requests, per tenant.",
+            ("tenant",),
+            buckets=latency_buckets,
+        )
+        self.tenant_token_debt = r.gauge(
+            "repro_tenant_token_debt",
+            "Token-bucket debt observed at the tenant's last rate-limit shed.",
+            ("tenant",),
+        )
+        self.slo_burn_rate = r.gauge(
+            "repro_slo_burn_rate",
+            "Observed shed rate over the class shed bound (>1 = SLO burning).",
+            ("slo",),
+        )
+
+    def _slo(self, tenant: str | None) -> str:
+        return "unknown" if self.slo_of is None else self.slo_of(tenant)
+
+    def _burn_count(self, tenant: str | None, index: int) -> None:
+        slo = self._slo(tenant)
+        counts = self._burn.setdefault(slo, [0, 0])
+        counts[index] += 1
+        slo_class = SLO_CLASSES.get(slo)
+        if counts[0] and slo_class is not None and slo_class.shed_bound > 0:
+            self.slo_burn_rate.labels(slo).set(counts[1] / counts[0] / slo_class.shed_bound)
+
+    # -- the fold -------------------------------------------------------
+    def admit(self, tier: str, tenant: str | None) -> None:
+        """Fold one admission."""
+        self.admitted.labels(tier).inc()
+        if tier == self.tenant_tier:
+            self._burn_count(tenant, 0)
+
+    def terminal(
+        self,
+        kind: str,
+        tier: str,
+        tenant: str | None,
+        latency: float | None = None,
+        reason: str | None = None,
+        debt: float | None = None,
+    ) -> None:
+        """Fold one terminal record.
+
+        ``latency`` is a completion's admission-to-finish seconds
+        (``None`` when unknown); ``debt`` is the token debt a
+        rate-limit shed observed.
+        """
+        # The tenant's label and tally when the record is in tenant scope.
+        label = tally = None
+        if tier == self.tenant_tier:
+            label = _label(tenant)
+            tally = self._tenants.get(tenant)
+            if tally is None:
+                tally = self._tenants[tenant] = _TenantTally()
+        if kind == "complete":
+            self.completed.labels(tier).inc()
+            if latency is not None:
+                self.latency.labels(tier, self._slo(tenant)).observe(latency)
+            if tally is not None:
+                tally.completed += 1
+                self.tenant_completed.labels(label).inc()
+                if latency is not None:
+                    tally.latencies.append(float(latency))
+                    self.tenant_latency.labels(label).observe(latency)
+        elif kind == "shed":
+            reason = str(reason or "deadline")
+            self.shed.labels(tier, reason).inc()
+            if tally is not None:
+                tally.shed += 1
+                self.tenant_shed.labels(label, reason).inc()
+                self._burn_count(tenant, 1)
+                if debt is not None:
+                    self.tenant_token_debt.labels(label).set(debt)
+        else:
+            if kind == "cancel":
+                self.cancelled.labels(tier).inc()
+            else:
+                self.failed.labels(tier, str(reason or "unknown")).inc()
+            if tally is not None:
+                tally.lost += 1
+
+    # -- views ----------------------------------------------------------
+    def tier(self, tier: str) -> TierSummary:
+        """One tier's counts and exact p50/p95/p99 latency."""
+        samples = self.latency.merged_samples(tier)
+        return TierSummary(
+            tier=tier,
+            admitted=int(self.admitted.value(tier)),
+            completed=int(self.completed.value(tier)),
+            shed=int(self.shed.total(tier)),
+            cancelled=int(self.cancelled.value(tier)),
+            failed=int(self.failed.total(tier)),
+            p50_latency=_percentile(samples, 50),
+            p95_latency=_percentile(samples, 95),
+            p99_latency=_percentile(samples, 99),
+        )
+
+    def tiers(self) -> list[TierSummary]:
+        """Rows of the serving tiers that admitted or ended a request."""
+        rows = [self.tier(tier) for tier in SERVING_TIERS]
+        return [
+            row
+            for row in rows
+            if row.admitted or row.completed + row.shed + row.cancelled + row.failed
+        ]
+
+    def tenant_rollups(self, admission: FairAdmission) -> dict[str | None, TenantStats]:
+        """Per-tenant rollups of the tenant tier, keyed by the raw tenant
+        id as admission keys its states: one per tenant with a state or
+        a record (a data-plane hit skips admission, so its tenant may
+        have no state yet; the state supplies policy and token debt)."""
+        stats: dict[str | None, TenantStats] = {}
+        for tenant in dict.fromkeys([*admission.states, *self._tenants]):
+            state = admission.state(tenant)
+            tally = self._tenants.get(tenant, _TenantTally())
+            submitted = tally.completed + tally.shed + tally.lost
+            stats[tenant] = TenantStats(
+                tenant=tenant,
+                slo=state.policy.slo,
+                weight=state.policy.weight,
+                submitted=submitted,
+                completed=tally.completed,
+                shed=tally.shed,
+                p50_latency=_percentile(tally.latencies, 50),
+                p99_latency=_percentile(tally.latencies, 99),
+                shed_rate=(tally.shed / submitted) if submitted else 0.0,
+                token_debt=state.bucket.debt,
+                shed_bound=state.policy.slo_class.shed_bound,
+            )
+        return stats
+
+
+#: Event kinds that carry the lifecycle: the admit and the terminals.
+_LIFECYCLE_KINDS = frozenset(("admit",) + TERMINAL_KINDS)
+
+
+class EventFold:
+    """The event adapter in front of a :class:`LifecycleFold`.
+
+    Feeds each serving-tier admit and terminal event to the fold and
+    holds the admit→terminal pairing: a fleet ``complete`` carries its
+    latency, an inner tier's is ``terminal.at − arrival`` on its
+    replica's own clock (replicas' differing origins never mix).
+    """
+
+    def __init__(self, fold: LifecycleFold) -> None:
+        self.fold = fold
+        self._arrivals: dict[tuple[str, int | None, str | int | None], float] = {}
+
+    def feed(self, event: Event) -> None:
+        """Fold one event; all but serving-tier lifecycle events pass."""
+        tier = event.tier
+        if tier not in SERVING_TIERS or event.kind not in _LIFECYCLE_KINDS:
+            return
+        # Fleet lifecycle events ride the coordinator clock (the admit
+        # names no replica, the complete names the serving one), so the
+        # request alone keys the pairing; inner tiers pair within their
+        # replica's own axis.
+        key = (tier, None if tier == "fleet" else event.replica, event.request)
+        data = event.data
+        if event.kind == "admit":
+            self._arrivals[key] = float(data.get("arrival", event.at))
+            self.fold.admit(tier, event.tenant)
+            return
+        arrival = self._arrivals.pop(key, None)
+        latency = data.get("latency")
+        if latency is None and arrival is not None:
+            latency = event.at - arrival
+        self.fold.terminal(
+            event.kind,
+            tier,
+            event.tenant,
+            latency=latency,
+            reason=data.get("detail"),
+            debt=data.get("debt"),
+        )
+
+
+def slo_lookup(tenancy) -> Callable[[str | None], str]:
+    """Tenant → SLO-class-name mapping from a
+    :class:`~repro.core.tenancy.TenancyConfig` (``policy_for``)."""
+
+    def lookup(tenant: str | None) -> str:
+        return tenancy.policy_for(tenant).slo
+
+    return lookup
+
+
+class TelemetryCollector:
+    """Folds the §10 event stream into a :class:`MetricsRegistry`.
+
+    The collector is populated *only* through :meth:`consume` — there
+    is no side channel from the serving stack.  Lifecycle events go
+    through an :class:`EventFold` into :attr:`lifecycle`, the registry's
+    :class:`LifecycleFold` (``slo_of``, ``tenant_tier`` and
+    ``latency_buckets`` configure it); every other event kind feeds the
+    plane's own counters and gauges.  ``events_seen`` counts what was
+    folded, so a live server can prove it missed nothing.
+    """
+
+    def __init__(
+        self,
+        registry: MetricsRegistry | None = None,
+        slo_of: Callable[[str | None], str] | None = None,
+        tenant_tier: str = "fleet",
+        latency_buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
+    ) -> None:
+        self.lifecycle = LifecycleFold(registry, slo_of, tenant_tier, latency_buckets)
+        self.registry = self.lifecycle.registry
+        self._lifecycle_events = EventFold(self.lifecycle)
+        self.events_seen = 0
+        r = self.registry
+        self.events_total = r.counter(
+            "repro_events_total", "Events observed, by kind and tier.", ("kind", "tier")
         )
         self.queue_depth = r.gauge(
             "repro_queue_depth", "Dispatch-queue depth after the last queue event.", ("tier",)
@@ -574,297 +787,63 @@ class TelemetryCollector:
         self.scale_actions = r.counter(
             "repro_scale_actions_total", "Autoscaler capacity changes, by action.", ("action",)
         )
-        self.tenant_completed = r.counter(
-            "repro_tenant_completed_total", "Completed requests per tenant.", ("tenant",)
-        )
-        self.tenant_shed = r.counter(
-            "repro_tenant_shed_total", "Shed requests per tenant, by reason.", ("tenant", "reason")
-        )
-        self.tenant_latency = r.histogram(
-            "repro_tenant_latency_seconds",
-            "End-to-end latency of completed requests, per tenant.",
-            ("tenant",),
-            buckets=latency_buckets,
-        )
-        self.tenant_token_debt = r.gauge(
-            "repro_tenant_token_debt",
-            "Token-bucket debt observed at the tenant's last rate-limit shed.",
-            ("tenant",),
-        )
-        self.slo_burn_rate = r.gauge(
-            "repro_slo_burn_rate",
-            "Observed shed rate over the class shed bound (>1 = SLO burning).",
-            ("slo",),
-        )
-
-    # ------------------------------------------------------------------
-    def attach(self, log: EventLog, capacity: int = 65536) -> EventSubscription:
-        """Subscribe to a log with a collector-sized queue."""
-        return log.subscribe(capacity=capacity)
 
     def consume(self, subscription: EventSubscription, limit: int | None = None) -> int:
-        """Drain a subscription into the registry; returns events folded."""
-        events = subscription.poll(limit)
+        """Drain a subscription into the registry; returns events folded.
+
+        The poll happens under the registry lock, so concurrent pumps (a
+        scrape and the final drain) fold events in emission order.
+        """
         with self.registry.lock:
+            events = subscription.poll(limit)
+            self.events_seen += len(events)
             for event in events:
-                self._observe_locked(event)
+                kind, tier, data = event.kind, event.tier, event.data
+                self.events_total.labels(kind, tier).inc()
+                if kind in _LIFECYCLE_KINDS:
+                    self._lifecycle_events.feed(event)
+                elif kind == "queue":
+                    self.queue_depth.labels(tier).set(float(data.get("depth", 0)))
+                elif kind == "fuse":
+                    self.fused_joins.labels(tier).inc()
+                    self.fused_occupancy.labels(tier).set(float(data.get("group_size", 0)))
+                elif kind == "step":
+                    self.steps.labels(tier).inc()
+                elif kind == "fetch":
+                    self.fetches.labels(tier).inc()
+                    self.fetched_bytes.labels(tier).inc(float(data.get("nbytes", 0)))
+                elif kind in ("attach", "acquire", "release"):
+                    self.plane_ops.labels(kind).inc()
+                elif kind == "cache_hit":
+                    self.cache_hits.labels(tier, str(data.get("mode", "memo"))).inc()
+                elif kind == "cache_evict":
+                    self.cache_evictions.labels(
+                        str(data.get("scope", "memo")), str(data.get("reason", "lru"))
+                    ).inc()
+                elif kind == "fault":
+                    self.faults.labels(str(data.get("fault", "unknown"))).inc()
+                elif kind == "failover":
+                    self.failovers.inc()
+                elif kind == "hedge":
+                    self.hedges.labels("won" if data.get("won") else "lost").inc()
+                elif kind == "scale":
+                    self.scale_actions.labels(str(data.get("action", "unknown"))).inc()
+                # "dispatch" carries no derived metric beyond repro_events_total.
         return len(events)
 
-    def observe(self, event: Event) -> None:
-        """Fold one event into the registry."""
-        with self.registry.lock:
-            self._observe_locked(event)
 
-    def observe_all(self, events: Iterable[Event]) -> int:
-        count = 0
-        with self.registry.lock:
-            for event in events:
-                self._observe_locked(event)
-                count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    def _slo_of(self, tenant: str | None) -> str:
-        if self.slo_of is None:
-            return "unknown"
-        return self.slo_of(tenant)
-
-    def _request_key(self, event: Event) -> tuple[str, int | None, str | int | None]:
-        # Fleet lifecycle events ride the coordinator clock (the admit
-        # names no replica, the complete names the serving one), so the
-        # request alone keys the pairing; inner tiers pair within their
-        # replica's own axis — the summarize_events convention.
-        if event.tier == "fleet":
-            return (event.tier, None, event.request)
-        return (event.tier, event.replica, event.request)
-
-    def _observe_locked(self, event: Event) -> None:
-        self.events_seen += 1
-        self.events_total.labels(event.kind, event.tier).inc()
-        kind, tier, data = event.kind, event.tier, event.data
-        serving = tier in SERVING_TIERS
-        tenant_scope = tier == self.tenant_tier
-        if kind == "admit":
-            if serving:
-                self.admitted.labels(tier).inc()
-                self._arrivals[self._request_key(event)] = float(
-                    data.get("arrival", event.at)
-                )
-                if tenant_scope:
-                    self._burn.setdefault(self._slo_of(event.tenant), _ClassBurn()).submitted += 1
-                    self._refresh_burn(self._slo_of(event.tenant))
-        elif kind == "complete":
-            if serving:
-                self.completed.labels(tier).inc()
-                latency = data.get("latency")
-                if latency is None:
-                    arrival = self._arrivals.pop(self._request_key(event), None)
-                    if arrival is not None:
-                        latency = event.at - arrival
-                else:
-                    self._arrivals.pop(self._request_key(event), None)
-                    latency = float(latency)
-                if latency is not None:
-                    self.latency.labels(tier, self._slo_of(event.tenant)).observe(latency)
-                    if tenant_scope:
-                        self.tenant_completed.labels(event.tenant).inc()
-                        self.tenant_latency.labels(event.tenant).observe(latency)
-                elif tenant_scope:
-                    self.tenant_completed.labels(event.tenant).inc()
-        elif kind == "shed":
-            if serving:
-                reason = str(data.get("detail") or "deadline")
-                self.shed.labels(tier, reason).inc()
-                self._arrivals.pop(self._request_key(event), None)
-                if tenant_scope:
-                    self.tenant_shed.labels(event.tenant, reason).inc()
-                    slo = self._slo_of(event.tenant)
-                    self._burn.setdefault(slo, _ClassBurn()).shed += 1
-                    self._refresh_burn(slo)
-                    if "debt" in data:
-                        self.tenant_token_debt.labels(event.tenant).set(float(data["debt"]))
-        elif kind == "cancel":
-            if serving:
-                self.cancelled.labels(tier).inc()
-                self._arrivals.pop(self._request_key(event), None)
-        elif kind == "fail":
-            if serving:
-                self.failed.labels(tier, str(data.get("detail") or "unknown")).inc()
-                self._arrivals.pop(self._request_key(event), None)
-        elif kind == "queue":
-            self.queue_depth.labels(tier).set(float(data.get("depth", 0)))
-        elif kind == "fuse":
-            self.fused_joins.labels(tier).inc()
-            self.fused_occupancy.labels(tier).set(float(data.get("group_size", 0)))
-        elif kind == "step":
-            self.steps.labels(tier).inc()
-        elif kind == "fetch":
-            self.fetches.labels(tier).inc()
-            self.fetched_bytes.labels(tier).inc(float(data.get("nbytes", 0)))
-        elif kind in ("attach", "acquire", "release"):
-            self.plane_ops.labels(kind).inc()
-        elif kind == "cache_hit":
-            self.cache_hits.labels(tier, str(data.get("mode", "memo"))).inc()
-        elif kind == "cache_evict":
-            self.cache_evictions.labels(
-                str(data.get("scope", "memo")), str(data.get("reason", "lru"))
-            ).inc()
-        elif kind == "fault":
-            self.faults.labels(str(data.get("fault", "unknown"))).inc()
-        elif kind == "failover":
-            self.failovers.inc()
-        elif kind == "hedge":
-            self.hedges.labels("won" if data.get("won") else "lost").inc()
-        elif kind == "scale":
-            self.scale_actions.labels(str(data.get("action", "unknown"))).inc()
-        # "dispatch" and trace-tier admits carry no derived metric
-        # beyond repro_events_total.
-
-    def _refresh_burn(self, slo: str) -> None:
-        burn = self._burn.get(slo)
-        if burn is None or burn.submitted == 0:
-            return
-        slo_class = SLO_CLASSES.get(slo)
-        if slo_class is None or slo_class.shed_bound == 0:
-            return
-        rate = burn.shed / burn.submitted
-        self.slo_burn_rate.labels(slo).set(rate / slo_class.shed_bound)
-
-
-# ---------------------------------------------------------------------------
-# the live-vs-post-hoc equivalence contract
-# ---------------------------------------------------------------------------
-def _mismatch(name: str, live: Any, post: Any) -> str:
-    return f"{name}: live={live!r} post-hoc={post!r}"
-
-
-def _close_or_equal(live: float | None, post: float | None) -> bool:
-    if live is None or post is None:
-        return live is None and post is None
-    return live == post
-
-
-def fleet_equivalence_report(
-    collector: TelemetryCollector,
-    stats,
-    dropped: Iterable | None = None,
-) -> list[str]:
-    """Mismatches between live registry values and post-hoc FleetStats.
-
-    Empty list = the §14 contract holds: counts, shed reasons,
-    per-tenant p50/p99 and cache hits derived live from the event
-    stream are *exactly* equal to what
-    :meth:`~repro.core.fleet.FleetService.stats` aggregates after the
-    fact.  ``dropped`` (the fleet's
-    :attr:`~repro.core.fleet.FleetService.dropped_requests`) extends
-    the check to per-reason drop counts.
-    """
-    report: list[str] = []
-    completed = collector.completed.value("fleet")
-    if completed != len(stats.outcomes):
-        report.append(_mismatch("completed", completed, len(stats.outcomes)))
-    failed = sum(
-        child.value
-        for labels, child in collector.failed.children.items()
-        if labels[0] == "fleet"
-    )
-    if failed != stats.failed_requests:
-        report.append(_mismatch("failed", failed, stats.failed_requests))
-    failovers = collector.failovers.value()
-    if failovers != stats.failovers:
-        report.append(_mismatch("failovers", failovers, stats.failovers))
-    hedges = collector.hedges.total()
-    if hedges != stats.hedges_launched:
-        report.append(_mismatch("hedges_launched", hedges, stats.hedges_launched))
-    hedges_won = collector.hedges.value("won")
-    if hedges_won != stats.hedges_won:
-        report.append(_mismatch("hedges_won", hedges_won, stats.hedges_won))
-    scale_actions = collector.scale_actions.total()
-    if scale_actions != len(stats.scaling_events):
-        report.append(
-            _mismatch("scale_actions", scale_actions, len(stats.scaling_events))
-        )
-    for p, post in (
-        (50, stats.p50_latency),
-        (95, stats.p95_latency),
-        (99, stats.p99_latency),
-    ):
-        live = collector.latency.quantile(p, "fleet")
-        if not _close_or_equal(live, post):
-            report.append(_mismatch(f"p{p}_latency", live, post))
-    if dropped is not None:
-        by_reason: dict[str, int] = {}
-        for drop in dropped:
-            by_reason[drop.reason] = by_reason.get(drop.reason, 0) + 1
-        live_shed = sum(
-            child.value
-            for labels, child in collector.shed.children.items()
-            if labels[0] == "fleet"
-        )
-        if live_shed != by_reason.get("shed", 0):
-            report.append(_mismatch("shed", live_shed, by_reason.get("shed", 0)))
-        live_cancelled = collector.cancelled.value("fleet")
-        if live_cancelled != by_reason.get("cancelled", 0):
-            report.append(
-                _mismatch("cancelled", live_cancelled, by_reason.get("cancelled", 0))
-            )
-    if stats.data_plane is not None:
-        for mode, post_hits in (
-            ("memo", stats.data_plane.memo_hits),
-            ("coalesced", stats.data_plane.coalesced),
-            ("overlap", stats.data_plane.overlap_hits),
-        ):
-            live_hits = collector.cache_hits.value("fleet", mode)
-            if live_hits != post_hits:
-                report.append(_mismatch(f"cache_{mode}_hits", live_hits, post_hits))
-    for tenant, tenant_stats in stats.tenants.items():
-        label = "" if tenant is None else str(tenant)
-        live_completed = collector.tenant_completed.value(label)
-        if live_completed != tenant_stats.completed:
-            report.append(
-                _mismatch(f"tenant[{label}].completed", live_completed, tenant_stats.completed)
-            )
-        live_shed = sum(
-            child.value
-            for labels, child in collector.tenant_shed.children.items()
-            if labels[0] == label
-        )
-        if live_shed != tenant_stats.shed:
-            report.append(_mismatch(f"tenant[{label}].shed", live_shed, tenant_stats.shed))
-        for p, post in ((50, tenant_stats.p50_latency), (99, tenant_stats.p99_latency)):
-            live = collector.tenant_latency.quantile(p, label)
-            if not _close_or_equal(live, post):
-                report.append(_mismatch(f"tenant[{label}].p{p}", live, post))
-    return report
-
-
-@dataclass
-class LatencyView:
-    """One tier's live latency/count rollup (``cli live`` dashboard)."""
-
-    tier: str
-    admitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    cancelled: int = 0
-    failed: int = 0
-    p50: float | None = None
-    p95: float | None = None
-    p99: float | None = None
-
-
-def dashboard_views(samples: dict[str, list[tuple[dict[str, str], float]]]) -> list[LatencyView]:
+def dashboard_views(samples: dict[str, list[tuple[dict[str, str], float]]]) -> list[TierSummary]:
     """Fold a parsed exposition into per-tier dashboard rows.
 
     Works from the scrape alone — quantiles are bucket-estimated via
     :func:`estimate_quantile_from_buckets`, which is all a remote
     scraper can reconstruct without the raw samples.
     """
-    views: dict[str, LatencyView] = {}
+    views: dict[str, TierSummary] = {}
 
-    def view(tier: str) -> LatencyView:
+    def view(tier: str) -> TierSummary:
         if tier not in views:
-            views[tier] = LatencyView(tier=tier)
+            views[tier] = TierSummary(tier=tier)
         return views[tier]
 
     for name, attr in (
@@ -888,25 +867,26 @@ def dashboard_views(samples: dict[str, list[tuple[dict[str, str], float]]]) -> l
         cumulative = sorted(per_tier.items())
         count = cumulative[-1][1] if cumulative else 0
         row = view(tier)
-        row.p50 = estimate_quantile_from_buckets(cumulative, count, 50)
-        row.p95 = estimate_quantile_from_buckets(cumulative, count, 95)
-        row.p99 = estimate_quantile_from_buckets(cumulative, count, 99)
+        row.p50_latency = estimate_quantile_from_buckets(cumulative, count, 50)
+        row.p95_latency = estimate_quantile_from_buckets(cumulative, count, 95)
+        row.p99_latency = estimate_quantile_from_buckets(cumulative, count, 99)
     return [views[tier] for tier in sorted(views)]
 
 
 __all__ = [
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
+    "EventFold",
     "Gauge",
     "Histogram",
     "HistogramValue",
-    "LatencyView",
+    "LifecycleFold",
     "MetricFamily",
     "MetricsRegistry",
     "TelemetryCollector",
+    "TierSummary",
     "dashboard_views",
     "estimate_quantile_from_buckets",
-    "fleet_equivalence_report",
     "parse_exposition",
     "slo_lookup",
 ]

@@ -47,15 +47,9 @@ existed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping
-
-import numpy as np
+from typing import Iterable, Mapping
 
 from .scheduler import LANE_BATCH, LANE_INTERACTIVE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (fleet imports us)
-    from .fleet import RequestOutcome
-    from .scheduler import DroppedRequest
 
 
 # ---------------------------------------------------------------------------
@@ -319,51 +313,11 @@ class FairAdmission:
             if state is not None and state.queued > 0:
                 state.queued -= 1
 
-    # -- stats ----------------------------------------------------------
-    def tenant_stats(
-        self,
-        outcomes: "Iterable[RequestOutcome]",
-        dropped: "Iterable[DroppedRequest]",
-    ) -> dict[str | None, "TenantStats"]:
-        """Per-tenant rollup over every terminated request so far."""
-        latencies: dict[str | None, list[float]] = {}
-        sheds: dict[str | None, int] = {}
-        other: dict[str | None, int] = {}
-        for outcome in outcomes:
-            latencies.setdefault(outcome.tenant, []).append(outcome.latency)
-        for drop in dropped:
-            bucket = sheds if drop.reason == "shed" else other
-            bucket[drop.tenant] = bucket.get(drop.tenant, 0) + 1
-        tenants = set(latencies) | set(sheds) | set(other) | set(self.states)
-        stats: dict[str | None, TenantStats] = {}
-        for tenant in tenants:
-            state = self.state(tenant)
-            done = latencies.get(tenant, [])
-            shed = sheds.get(tenant, 0)
-            lost = other.get(tenant, 0)
-            submitted = len(done) + shed + lost
-            stats[tenant] = TenantStats(
-                tenant=tenant,
-                slo=state.policy.slo,
-                weight=state.policy.weight,
-                submitted=submitted,
-                completed=len(done),
-                shed=shed,
-                # Empty samples have no percentiles: ``None`` here, and
-                # the harness renders it as "-" (the PR 6/8 convention)
-                # instead of crashing on a tenant that never completed.
-                p50_latency=float(np.percentile(done, 50)) if done else None,
-                p99_latency=float(np.percentile(done, 99)) if done else None,
-                shed_rate=(shed / submitted) if submitted else 0.0,
-                token_debt=state.bucket.debt,
-                shed_bound=state.policy.slo_class.shed_bound,
-            )
-        return stats
-
 
 @dataclass
 class TenantStats:
-    """Per-tenant serving rollup surfaced via ``FleetStats.tenants``."""
+    """Per-tenant serving rollup surfaced via ``FleetStats.tenants``
+    (built by ``LifecycleFold.tenant_rollups``)."""
 
     tenant: str | None
     slo: str

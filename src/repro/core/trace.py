@@ -28,15 +28,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
 from ..data.workloads import CandidateSpec, RerankQuery, build_batch
 from ..device.faults import FaultEvent, FaultPlan
 from ..device.platforms import get_profile
-from ..model.transformer import CrossEncoderModel
+from ..model.shared import shared_model, shared_tokenizer
 from ..model.zoo import get_model_config
-from ..text.tokenizer import Tokenizer
-from ..text.vocab import Vocabulary
 from .api import SelectionRequest, DeviceServer, EngineServer, FleetServer
 from .config import PrismConfig
 from .engine import PrismEngine
@@ -51,6 +47,7 @@ from .fleet import FleetConfig, FleetService
 from .resilience import AutoscalerConfig, ResilienceConfig
 from .scheduler import LANE_BATCH
 from .service import SemanticSelectionService
+from .telemetry import EventFold, LifecycleFold, TierSummary
 
 #: JSONL header schema tag / version.
 TRACE_SCHEMA = "repro.trace"
@@ -203,24 +200,6 @@ class TraceSpec:
 # ---------------------------------------------------------------------------
 # execution
 # ---------------------------------------------------------------------------
-# Process-wide immutable shares (same discipline as harness.runner):
-# weights depend only on the model seed, so reuse is behaviour-neutral.
-_MODEL_CACHE: dict[str, CrossEncoderModel] = {}
-_TOKENIZER_CACHE: dict[int, Tokenizer] = {}
-
-
-def _shared_model(name: str) -> CrossEncoderModel:
-    if name not in _MODEL_CACHE:
-        _MODEL_CACHE[name] = CrossEncoderModel(get_model_config(name))
-    return _MODEL_CACHE[name]
-
-
-def _shared_tokenizer(vocab_size: int) -> Tokenizer:
-    if vocab_size not in _TOKENIZER_CACHE:
-        _TOKENIZER_CACHE[vocab_size] = Tokenizer(Vocabulary(vocab_size))
-    return _TOKENIZER_CACHE[vocab_size]
-
-
 @dataclass
 class TraceRun:
     """One executed trace: the log plus the request outcomes."""
@@ -255,7 +234,7 @@ def build_server(spec: TraceSpec, log: EventLog | None):
     ``log=None`` the stack runs unobserved — the equivalence tests use
     exactly this to pin zero behaviour change.
     """
-    model = _shared_model(spec.model)
+    model = shared_model(get_model_config(spec.model))
     profiles = [get_profile(name) for name in spec.platforms]
     config = PrismConfig(numerics=False)
     if spec.tier == "engine":
@@ -327,7 +306,7 @@ def run_trace(
         log = EventLog()
     server, clock = build_server(spec, log)
     model_config = get_model_config(spec.model)
-    tokenizer = _shared_tokenizer(model_config.vocab_size)
+    tokenizer = shared_tokenizer(model_config)
     origin = clock.now
     if log is not None:
         for request in requests:
@@ -487,22 +466,6 @@ def replay_trace(
 # aggregation (cli trace summary / tail)
 # ---------------------------------------------------------------------------
 @dataclass
-class TierSummary:
-    """Per-tier lifecycle rollup of one event log."""
-
-    tier: str
-    admitted: int = 0
-    completed: int = 0
-    shed: int = 0
-    cancelled: int = 0
-    failed: int = 0
-    throughput_rps: float | None = None
-    p50_latency: float | None = None
-    p95_latency: float | None = None
-    p99_latency: float | None = None
-
-
-@dataclass
 class TraceSummary:
     """The fleet dashboard a log aggregates into (DESIGN.md §10)."""
 
@@ -520,57 +483,27 @@ class TraceSummary:
 def summarize_events(events: Sequence[Event]) -> TraceSummary:
     """Aggregate a log: per-tier throughput, latency percentiles, drops.
 
-    Latency is ``terminal.at − arrival`` on the tier's own clock (both
-    carried by the tier's events, so replicas' differing origins never
-    mix); throughput is completions over the tier's observed span.
+    The lifecycle columns are the :class:`~repro.core.telemetry.LifecycleFold`
+    view of the log (latency is ``terminal.at − arrival`` on the tier's
+    own clock); throughput is completions over the tier's observed span.
     """
+    lifecycle = LifecycleFold()
+    feed = EventFold(lifecycle).feed
     kinds: dict[str, int] = {}
+    spans: dict[str, tuple[float, float]] = {}
+    fetched_bytes = 0
     for event in events:
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
-    tiers = []
-    for tier in SERVING_TIERS:
-        tier_events = [e for e in events if e.tier == tier]
-        summary = TierSummary(tier=tier)
-        arrivals: dict[tuple, float] = {}
-        latencies: list[float] = []
-        for event in tier_events:
-            # Fleet lifecycle events all ride the coordinator clock —
-            # the admit names no replica while the complete names the
-            # serving one — so the request alone keys the pairing;
-            # device/engine events pair within their replica's axis.
-            key = (
-                (event.request,)
-                if tier == "fleet"
-                else (event.replica, event.request)
-            )
-            if event.kind == "admit":
-                summary.admitted += 1
-                arrivals[key] = float(event.data.get("arrival", event.at))
-            elif event.kind == "complete":
-                summary.completed += 1
-                if "latency" in event.data:
-                    latencies.append(float(event.data["latency"]))
-                elif key in arrivals:
-                    latencies.append(event.at - arrivals[key])
-            elif event.kind == "shed":
-                summary.shed += 1
-            elif event.kind == "cancel":
-                summary.cancelled += 1
-            elif event.kind == "fail":
-                summary.failed += 1
-        if not (summary.admitted or summary.completed + summary.shed
-                + summary.cancelled + summary.failed):
-            # The tier served nothing (e.g. stray engine step events
-            # under a device-tier run) — no dashboard row.
-            continue
-        span = max(e.at for e in tier_events) - min(e.at for e in tier_events)
-        if summary.completed and span > 0:
-            summary.throughput_rps = summary.completed / span
-        if latencies:
-            summary.p50_latency = float(np.percentile(latencies, 50))
-            summary.p95_latency = float(np.percentile(latencies, 95))
-            summary.p99_latency = float(np.percentile(latencies, 99))
-        tiers.append(summary)
+        first, last = spans.get(event.tier, (event.at, event.at))
+        spans[event.tier] = (min(first, event.at), max(last, event.at))
+        if event.kind == "fetch":
+            fetched_bytes += int(event.data.get("nbytes", 0))
+        feed(event)
+    tiers = lifecycle.tiers()
+    for row in tiers:
+        first, last = spans[row.tier]
+        if row.completed and last > first:
+            row.throughput_rps = row.completed / (last - first)
     return TraceSummary(
         events=len(events),
         kinds=kinds,
@@ -580,9 +513,7 @@ def summarize_events(events: Sequence[Event]) -> TraceSummary:
         hedges=kinds.get("hedge", 0),
         scale_actions=kinds.get("scale", 0),
         fetches=kinds.get("fetch", 0),
-        fetched_bytes=sum(
-            int(e.data.get("nbytes", 0)) for e in events if e.kind == "fetch"
-        ),
+        fetched_bytes=fetched_bytes,
     )
 
 

@@ -190,9 +190,7 @@ def fig2_sparsity(
     spec = get_dataset(dataset)
     queries = spec.queries(num_queries, num_candidates=num_candidates)
 
-    from ..model.transformer import CrossEncoderModel
-
-    dynamics = CrossEncoderModel(model).dynamics
+    dynamics = shared_model(model).dynamics
     num_layers = model.num_layers
 
     gammas = np.zeros(num_layers)

@@ -4,8 +4,12 @@ The §10 event log already records everything the stack does; this
 module streams it *while the run is still going*.  A
 :class:`LiveTelemetry` folds a bounded
 :class:`~repro.core.events.EventSubscription` into the §14 metrics
-registry, and a :class:`LiveServer` (a ``ThreadingHTTPServer`` on a
-daemon thread — no third-party dependency) exposes:
+registry — the same lifecycle fold ``FleetStats`` and ``cli trace
+summary`` read, so the live numbers agree with them by construction,
+and the one thing left to check is that the fold saw every event
+(``collector.events_seen`` against the log, ``subscription.dropped``).
+A :class:`LiveServer` (a ``ThreadingHTTPServer`` on a daemon thread —
+no third-party dependency) exposes:
 
 ``/metrics``
     Prometheus text exposition 0.0.4 of the derived registry.
@@ -52,7 +56,7 @@ class LiveTelemetry:
     registry (collector and registry share a lock, so a concurrent
     scrape sees a consistent snapshot); ``drain()`` pumps until the
     queue is empty — call it after the run finishes so the registry
-    reflects the complete stream before the equivalence check.
+    reflects the complete stream before checking that none was missed.
     """
 
     def __init__(

@@ -27,30 +27,12 @@ from ..core.metrics import precision_at_k
 from ..data.workloads import RerankQuery, build_batch
 from ..device.memory import MiB, OutOfMemoryError, TimelinePoint
 from ..device.platforms import get_profile
+from ..model.shared import shared_model, shared_tokenizer
 from ..model.transformer import CrossEncoderModel
 from ..model.zoo import ModelConfig
-from ..text.tokenizer import Tokenizer
-from ..text.vocab import Vocabulary
 
 #: The systems compared throughout the evaluation (§6.1).
 SYSTEMS = ("hf", "hf_offload", "hf_quant", "prism", "prism_quant")
-
-_MODEL_CACHE: dict[tuple[str, bool], CrossEncoderModel] = {}
-_TOKENIZER_CACHE: dict[int, Tokenizer] = {}
-
-
-def shared_model(config: ModelConfig) -> CrossEncoderModel:
-    """Process-wide model instance (weights are immutable; sharing is safe)."""
-    key = (config.name, False)
-    if key not in _MODEL_CACHE:
-        _MODEL_CACHE[key] = CrossEncoderModel(config)
-    return _MODEL_CACHE[key]
-
-
-def shared_tokenizer(config: ModelConfig) -> Tokenizer:
-    if config.vocab_size not in _TOKENIZER_CACHE:
-        _TOKENIZER_CACHE[config.vocab_size] = Tokenizer(Vocabulary(config.vocab_size))
-    return _TOKENIZER_CACHE[config.vocab_size]
 
 
 def create_engine(

@@ -216,14 +216,14 @@ def test_observability_docs_cover_event_plane():
 def test_observability_docs_cover_live_telemetry():
     """docs/observability.md must document the §14 live telemetry
     plane: subscriptions, the metrics namespace, the progress server's
-    three endpoints, the equivalence contract, and timeline export."""
+    three endpoints, the one lifecycle fold, and timeline export."""
     doc = (REPO_ROOT / "docs" / "observability.md").read_text()
     assert "Live telemetry" in doc
     for concept in (
         "EventLog.subscribe",
         "TelemetryCollector",
         "MetricsRegistry",
-        "fleet_equivalence_report",
+        "LifecycleFold",
         "parse_exposition",
         "repro_requests_shed_total",
         "repro_request_latency_seconds",

@@ -139,7 +139,7 @@ class TestLiveTelemetry:
         _emit_lifecycle(log)
         folded = telemetry.drain()
         assert folded == len(log)
-        assert telemetry.collector.completed.value("fleet") == 1
+        assert telemetry.collector.lifecycle.completed.value("fleet") == 1
         telemetry.close()
         assert log.subscriber_count == 0
 
@@ -264,11 +264,31 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "registry == FleetStats" in out
+        # Exit code 2 would mean the live fold missed events.
+        assert re.search(r"live telemetry: (\d+) of \1 events folded", out), out
         match = re.search(r"live telemetry at (http://[\d.:]+)", out)
         assert match, out
         assert timeline.exists()
         assert json.loads(timeline.read_text())["traceEvents"]
+
+    def test_serve_live_port_exits_2_when_the_fold_misses_events(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # A subscription too small for the run drops events: the live
+        # fold is then incomplete, and serve says so with exit code 2.
+        import repro.harness.live as live_module
+
+        class LossyTelemetry(live_module.LiveTelemetry):
+            def __init__(self, log, tenancy=None, tenant_tier="fleet"):
+                super().__init__(log, tenancy=tenancy, tenant_tier=tenant_tier, capacity=2)
+
+        monkeypatch.setattr(live_module, "LiveTelemetry", LossyTelemetry)
+        requests = tmp_path / "requests.json"
+        requests.write_text(json.dumps([{"id": "q0", "k": 2, "num_candidates": 6}]))
+        code = main(["serve", str(requests), "--tier", "fleet", "--live-port", "0"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "live telemetry MISSED events" in out
 
     def test_trace_timeline_subcommand(self, recorded, tmp_path, capsys):
         out_path = recorded

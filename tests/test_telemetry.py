@@ -2,15 +2,24 @@
 
 Three contracts: subscriber fan-out never perturbs the simulation
 (byte-identity, bounded drops), the registry's Prometheus exposition is
-grammatically valid, and live-derived registry values equal post-hoc
-aggregation (`FleetStats`, `summarize_events`) exactly.
+grammatically valid and parses back exactly, and every lifecycle number
+is one fold — the `/metrics` text and `cli trace summary` reproduce
+committed snapshots, and a fleet's fold of its own records equals the
+fold of its event stream.
 """
 
+import contextlib
+import io
 import re
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.api import SelectionRequest, serve_all
 from repro.core.config import PrismConfig
 from repro.core.events import EVENT_KINDS, EventLog
 from repro.core.fleet import FleetConfig, FleetService
@@ -19,19 +28,26 @@ from repro.core.telemetry import (
     Counter,
     Gauge,
     Histogram,
+    LifecycleFold,
     MetricsRegistry,
     TelemetryCollector,
     dashboard_views,
     estimate_quantile_from_buckets,
-    fleet_equivalence_report,
     parse_exposition,
     slo_lookup,
 )
 from repro.core.tenancy import TenancyConfig, TenantPolicy
-from repro.core.trace import run_trace, summarize_events
+from repro.core.trace import (
+    TraceSpec,
+    build_server,
+    render_trace,
+    run_trace,
+    summarize_events,
+)
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
+from repro.harness.cli import main as cli_main
 from repro.harness.runner import shared_model, shared_tokenizer
 from repro.harness.traces import build_scenario
 from repro.model.zoo import QWEN3_0_6B
@@ -46,11 +62,30 @@ SAMPLE_LINE = re.compile(
 COMMENT_LINE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]*( .*)?$")
 
 
-@pytest.fixture(scope="module")
-def batches():
+SNAPSHOTS = Path(__file__).resolve().parent / "fixtures" / "telemetry"
+
+#: The canonical quick scenarios plus the tenancy + data-plane fleet run.
+SNAPSHOT_RUNS = ("engine", "device", "fleet", "deadline", "resilience", "tenancy")
+
+#: The stack the tenancy run serves, as a trace header (the summary
+#: reads only the events; a spec cannot express tenancy).
+TENANCY_SPEC = TraceSpec(
+    tier="fleet",
+    platforms=("nvidia_5070", "nvidia_5070"),
+    fleet={"max_batch": 4, "data_plane": True},
+)
+TENANCY = TenancyConfig(policies={"greedy": TenantPolicy(rate=0.0, burst=2.0)})
+
+
+def make_batches():
     tokenizer = shared_tokenizer(QWEN3_0_6B)
     queries = get_dataset("wikipedia").queries(8, 8)
     return [build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len) for q in queries]
+
+
+@pytest.fixture(scope="module")
+def batches():
+    return make_batches()
 
 
 def make_fleet(tenancy=None, event_log=None, **fleet_kwargs):
@@ -63,6 +98,44 @@ def make_fleet(tenancy=None, event_log=None, **fleet_kwargs):
         tenancy=tenancy,
         event_log=event_log,
     )
+
+
+def serve_tenancy_run(batches, event_log=None):
+    """Greedy tenants shed at admission, the rest share a data plane."""
+    fleet = make_fleet(
+        tenancy=TENANCY, event_log=event_log, max_batch=4, data_plane=True
+    )
+    for index, batch in enumerate(batches):
+        tenant = "greedy" if index % 2 else f"t{index % 3}"
+        fleet.submit_request(batch, 2, at=index * 0.002, tenant=tenant)
+    fleet.drain()
+    return fleet
+
+
+def snapshot_run(name: str) -> tuple[TraceSpec, EventLog, TelemetryCollector]:
+    """One snapshot run: its spec, its log and the collector that folded it."""
+    log = EventLog()
+    subscription = log.subscribe(capacity=65536)
+    if name == "tenancy":
+        spec = TENANCY_SPEC
+        serve_tenancy_run(make_batches(), event_log=log)
+        collector = TelemetryCollector(slo_of=slo_lookup(TENANCY))
+    else:
+        spec, requests = build_scenario(name, quick=True)
+        run_trace(spec, requests, log=log)
+        collector = TelemetryCollector(tenant_tier=spec.tier)
+    collector.consume(subscription)
+    assert subscription.dropped == 0
+    return spec, log, collector
+
+
+def trace_summary_text(spec: TraceSpec, log: EventLog, path: Path) -> str:
+    """``cli trace summary`` output for a log written as a trace file."""
+    path.write_text(render_trace(spec, log))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(["trace", "summary", str(path)]) == 0
+    return out.getvalue()
 
 
 class TestSubscription:
@@ -234,6 +307,27 @@ class TestExposition:
         ]
         assert inf_buckets == [4.0]
 
+    @settings(max_examples=200, deadline=None)
+    @example(["a}b", "a\\n"])  # a brace, and a backslash before an n
+    @given(st.lists(st.text(), min_size=1, max_size=4, unique=True))
+    def test_parse_inverts_render(self, values):
+        # Label values come from traffic files and request JSON, so any
+        # string must survive render → parse unchanged.
+        registry = MetricsRegistry()
+        counter = registry.counter("repro_demo_total", "Demo.", ("tenant", "reason"))
+        histogram = registry.histogram("repro_demo_seconds", "Demo.", ("tenant",))
+        for index, value in enumerate(values):
+            counter.labels(value, value[::-1]).inc(index + 1)
+            histogram.labels(value).observe(0.5)
+        samples = parse_exposition(registry.render())
+        assert sorted(
+            (labels["tenant"], labels["reason"], value)
+            for labels, value in samples["repro_demo_total"]
+        ) == sorted((value, value[::-1], float(i + 1)) for i, value in enumerate(values))
+        assert sorted(labels["tenant"] for labels, _ in samples["repro_demo_seconds_count"]) == (
+            sorted(values)
+        )
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_exposition("this is not { an exposition line\n")
@@ -250,7 +344,7 @@ class TestExposition:
         views = dashboard_views(parse_exposition(collector.registry.render()))
         (fleet,) = [v for v in views if v.tier == "fleet"]
         assert fleet.admitted == 2 and fleet.completed == 1 and fleet.shed == 1
-        assert fleet.p50 is not None and 0.0 < fleet.p50 <= 1.0
+        assert fleet.p50_latency is not None and 0.0 < fleet.p50_latency <= 1.0
 
 
 class TestCollector:
@@ -276,9 +370,10 @@ class TestCollector:
         log.emit("shed", at=0.0, tier="fleet", request=2, detail="rate_limit")
         log.emit("shed", at=0.0, tier="fleet", request=3, detail="queue_limit")
         collector.consume(sub)
-        assert collector.shed.value("fleet", "deadline") == 1
-        assert collector.shed.value("fleet", "rate_limit") == 1
-        assert collector.shed.value("fleet", "queue_limit") == 1
+        shed = collector.lifecycle.shed
+        assert shed.value("fleet", "deadline") == 1
+        assert shed.value("fleet", "rate_limit") == 1
+        assert shed.value("fleet", "queue_limit") == 1
 
     def test_device_latency_from_admit_pairing(self):
         # Device/engine completes carry no latency field: the collector
@@ -291,7 +386,7 @@ class TestCollector:
         log.emit("complete", at=1.0, tier="device", request=1, replica=0)
         log.emit("complete", at=2.0, tier="device", request=1, replica=1)
         collector.consume(sub)
-        assert collector.latency.merged_samples("device") == [0.75, 1.5]
+        assert collector.lifecycle.latency.merged_samples("device") == [0.75, 1.5]
 
     def test_tenant_tier_validation(self):
         with pytest.raises(ValueError):
@@ -307,86 +402,139 @@ class TestCollector:
         log.emit("shed", at=0.1, tier="fleet", request=0, tenant="t", detail="rate_limit")
         collector.consume(sub)
         # 1 shed / 4 submitted over batch's 0.80 bound.
-        assert collector.slo_burn_rate.value("batch") == pytest.approx(0.25 / 0.80)
+        assert collector.lifecycle.slo_burn_rate.value("batch") == pytest.approx(0.25 / 0.80)
+
+
+def serve_resilience_run(event_log: EventLog) -> FleetService:
+    """The resilience scenario's fleet: a crash, failover, hedges, scaling."""
+    spec, requests = build_scenario("resilience", quick=True)
+    server, _ = build_server(spec, event_log)
+    tokenizer = shared_tokenizer(QWEN3_0_6B)
+    serve_all(
+        server,
+        [
+            SelectionRequest(
+                batch=build_batch(r.query, tokenizer, QWEN3_0_6B.max_seq_len),
+                k=r.k,
+                request_id=r.request_id,
+                arrival=r.arrival,
+                hedge_after_ms=r.hedge_after_ms,
+            )
+            for r in requests
+        ],
+    )
+    return server.fleet
+
+
+def serve_repeats_run(batches, event_log: EventLog) -> FleetService:
+    """Three queries asked again and again: memo hits and coalescing."""
+    fleet = make_fleet(event_log=event_log, max_batch=2, data_plane=True)
+    for index in range(12):
+        fleet.submit_request(batches[index % 3], 2, at=index * 0.05)
+    fleet.drain()
+    return fleet
+
+
+def fleet_view(fold: LifecycleFold) -> tuple:
+    """What a fleet's records carry: every fleet-tier and tenant count,
+    reason and percentile of a fold — all but the admissions."""
+    reasons = {
+        labels: child.value
+        for family in (fold.shed, fold.failed, fold.tenant_shed)
+        for labels, child in family.children.items()
+        if family is fold.tenant_shed or labels[0] == "fleet"
+    }
+    tenants = {key[0] for key in [*fold.tenant_completed.children, *fold.tenant_shed.children]}
+    per_tenant = {
+        tenant: (
+            fold.tenant_completed.value(tenant),
+            [fold.tenant_latency.quantile(p, tenant) for p in (50, 95, 99)],
+        )
+        for tenant in tenants
+    }
+    return replace(fold.tier("fleet"), admitted=0), reasons, per_tenant
 
 
 class TestScenarioEquivalence:
-    """Registry-at-drain == post-hoc aggregation, per scenario."""
+    """Every lifecycle view is a view of one fold."""
 
     @pytest.mark.parametrize("scenario", ["deadline", "resilience"])
     def test_registry_matches_summarize_events(self, scenario):
-        spec, requests = build_scenario(scenario, quick=True)
-        log = EventLog()
-        sub = log.subscribe(capacity=65536)
-        run = run_trace(spec, requests, log=log)
-        collector = TelemetryCollector(tenant_tier=spec.tier)
-        collector.consume(sub)
-        assert sub.dropped == 0
-        assert collector.events_seen == len(run.log)
-        dashboard = summarize_events(run.log.events)
+        _, log, collector = snapshot_run(scenario)
+        assert collector.events_seen == len(log)
+        dashboard = summarize_events(log.events)
         assert dashboard.tiers, "scenario produced no serving-tier events"
-        for tier in dashboard.tiers:
-            assert collector.admitted.value(tier.tier) == tier.admitted
-            assert collector.completed.value(tier.tier) == tier.completed
-            shed = sum(
-                child.value
-                for labels, child in collector.shed.children.items()
-                if labels[0] == tier.tier
-            )
-            assert shed == tier.shed
-            assert collector.cancelled.value(tier.tier) == tier.cancelled
-            failed = sum(
-                child.value
-                for labels, child in collector.failed.children.items()
-                if labels[0] == tier.tier
-            )
-            assert failed == tier.failed
-            # Exact equality — both sides are np.percentile over the
-            # same latency samples, not a bucket approximation.
-            assert collector.latency.quantile(50, tier.tier) == tier.p50_latency
-            assert collector.latency.quantile(95, tier.tier) == tier.p95_latency
-            assert collector.latency.quantile(99, tier.tier) == tier.p99_latency
+        # Only the throughput column needs more than the fold: the
+        # tier's whole observed span.
+        assert [replace(tier, throughput_rps=None) for tier in dashboard.tiers] == (
+            collector.lifecycle.tiers()
+        )
         assert collector.faults.total() == dashboard.faults
         assert collector.failovers.value() == dashboard.failovers
         assert collector.hedges.total() == dashboard.hedges
         assert collector.fetches.total() == dashboard.fetches
         assert collector.fetched_bytes.total() == dashboard.fetched_bytes
 
-    def test_fleet_stats_equivalence_with_tenancy_and_data_plane(self, batches):
-        tenancy = TenancyConfig(
-            policies={"greedy": TenantPolicy(rate=0.0, burst=2.0)},
-        )
+    @pytest.mark.parametrize("run", ["tenancy", "resilience", "repeats"])
+    def test_record_fold_equals_event_fold(self, run, batches):
+        """``fleet.stats()`` folds the fleet's own completion and drop
+        records; the collector folds its event stream.  The two agree on
+        counts, reasons and p50/p95/p99, per tier and per tenant."""
         log = EventLog()
-        fleet = make_fleet(
-            tenancy=tenancy, event_log=log, max_batch=4, data_plane=True
-        )
-        sub = log.subscribe(capacity=65536)
-        collector = TelemetryCollector(slo_of=slo_lookup(tenancy))
-        for index, batch in enumerate(batches):
-            tenant = "greedy" if index % 2 else f"t{index % 3}"
-            fleet.submit_request(batch, 2, at=index * 0.002, tenant=tenant)
-        fleet.drain()
-        collector.consume(sub)
+        subscription = log.subscribe(capacity=65536)
+        if run == "tenancy":
+            fleet = serve_tenancy_run(batches, event_log=log)
+        elif run == "resilience":
+            fleet = serve_resilience_run(log)
+        else:
+            fleet = serve_repeats_run(batches, log)
+        collector = TelemetryCollector(slo_of=slo_lookup(TENANCY) if run == "tenancy" else None)
+        collector.consume(subscription)
+        assert subscription.dropped == 0
         stats = fleet.stats()
-        assert stats.tenants and fleet.dropped_requests  # sheds happened
-        report = fleet_equivalence_report(collector, stats, fleet.dropped_requests)
-        assert report == [], "\n".join(report)
-        # Token debt at the last rate-limit shed is observable live.
-        assert collector.tenant_token_debt.value("greedy") == pytest.approx(2.0)
+        assert fleet_view(stats.lifecycle) == fleet_view(collector.lifecycle)
+        live = collector.lifecycle.tier("fleet")
+        # Exactly one terminal record per admission.
+        assert live.admitted == len(stats.outcomes) + len(fleet.dropped_requests)
+        assert (stats.p50_latency, stats.p95_latency, stats.p99_latency) == (
+            live.p50_latency,
+            live.p95_latency,
+            live.p99_latency,
+        )
+        # Non-lifecycle counters against the fleet's own accounting.
+        assert collector.failovers.value() == stats.failovers
+        assert collector.hedges.total() == stats.hedges_launched
+        assert collector.hedges.value("won") == stats.hedges_won
+        assert collector.scale_actions.total() == len(stats.scaling_events)
+        plane = stats.data_plane
+        for mode, hits in (
+            ("memo", plane.memo_hits if plane else 0),
+            ("coalesced", plane.coalesced if plane else 0),
+            ("overlap", plane.overlap_hits if plane else 0),
+        ):
+            assert collector.cache_hits.value("fleet", mode) == hits
+        if run == "tenancy":
+            assert stats.tenants and fleet.dropped_requests  # sheds happened
+            assert stats.tenants == collector.lifecycle.tenant_rollups(fleet._admission)
+            # Token debt at the last rate-limit shed is observable live.
+            assert collector.lifecycle.tenant_token_debt.value("greedy") == pytest.approx(2.0)
+        elif run == "resilience":
+            assert stats.failovers and stats.hedges_launched and stats.scaling_events
+        else:
+            assert plane.memo_hits + plane.coalesced > 0
 
-    def test_equivalence_report_catches_divergence(self, batches):
-        log = EventLog()
-        fleet = make_fleet(event_log=log, max_batch=4)
-        sub = log.subscribe(capacity=65536)
-        collector = TelemetryCollector()
-        for index, batch in enumerate(batches[:4]):
-            fleet.submit_request(batch, 2, at=index * 0.002)
-        fleet.drain()
-        collector.consume(sub)
-        # Poison one counter: the report must name the mismatch.
-        collector.completed.labels("fleet").inc()
-        report = fleet_equivalence_report(collector, fleet.stats(), fleet.dropped_requests)
-        assert any(line.startswith("completed:") for line in report)
+
+@pytest.mark.parametrize("name", SNAPSHOT_RUNS)
+def test_lifecycle_views_match_snapshots(name, tmp_path):
+    """The /metrics text and the trace summary of each run reproduce
+    their committed snapshots byte for byte.  Regenerate after an
+    intentional change with ``PYTHONPATH=src python tests/test_telemetry.py``
+    and review the diff."""
+    spec, log, collector = snapshot_run(name)
+    exposition = (SNAPSHOTS / f"{name}.prom").read_text()
+    assert collector.registry.render() == exposition
+    summary = (SNAPSHOTS / f"{name}.summary.txt").read_text()
+    assert trace_summary_text(spec, log, tmp_path / f"{name}.jsonl") == summary
 
 
 DEFAULT_BUCKET_COUNT = len(DEFAULT_LATENCY_BUCKETS)
@@ -395,3 +543,17 @@ DEFAULT_BUCKET_COUNT = len(DEFAULT_LATENCY_BUCKETS)
 def test_default_buckets_strictly_increasing():
     assert list(DEFAULT_LATENCY_BUCKETS) == sorted(set(DEFAULT_LATENCY_BUCKETS))
     assert DEFAULT_BUCKET_COUNT >= 10
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    SNAPSHOTS.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        for run_name in SNAPSHOT_RUNS:
+            run_spec, run_log, run_collector = snapshot_run(run_name)
+            (SNAPSHOTS / f"{run_name}.prom").write_text(run_collector.registry.render())
+            (SNAPSHOTS / f"{run_name}.summary.txt").write_text(
+                trace_summary_text(run_spec, run_log, Path(scratch) / "run.jsonl")
+            )
+            print(f"wrote {run_name}.prom and {run_name}.summary.txt")

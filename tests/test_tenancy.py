@@ -248,6 +248,36 @@ class TestFleetIntegration:
         completes = [e for e in log if e.kind == "complete"]
         assert {e.tenant for e in completes} == {"capped", "free"}
 
+    def test_tenants_that_print_alike_roll_up_apart(self, batches):
+        # None and "" (and 1 and "1") share one exposition label, but
+        # admission gives each its own bucket: one token apiece here.
+        from repro.core.telemetry import TelemetryCollector
+
+        log = EventLog()
+        subscription = log.subscribe(capacity=65536)
+        fleet = make_fleet(
+            TenancyConfig(default=TenantPolicy(rate=0.0, burst=1.0)),
+            event_log=log,
+            max_batch=2,
+        )
+        tenants = [None, None, None, "", "", 1, "1", "1"]
+        for index, (batch, tenant) in enumerate(zip(batches, tenants)):
+            fleet.submit_request(batch, 2, at=index * 0.001, tenant=tenant)
+        outcomes = fleet.drain()
+        stats = fleet.stats()
+        assert set(stats.tenants) == {None, "", 1, "1"}
+        for tenant in stats.tenants:
+            rollup = stats.tenants[tenant]
+            assert rollup.submitted == tenants.count(tenant)
+            assert rollup.completed == 1
+            assert rollup.shed == tenants.count(tenant) - 1
+            (own,) = [o.latency for o in outcomes if o.tenant == tenant]
+            assert rollup.p50_latency == rollup.p99_latency == own
+        # The fold of the event stream rolls up the same four tenants.
+        collector = TelemetryCollector()
+        collector.consume(subscription)
+        assert collector.lifecycle.tenant_rollups(fleet._admission) == stats.tenants
+
     def test_zero_completion_tenant_renders_dash(self, batches):
         from repro.harness.reporting import ms
 
@@ -326,7 +356,7 @@ class TestRequestApiThreading:
         serve_all(DeviceServer(service, policy="round_robin"), requests)
         collector = TelemetryCollector(tenant_tier="device")
         collector.consume(subscription)
-        completed = collector.tenant_completed
+        completed = collector.lifecycle.tenant_completed
         assert completed.value("a") == 2 and completed.value("b") == 2
         assert completed.total() == 4
         assert {e.tenant for e in log if e.tier == "device"} == {"a", "b", "c"}
