@@ -18,7 +18,7 @@ from repro.core.config import PrismConfig
 from repro.core.scheduler import LANE_BATCH, LANE_INTERACTIVE
 from repro.core.service import SemanticSelectionService
 from repro.data import get_dataset
-from repro.data.workloads import build_batch
+from repro.data.workloads import build_batches
 from repro.device.platforms import get_profile
 from repro.harness import shared_model, shared_tokenizer
 from repro.harness.reporting import format_table, ms
@@ -32,14 +32,12 @@ def main() -> None:
     model = shared_model(QWEN3_0_6B)
     tokenizer = shared_tokenizer(QWEN3_0_6B)
     spec = get_dataset("wikipedia")
-    heavy = [
-        build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len)
-        for q in spec.queries(NUM_BATCH, num_candidates=40)
-    ]
-    light = [
-        build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len)
-        for q in spec.queries(NUM_INTERACTIVE, num_candidates=8)
-    ]
+    heavy = build_batches(
+        spec.queries(NUM_BATCH, num_candidates=40), tokenizer, QWEN3_0_6B.max_seq_len
+    )
+    light = build_batches(
+        spec.queries(NUM_INTERACTIVE, num_candidates=8), tokenizer, QWEN3_0_6B.max_seq_len
+    )
 
     requests = [
         SelectionRequest(

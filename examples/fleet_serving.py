@@ -15,7 +15,7 @@ from repro.core.api import FleetServer, SelectionRequest, serve_all
 from repro.core.config import PrismConfig
 from repro.core.fleet import ROUTING_POLICIES, FleetConfig, FleetService
 from repro.data import get_dataset
-from repro.data.workloads import build_batch
+from repro.data.workloads import build_batches
 from repro.device.platforms import get_profile
 from repro.harness import shared_model, shared_tokenizer
 from repro.harness.reporting import format_table, ms
@@ -29,7 +29,7 @@ def main() -> None:
     model = shared_model(QWEN3_0_6B)
     tokenizer = shared_tokenizer(QWEN3_0_6B)
     queries = get_dataset("wikipedia").queries(NUM_REQUESTS, num_candidates=20)
-    batches = [build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, QWEN3_0_6B.max_seq_len)
     profiles = [
         get_profile("nvidia_5070"),
         get_profile("nvidia_5070"),

@@ -25,7 +25,7 @@ from repro.core.events import EventLog
 from repro.core.fleet import FleetConfig, FleetService
 from repro.core.tenancy import TenancyConfig, TenantPolicy
 from repro.data import get_dataset
-from repro.data.workloads import build_batch
+from repro.data.workloads import build_batches
 from repro.device.platforms import get_profile
 from repro.harness import shared_model, shared_tokenizer
 from repro.harness.live import LiveServer
@@ -43,7 +43,7 @@ def main() -> None:
     model = shared_model(QWEN3_0_6B)
     tokenizer = shared_tokenizer(QWEN3_0_6B)
     queries = get_dataset("wikipedia").queries(NUM_REQUESTS, num_candidates=8)
-    batches = [build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, QWEN3_0_6B.max_seq_len)
 
     # Two tenant classes: "greedy" has an empty token bucket (rate 0,
     # burst 2), so its traffic beyond two requests sheds `rate_limit`.

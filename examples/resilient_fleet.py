@@ -23,7 +23,7 @@ from repro.core.resilience import (
     ResilienceConfig,
 )
 from repro.data import get_dataset
-from repro.data.workloads import build_batch
+from repro.data.workloads import build_batches
 from repro.device.platforms import get_profile
 from repro.harness import shared_model, shared_tokenizer
 from repro.harness.reporting import format_table, ms, pct
@@ -37,7 +37,7 @@ def main() -> None:
     model = shared_model(QWEN3_0_6B)
     tokenizer = shared_tokenizer(QWEN3_0_6B)
     queries = get_dataset("wikipedia").queries(NUM_REQUESTS, num_candidates=12)
-    batches = [build_batch(q, tokenizer, QWEN3_0_6B.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, QWEN3_0_6B.max_seq_len)
 
     crash = FaultPlan([FaultEvent(FAULT_REPLICA_CRASH, at=CRASH_AT_S, replica=0)])
     modes = {

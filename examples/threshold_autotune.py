@@ -14,7 +14,7 @@ Run:  python examples/threshold_autotune.py
 from repro import PrismConfig, get_model_config, get_profile
 from repro.core.calibration import ThresholdCalibrator
 from repro.data import get_dataset
-from repro.data.workloads import build_batch
+from repro.data.workloads import build_batches
 from repro.harness import run_system, shared_model, shared_tokenizer
 from repro.harness.reporting import format_table, ms
 
@@ -24,9 +24,7 @@ def main() -> None:
     model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     queries = get_dataset("wikipedia").queries(4, num_candidates=20)
-    sample_batches = [
-        build_batch(q, tokenizer, model_config.max_seq_len) for q in queries
-    ]
+    sample_batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
     rows = []
     for target in (0.80, 0.90, 0.99):

@@ -663,11 +663,23 @@ class LifecycleFold:
 _LIFECYCLE_KINDS = frozenset(("admit",) + TERMINAL_KINDS)
 
 
+def lifecycle_key(event: Event) -> tuple[str, int | None, str | int | None]:
+    """The key that pairs a request's admit with its terminal.
+
+    Fleet lifecycle events ride the coordinator clock (the admit names
+    no replica, the complete names the serving one), so the request
+    alone keys the pairing; inner tiers pair within their replica's own
+    axis.
+    """
+    tier = event.tier
+    return (tier, None if tier == "fleet" else event.replica, event.request)
+
+
 class EventFold:
     """The event adapter in front of a :class:`LifecycleFold`.
 
     Feeds each serving-tier admit and terminal event to the fold and
-    holds the admit→terminal pairing: a fleet ``complete`` carries its
+    pairs them by :func:`lifecycle_key`: a fleet ``complete`` carries its
     latency, an inner tier's is ``terminal.at − arrival`` on its
     replica's own clock (replicas' differing origins never mix).
     """
@@ -681,11 +693,7 @@ class EventFold:
         tier = event.tier
         if tier not in SERVING_TIERS or event.kind not in _LIFECYCLE_KINDS:
             return
-        # Fleet lifecycle events ride the coordinator clock (the admit
-        # names no replica, the complete names the serving one), so the
-        # request alone keys the pairing; inner tiers pair within their
-        # replica's own axis.
-        key = (tier, None if tier == "fleet" else event.replica, event.request)
+        key = lifecycle_key(event)
         data = event.data
         if event.kind == "admit":
             self._arrivals[key] = float(data.get("arrival", event.at))
@@ -887,6 +895,7 @@ __all__ = [
     "TierSummary",
     "dashboard_views",
     "estimate_quantile_from_buckets",
+    "lifecycle_key",
     "parse_exposition",
     "slo_lookup",
 ]

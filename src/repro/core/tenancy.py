@@ -364,17 +364,20 @@ def selection_requests_from_trace(
 
     Arrival offsets, SLO-class lanes and tenant ids come from the
     trace; ``deadlines=True`` additionally applies each class's
-    default deadline (``SLO_CLASSES[slo].deadline_s``).
+    default deadline (``SLO_CLASSES[slo].deadline_s``).  Repeated and
+    truncated queries share one head's token and length rows,
+    read-only (:func:`~repro.data.workloads.build_batches`).
     """
-    from ..data.workloads import build_batch
+    from ..data.workloads import build_batches
     from .api import SelectionRequest
 
+    batches = build_batches([record.query for record in trace.requests], tokenizer, max_len)
     requests = []
-    for index, record in enumerate(trace.requests):
+    for index, (record, batch) in enumerate(zip(trace.requests, batches)):
         slo = SLO_CLASSES[record.slo]
         requests.append(
             SelectionRequest(
-                batch=build_batch(record.query, tokenizer, max_len),
+                batch=batch,
                 k=record.k,
                 request_id=f"{record.tenant}/{index}",
                 priority=slo.priority,

@@ -10,7 +10,7 @@ carrying its full intent — the compact
 priority, cancellation and hedge intent — so *replay* needs nothing but
 the file: it rebuilds the stack from the header, reconstructs each
 request's :class:`~repro.model.transformer.CandidateBatch`
-deterministically via :func:`~repro.data.workloads.build_batch`,
+deterministically via :func:`~repro.data.workloads.build_batches`,
 re-executes, and asserts the fresh log is event-identical to the
 recorded one, line for line.
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from ..data.workloads import CandidateSpec, RerankQuery, build_batch
+from ..data.workloads import CandidateSpec, RerankQuery, build_batches
 from ..device.faults import FaultEvent, FaultPlan
 from ..device.platforms import get_profile
 from ..model.shared import shared_model, shared_tokenizer
@@ -47,7 +47,7 @@ from .fleet import FleetConfig, FleetService
 from .resilience import AutoscalerConfig, ResilienceConfig
 from .scheduler import LANE_BATCH
 from .service import SemanticSelectionService
-from .telemetry import EventFold, LifecycleFold, TierSummary
+from .telemetry import EventFold, LifecycleFold, TierSummary, lifecycle_key
 
 #: JSONL header schema tag / version.
 TRACE_SCHEMA = "repro.trace"
@@ -317,11 +317,14 @@ def run_trace(
                 request=request.request_id,
                 **request.to_payload(),
             )
+    batches = build_batches(
+        [request.query for request in requests], tokenizer, model_config.max_seq_len
+    )
     handles = []
-    for request in requests:
+    for request, batch in zip(requests, batches):
         handle = server.submit(
             SelectionRequest(
-                batch=build_batch(request.query, tokenizer, model_config.max_seq_len),
+                batch=batch,
                 k=request.k,
                 request_id=request.request_id,
                 priority=request.priority,
@@ -542,8 +545,10 @@ def _span(name: str, pid: int, tid: int, start: float, end: float, args=None) ->
 def timeline_events(events: Sequence[Event]) -> list[dict]:
     """Chrome trace-event JSON objects for a recorded log (§14).
 
-    Each serving tier becomes a process and each (replica, request)
-    lane a thread; every request renders as nested duration spans —
+    Each serving tier becomes a process and each lane a thread, keyed
+    by :func:`~repro.core.telemetry.lifecycle_key` as the lifecycle
+    fold pairs events (the request on the fleet tier, (replica,
+    request) inside); every request renders as nested duration spans —
     the whole lifetime (``admit → terminal``), the queue wait
     (``admit → dispatch``) and the service pass (``dispatch →
     terminal``) — with ``step``/``fetch``/``fuse``/``hedge``/
@@ -557,11 +562,6 @@ def timeline_events(events: Sequence[Event]) -> list[dict]:
     tids: dict[tuple, int] = {}
     open_spans: dict[tuple, dict[str, Any]] = {}
     named_pids: set[int] = set()
-
-    def lane(event: Event) -> tuple:
-        if event.tier == "fleet":
-            return (event.tier, event.request)
-        return (event.tier, event.replica, event.request)
 
     def tid_of(key: tuple, event: Event) -> int:
         if key not in tids:
@@ -594,7 +594,7 @@ def timeline_events(events: Sequence[Event]) -> list[dict]:
                     "args": {"name": f"{event.tier} tier"},
                 }
             )
-        key = lane(event)
+        key = lifecycle_key(event)
         tid = tid_of(key, event)
         if event.kind == "admit":
             open_spans[key] = {

@@ -4,14 +4,15 @@ A :class:`RerankQuery` is model-agnostic — candidates are described by
 (seed, length, relevance, label) rather than concrete token ids, so the
 same workload can be packed for models with different vocabularies and
 sequence limits.  :func:`build_batch` turns one query into the
-:class:`~repro.model.transformer.CandidateBatch` an engine consumes.
+:class:`~repro.model.transformer.CandidateBatch` an engine consumes;
+:func:`build_batches` packs a request list, each distinct query once.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -83,6 +84,57 @@ def build_batch(query: RerankQuery, tokenizer: Tokenizer, max_len: int) -> Candi
         relevance=query.relevance(),
         uids=query.uids(),
     )
+
+
+def build_batches(
+    queries: Sequence[RerankQuery], tokenizer: Tokenizer, max_len: int
+) -> list[CandidateBatch]:
+    """Pack a request list as :func:`build_batch` does, each distinct query once.
+
+    Queries with the same ``(seed, query_length)`` whose candidate
+    tuples are prefixes of one *head* (exact repeats included) share a
+    single :func:`build_batch` of that head: each gets its own
+    :class:`CandidateBatch` of the head's first ``n`` token and length
+    rows, as views, and its own relevance and uids.  The result is
+    bitwise the list comprehension.  ``pair_layout`` depends only on
+    ``query_length`` and ``max_len``, so every row of the group carries
+    the same query ids (drawn from ``seed``), and ``build_batch`` packs
+    each candidate row from that candidate alone: its ids from its own
+    seeded generator, truncated to the same room, and its attention
+    length from that row.  Candidates that compare equal therefore
+    pack to equal rows.
+
+    The head's token and length arrays are made read-only, so a write
+    through one request raises instead of changing its siblings.
+    :meth:`CandidateBatch.select` copies, so a pruned subset stays
+    private and writable.  Nothing outlives the call: the returned
+    batches hold the only references to the shared rows.
+    """
+    groups: dict[tuple, list[tuple[tuple[CandidateSpec, ...], CandidateBatch]]] = {}
+    batches: dict[int, CandidateBatch] = {}
+    # Longest first, so every head is built before its prefixes look for it.
+    for index in sorted(range(len(queries)), key=lambda i: -len(queries[i].candidates)):
+        query = queries[index]
+        rows = len(query.candidates)
+        # A head's prefixes start with its first candidate.  A query
+        # without candidates finds no head (none is ever built under its
+        # key), so it raises here as build_batch does.
+        group = groups.setdefault((query.seed, query.query_length, query.candidates[:1]), [])
+        for candidates, head in group:
+            if candidates[:rows] == query.candidates:
+                break
+        else:
+            head = build_batch(query, tokenizer, max_len)
+            head.tokens.flags.writeable = False
+            head.lengths.flags.writeable = False
+            group.append((query.candidates, head))
+        batches[index] = CandidateBatch(
+            tokens=head.tokens[:rows],
+            lengths=head.lengths[:rows],
+            relevance=query.relevance(),
+            uids=query.uids(),
+        )
+    return [batches[index] for index in range(len(queries))]
 
 
 def make_query(

@@ -306,7 +306,7 @@ def run_serve(argv: list[str]) -> int:
     from ..core.tenancy import selection_requests_from_trace, tenancy_from_trace
     from ..data.datasets import get_dataset
     from ..data.traffic import is_traffic_file, read_traffic_trace
-    from ..data.workloads import build_batch
+    from ..data.workloads import build_batches
     from .reporting import format_table, ms
     from .runner import shared_tokenizer
 
@@ -341,11 +341,20 @@ def run_serve(argv: list[str]) -> int:
         server, model_config = _build_server(args, event_log=event_log)
         live = _start_live(args, event_log, None)
         tokenizer = shared_tokenizer(model_config)
+        # Entry ``i`` serves query ``i`` of its (dataset, num_candidates)
+        # workload.  ``DatasetSpec.queries`` draws from one sequential
+        # generator, so each group is drawn once, up to its last entry.
+        groups: dict[tuple[str, int], list[int]] = {}
         for index, entry in enumerate(entries):
-            spec = get_dataset(entry.get("dataset", "wikipedia"))
-            num_candidates = int(entry.get("num_candidates", 8))
-            query = spec.queries(index + 1, num_candidates)[index]
-            batch = build_batch(query, tokenizer, model_config.max_seq_len)
+            key = (entry.get("dataset", "wikipedia"), int(entry.get("num_candidates", 8)))
+            groups.setdefault(key, []).append(index)
+        queries = [None] * len(entries)
+        for (dataset, num_candidates), indices in groups.items():
+            drawn = get_dataset(dataset).queries(indices[-1] + 1, num_candidates)
+            for index in indices:
+                queries[index] = drawn[index]
+        batches = build_batches(queries, tokenizer, model_config.max_seq_len)
+        for index, (entry, batch) in enumerate(zip(entries, batches)):
             request = SelectionRequest(
                 batch=batch,
                 k=int(entry.get("k", 3)),

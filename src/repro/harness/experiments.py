@@ -43,7 +43,7 @@ from ..model.zoo import (
     ModelConfig,
     get_model_config,
 )
-from ..data.workloads import build_batch
+from ..data.workloads import build_batches
 from ..device.platforms import get_profile
 from ..retrieval.corpus import SyntheticCorpus
 from .reporting import format_series, format_table, ms, pct
@@ -954,7 +954,7 @@ def fleet_serving(
     tokenizer = shared_tokenizer(model_config)
     profile = get_profile(platform)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
-    batches = [build_batch(q, tokenizer, model_config.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
     result = FleetResult(
         model=model_name, platform=platform, num_requests=num_requests, k=k
@@ -1140,14 +1140,14 @@ def concurrent_serving(
     model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     spec = get_dataset(dataset)
-    batch_requests = [
-        build_batch(q, tokenizer, model_config.max_seq_len)
-        for q in spec.queries(num_batch, batch_candidates)
-    ]
-    interactive_requests = [
-        build_batch(q, tokenizer, model_config.max_seq_len)
-        for q in spec.queries(num_interactive, interactive_candidates)
-    ]
+    batch_requests = build_batches(
+        spec.queries(num_batch, batch_candidates), tokenizer, model_config.max_seq_len
+    )
+    interactive_requests = build_batches(
+        spec.queries(num_interactive, interactive_candidates),
+        tokenizer,
+        model_config.max_seq_len,
+    )
 
     wave: list[SelectionRequest] = [
         SelectionRequest(
@@ -1350,7 +1350,7 @@ def shared_weights_serving(
     tokenizer = shared_tokenizer(model_config)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
     requests = [
-        (build_batch(q, tokenizer, model_config.max_seq_len), k) for q in queries
+        (batch, k) for batch in build_batches(queries, tokenizer, model_config.max_seq_len)
     ]
 
     def make_service(shared: bool, max_concurrency: int) -> SemanticSelectionService:
@@ -1519,7 +1519,7 @@ def deadline_serving(
     model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
-    batches = [build_batch(q, tokenizer, model_config.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
     def make_service() -> SemanticSelectionService:
         return SemanticSelectionService(
@@ -1701,7 +1701,7 @@ def resilience_serving(
     tokenizer = shared_tokenizer(model_config)
     profile = get_profile(platform)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
-    batches = [build_batch(q, tokenizer, model_config.max_seq_len) for q in queries]
+    batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
     # Probe: one request's solo service time sets the saturation rate.
     probe_service = SemanticSelectionService(
@@ -1985,7 +1985,7 @@ def data_plane_serving(
         zipf_s=zipf_s,
         partial_overlap_rate=partial_overlap_rate,
     )
-    batches = [build_batch(q, tokenizer, model_config.max_seq_len) for q in stream]
+    batches = build_batches(stream, tokenizer, model_config.max_seq_len)
 
     def run(cache_on: bool):
         fleet = FleetService.homogeneous(
@@ -2201,8 +2201,12 @@ def multitenant_serving(
 
     # 1. Calibrate: a closed back-to-back burst measures capacity.
     probe = build_fleet()
-    for query in get_dataset("wikipedia").queries(probe_requests, num_candidates):
-        probe.submit_request(build_batch(query, tokenizer, model_config.max_seq_len), 1)
+    for batch in build_batches(
+        get_dataset("wikipedia").queries(probe_requests, num_candidates),
+        tokenizer,
+        model_config.max_seq_len,
+    ):
+        probe.submit_request(batch, 1)
     probe.drain()
     capacity_rps = probe.stats().throughput_rps
 

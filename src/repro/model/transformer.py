@@ -72,7 +72,12 @@ class CandidateBatch:
         return int(self.tokens.shape[0])
 
     def select(self, index: np.ndarray) -> "CandidateBatch":
-        """Sub-batch view for chunking / pruning."""
+        """Sub-batch copy of the rows at ``index``, for chunking / pruning.
+
+        Fancy indexing copies, so a subset of a batch whose rows are
+        shared read-only (:func:`~repro.data.workloads.build_batches`)
+        is private and writable.
+        """
         return CandidateBatch(
             tokens=self.tokens[index],
             lengths=self.lengths[index],

@@ -1,9 +1,11 @@
 """Tests for the experiment CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.data.datasets import DatasetSpec
 from repro.harness.cli import _EXPERIMENTS, build_parser, build_serve_parser, main, run_one
 
 
@@ -151,6 +153,43 @@ class TestServe:
         path.write_text("[]")
         with pytest.raises(SystemExit):
             main(["serve", str(path)])
+
+
+class TestServeRequestList:
+    """``serve`` on a JSON request list mixing datasets and candidate counts.
+
+    ``tests/fixtures/serve/<tier>.txt`` is the stdout of ``python -m
+    repro.harness.cli serve tests/fixtures/serve/requests.json --tier
+    <tier>`` from before request lists were drawn once per group;
+    rerun that command to regenerate one after an intended change.
+    """
+
+    FIXTURES = Path(__file__).parent / "fixtures" / "serve"
+
+    @pytest.mark.parametrize("tier", ["engine", "device", "fleet"])
+    def test_stdout_matches_snapshot(self, tier, capsys):
+        # Two entries shed and one cancels, so the run exits 1.
+        assert main(["serve", str(self.FIXTURES / "requests.json"), "--tier", tier]) == 1
+        assert capsys.readouterr().out == (self.FIXTURES / f"{tier}.txt").read_text()
+
+    def test_each_group_is_drawn_once(self, monkeypatch, capsys):
+        queries = DatasetSpec.queries
+        draws = []
+
+        def counting(self, num_queries, num_candidates=20):
+            draws.append((self.name, num_queries, num_candidates))
+            return queries(self, num_queries, num_candidates)
+
+        monkeypatch.setattr(DatasetSpec, "queries", counting)
+        main(["serve", str(self.FIXTURES / "requests.json"), "--tier", "engine"])
+        # One draw per (dataset, num_candidates), up to its last entry.
+        assert sorted(draws) == [
+            ("fiqa", 5, 5),
+            ("nq", 7, 8),
+            ("nq", 9, 4),
+            ("wikipedia", 8, 8),
+            ("wikipedia", 10, 6),
+        ]
 
 
 class TestTrace:

@@ -13,8 +13,11 @@ from repro.core.tenancy import (
     TenancyConfig,
     TenantPolicy,
     TokenBucket,
+    selection_requests_from_trace,
 )
+from repro.data import workloads
 from repro.data.datasets import get_dataset
+from repro.data.traffic import TrafficConfig, generate_traffic
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
 from repro.harness.runner import shared_model, shared_tokenizer
@@ -362,3 +365,49 @@ class TestRequestApiThreading:
         assert {e.tenant for e in log if e.tier == "device"} == {"a", "b", "c"}
         (drop,) = service.last_scheduler.dropped
         assert drop.reason == "shed" and drop.tenant == "c"
+
+
+class TestTracePacking:
+    def test_each_distinct_head_is_packed_once(self, monkeypatch):
+        """A traffic trace's repeats and truncations share one build per head."""
+        trace = generate_traffic(
+            TrafficConfig(
+                num_tenants=40,
+                duration_s=2.0,
+                rate_rps=60.0,
+                seed=3,
+                num_base_queries=16,
+                max_candidates=8,
+            )
+        )
+        build = workloads.build_batch
+        built = []
+
+        def counting(query, tokenizer, max_len):
+            built.append(query)
+            return build(query, tokenizer, max_len)
+
+        monkeypatch.setattr(workloads, "build_batch", counting)
+        tokenizer = shared_tokenizer(QWEN3_0_6B)
+        max_len = QWEN3_0_6B.max_seq_len
+        requests = selection_requests_from_trace(trace, tokenizer, max_len)
+        queries = [record.query for record in trace.requests]
+
+        # A head: a candidate tuple under its (seed, query_length) that
+        # no other tuple there extends.
+        groups: dict[tuple[int, int], set] = {}
+        for query in queries:
+            groups.setdefault((query.seed, query.query_length), set()).add(query.candidates)
+        heads = sum(
+            1
+            for tuples in groups.values()
+            for short in tuples
+            if not any(len(long) > len(short) and long[: len(short)] == short for long in tuples)
+        )
+        assert len(built) == heads < len(requests)
+        for request, query in zip(requests, queries):
+            want = build(query, tokenizer, max_len)
+            for field in ("tokens", "lengths", "relevance", "uids"):
+                got, expected = getattr(request.batch, field), getattr(want, field)
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()

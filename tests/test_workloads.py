@@ -1,12 +1,30 @@
 """Unit tests for workload representation and batch packing."""
 
+import dataclasses
+import itertools
+import operator
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.data.workloads import build_batch, make_query
+from repro.data.workloads import (
+    CandidateSpec,
+    RerankQuery,
+    build_batch,
+    build_batches,
+    make_query,
+)
+from repro.model.shared import shared_tokenizer
 from repro.model.zoo import QWEN3_0_6B
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import Vocabulary
+
+# The rows a request may share with its siblings, and the arrays that are its own.
+SHARED_FIELDS = ("tokens", "lengths")
+OWN_FIELDS = ("relevance", "uids")
+BATCH_FIELDS = SHARED_FIELDS + OWN_FIELDS
 
 
 @pytest.fixture
@@ -73,6 +91,117 @@ class TestBuildBatch:
         a = build_batch(query, tokenizer, 512)
         b = build_batch(query, tokenizer, 512)
         assert np.array_equal(a.tokens, b.tokens)
+
+
+candidates = st.builds(
+    CandidateSpec,
+    uid=st.integers(0, 2**31 - 1),
+    seed=st.integers(0, 2**31 - 1),
+    length=st.integers(1, 600),
+    relevance=st.floats(0.0, 1.0),
+    is_relevant=st.booleans(),
+)
+
+
+@st.composite
+def request_lists(draw):
+    """Request lists over a few (seed, query_length) keys and candidate heads.
+
+    The heads share a prefix and then diverge; each request takes a
+    prefix of one head under one key, so a list mixes exact repeats,
+    truncations in either order, diverging candidates under one key and
+    different query lengths.  Some requests carry equal copies of the
+    candidates instead of the same objects.
+    """
+    shared = draw(st.lists(candidates, max_size=4))
+    tails = draw(st.lists(st.lists(candidates, min_size=1, max_size=3), min_size=1, max_size=3))
+    heads = [tuple(shared + tail) for tail in tails]
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from([7, 8]), st.sampled_from([4, 16, 40])),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    picks = st.tuples(
+        st.sampled_from(keys), st.sampled_from(heads), st.integers(1, 7), st.booleans()
+    )
+    queries = []
+    for index, ((seed, query_length), head, cut, copied) in enumerate(
+        draw(st.lists(picks, min_size=1, max_size=12))
+    ):
+        chosen = head[:cut]
+        if copied:
+            chosen = tuple(dataclasses.replace(c) for c in chosen)
+        queries.append(
+            RerankQuery(
+                query_id=index, seed=seed, query_length=query_length, candidates=chosen
+            )
+        )
+    return queries
+
+
+def _candidate(uid, relevance):
+    return CandidateSpec(uid=uid, seed=uid + 11, length=300, relevance=relevance, is_relevant=True)
+
+
+def _query(query_id, *candidates, seed=7, query_length=16):
+    return RerankQuery(
+        query_id=query_id, seed=seed, query_length=query_length, candidates=candidates
+    )
+
+
+_HEAD = (_candidate(1, 1.0), _candidate(2, 0.5), _candidate(3, 0.0))
+
+
+class TestBuildBatches:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(queries=request_lists(), max_len=st.sampled_from([128, 512]))
+    # Short before long and long before short.
+    @example(
+        queries=[_query(0, *_HEAD[:1]), _query(1, *_HEAD), _query(2, *_HEAD[:2])], max_len=512
+    )
+    def test_each_batch_is_its_own_build_batch(self, queries, max_len):
+        tokenizer = shared_tokenizer(QWEN3_0_6B)
+        packed = build_batches(queries, tokenizer, max_len)
+        assert len(packed) == len(queries)
+        for query, batch in zip(queries, packed):
+            want = build_batch(query, tokenizer, max_len)
+            for field in BATCH_FIELDS:
+                got, expected = getattr(batch, field), getattr(want, field)
+                assert got.dtype == expected.dtype
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            for field in SHARED_FIELDS:
+                got = getattr(batch, field)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0] = got[0]
+        for i, j in itertools.combinations(range(len(queries)), 2):
+            for field in OWN_FIELDS:
+                assert not np.shares_memory(getattr(packed[i], field), getattr(packed[j], field))
+            # Repeats of the same candidate objects under one key share one build.
+            a, b = queries[i], queries[j]
+            if (
+                (a.seed, a.query_length) == (b.seed, b.query_length)
+                and len(a.candidates) == len(b.candidates)
+                and all(map(operator.is_, a.candidates, b.candidates))
+            ):
+                assert np.shares_memory(packed[i].tokens, packed[j].tokens)
+
+    def test_empty_list(self):
+        assert build_batches([], shared_tokenizer(QWEN3_0_6B), 512) == []
+
+    def test_query_without_candidates_raises_as_build_batch_does(self):
+        tokenizer = shared_tokenizer(QWEN3_0_6B)
+        empty = _query(1)
+        with pytest.raises(ValueError) as direct:
+            build_batch(empty, tokenizer, 512)
+        # It is a prefix of every head under its key, and still raises.
+        with pytest.raises(ValueError) as packed:
+            build_batches([_query(0, *_HEAD), empty], tokenizer, 512)
+        assert str(packed.value) == str(direct.value)
 
 
 class TestZipfRequestStream:
