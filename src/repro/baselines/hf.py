@@ -91,7 +91,7 @@ class HFEngine(EngineBase):
             self._charge_embedding(mini.size, seq_len)
             state = self.model.embed(sub, numerics=self.numerics)
             for layer in range(cfg.num_layers):
-                self._run_layer_chunk(inter_tag, mini.size, chunk_costs)
+                self._run_layer_chunks(inter_tag, mini.size, mini.size, chunk_costs)
                 self.model.forward_layer(state, layer)
                 layers_executed += 1
                 candidate_layers += int(mini.size)

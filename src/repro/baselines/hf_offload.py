@@ -98,7 +98,7 @@ class HFOffloadEngine(EngineBase):
                 self.executor.read_blocking(
                     f"load/{tag}", int(nbytes / self.deserialize_efficiency)
                 )
-                self._run_layer_chunk(inter_tag, mini.size, chunk_costs)
+                self._run_layer_chunks(inter_tag, mini.size, mini.size, chunk_costs)
                 memory.free(tag)
                 self.model.forward_layer(state, layer)
                 layers_executed += 1

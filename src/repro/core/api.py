@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Protocol, Sequence, runtime_checkable
 
-from ..device.faults import DeviceFault
+from ..device.faults import FAULT_REPLICA_CRASH, DeviceFault
 from ..model.transformer import CandidateBatch
 from .engine import EngineBase, RerankResult
 from .fleet import FleetService
@@ -364,7 +364,9 @@ class EngineServer(ServerBase):
     The lowest tier — no scheduler, no sampling loop.  Requests run to
     completion serially; deadlines shed at service start, cancellation
     closes the in-flight :class:`~repro.core.engine.RerankTask` at its
-    next layer boundary.
+    next layer boundary.  An injected fault fails the request it hits;
+    a ``replica_crash`` also fails every later request of the drain at
+    the crash instant, as the device tier does (DESIGN.md §9).
     """
 
     tier = "engine"
@@ -392,6 +394,7 @@ class EngineServer(ServerBase):
                 )
 
         responses = []
+        crashed = False
         for request in self._order(pending):
             arrival = origin + request.arrival_offset
             deadline = arrival + request.deadline if request.deadline is not None else None
@@ -418,6 +421,13 @@ class EngineServer(ServerBase):
                 tenant=request.tenant,
             )
             responses.append(response)
+            if crashed:
+                # The device is dead: every later request of the drain
+                # fails at the crash instant, as on the device tier.
+                response.status = REQUEST_FAILED
+                response.finish = clock.now
+                emit("fail", request, at=response.finish, detail=FAULT_REPLICA_CRASH)
+                continue
             if cancel_at is not None and cancel_at <= max(arrival, clock.now):
                 response.status = REQUEST_CANCELLED
                 response.finish = max(arrival, clock.now)
@@ -444,6 +454,7 @@ class EngineServer(ServerBase):
                 response.finish = clock.now
                 response.service_seconds = response.finish - response.start
                 emit("fail", request, at=response.finish, detail=fault.kind)
+                crashed = fault.kind == FAULT_REPLICA_CRASH
                 continue
             response.finish = clock.now
             response.service_seconds = response.finish - response.start

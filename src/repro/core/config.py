@@ -43,7 +43,9 @@ class PrismConfig:
     #: large enough to saturate the device (§4.3).
     min_chunk_compute_window: float = 2.0e-3
     #: Hidden-state offloading: "off", "on", or "auto" (enable only when
-    #: the aggregate hidden slab exceeds ``hidden_memory_budget``).
+    #: the aggregate hidden slab exceeds ``hidden_memory_budget``).  The
+    #: ring moves chunk slabs, so "on" requires ``chunked_execution``
+    #: and "auto" resolves to off without it.
     hidden_offload: str = "auto"
     hidden_memory_budget: int = 256 * MiB
 
@@ -75,6 +77,8 @@ class PrismConfig:
             raise ValueError("min_layers_before_pruning must be non-negative")
         if self.hidden_offload not in ("off", "on", "auto"):
             raise ValueError(f"bad hidden_offload {self.hidden_offload!r}")
+        if self.hidden_offload == "on" and not self.chunked_execution:
+            raise ValueError('hidden_offload="on" requires chunked_execution')
         if not 0 < self.embedding_cache_fraction <= 1:
             raise ValueError("embedding_cache_fraction must lie in (0, 1]")
         if self.chunk_memory_budget <= 0 or self.hidden_memory_budget <= 0:

@@ -350,35 +350,51 @@ class EngineBase:
         bytes_moved = num_candidates * seq_len * costs.embedding_row_bytes(cfg)
         self.executor.compute(flops, bytes_moved)
 
-    def _layer_chunk_costs(self, seq_len: int) -> tuple[float, int, int]:
-        """A pass's per-chunk constants for :meth:`_run_layer_chunk`.
+    def _layer_chunk_costs(self, seq_len: int) -> tuple[float, int, int, dict[int, float]]:
+        """A pass's per-chunk constants for :meth:`_run_layer_chunks`.
 
         FLOPs and intermediate bytes per candidate and the layer's
         weight bytes depend only on the model, ``seq_len`` and
-        quantization, so a pass computes them once.
+        quantization, so a pass computes them once.  The dict keeps each
+        chunk size's kernel time, filled by its first chunk.
         """
         cfg = self.model.config
         return (
             costs.layer_flops_per_candidate(cfg, seq_len),
             costs.intermediate_bytes_per_candidate(cfg, seq_len),
             costs.layer_weight_bytes(cfg, self.quantized),
+            {},
         )
 
-    def _run_layer_chunk(
-        self, tag: str, num_candidates: int, chunk_costs: tuple[float, int, int]
+    def _run_layer_chunks(
+        self,
+        tag: str,
+        num_active: int,
+        chunk_size: int,
+        chunk_costs: tuple[float, int, int, dict[int, float]],
     ) -> None:
-        """One chunk of one layer: its intermediates are resident only
-        while its kernel runs (alloc, compute, free)."""
-        flops_per_candidate, inter_per_candidate, weight_bytes = chunk_costs
-        inter_bytes = num_candidates * inter_per_candidate
-        memory = self.device.memory
-        memory.alloc(tag, inter_bytes, CATEGORY_INTERMEDIATE)
-        self.executor.compute(
-            num_candidates * flops_per_candidate,
-            weight_bytes + inter_bytes,
-            quantized=self.quantized,
-        )
-        memory.free(tag)
+        """One layer over ``num_active`` candidates in chunks of
+        ``chunk_size``, the remainder last.
+
+        Each chunk's intermediates are resident only while its kernel
+        runs (alloc, compute, free).  The tracker replays each run of
+        equal chunks in order, so the clock and the staircase are those
+        of one alloc, kernel and free per chunk.
+        """
+        flops_per_candidate, inter_per_candidate, weight_bytes, seconds = chunk_costs
+        full, rest = divmod(num_active, chunk_size)
+        for size, count in ((chunk_size, full), (rest, 1)):
+            if size and count:
+                inter_bytes = size * inter_per_candidate
+                if size not in seconds:
+                    seconds[size] = self.device.compute.op_time(
+                        size * flops_per_candidate,
+                        weight_bytes + inter_bytes,
+                        quantized=self.quantized,
+                    )
+                self.device.memory.transients(
+                    tag, inter_bytes, CATEGORY_INTERMEDIATE, seconds[size], count
+                )
 
     def _charge_classifier(self, num_candidates: int) -> None:
         flops = num_candidates * costs.classifier_flops_per_candidate(self.model.config)
@@ -602,16 +618,18 @@ class PrismEngine(EngineBase):
             if streamer is not None:
                 streamer.acquire(layer)
 
-            if ring is not None:
-                ring.begin_layer(layer)
             num_active = int(active.size)
-            for chunk_no, start in enumerate(range(0, num_active, chunk_size)):
-                if ring is not None:
+            if ring is None:
+                self._run_layer_chunks(inter_tag, num_active, chunk_size, chunk_costs)
+            else:
+                # Each chunk's hidden states move between its kernel and
+                # the next one's, so the ring charges chunk by chunk.
+                ring.begin_layer(layer)
+                for chunk_no, start in enumerate(range(0, num_active, chunk_size)):
                     ring.acquire(layer, chunk_no)
-                self._run_layer_chunk(
-                    inter_tag, min(chunk_size, num_active - start), chunk_costs
-                )
-                if ring is not None:
+                    self._run_layer_chunks(
+                        inter_tag, min(chunk_size, num_active - start), chunk_size, chunk_costs
+                    )
                     ring.release(layer, chunk_no)
 
             # Costs are charged from shapes alone: numerics never reach

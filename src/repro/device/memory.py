@@ -114,6 +114,41 @@ class MemoryTracker:
     # ------------------------------------------------------------------
     def alloc(self, name: str, nbytes: int, category: str = CATEGORY_OTHER) -> None:
         """Record an allocation of ``nbytes`` under ``name``."""
+        in_use, level = self._take(name, nbytes, category)
+        self._record(in_use, category, level)
+
+    def transients(
+        self, name: str, nbytes: int, category: str, duration: float, count: int
+    ) -> None:
+        """Replay ``count`` rounds of ``alloc(name, nbytes, category)``,
+        ``clock.advance(duration)``, ``free(name)``, bit for bit.
+
+        A layer's run of equal chunks is charged this way.  Every round
+        starts from the state before the run, so the first round's
+        checks, which raise before anything changes, cover them all.
+        The clock takes ``count`` separate additions, and every event
+        goes through :meth:`_record`, so same-instant points are
+        overwritten in the same order.  ``count <= 0`` changes nothing.
+        """
+        if count <= 0:
+            return
+        in_use, level = self._take(name, nbytes, category)
+        base_in_use, base_level = in_use - nbytes, level - nbytes
+        clock, record = self.clock, self._record
+        record(in_use, category, level)
+        clock.advance(duration)
+        for _ in range(count - 1):
+            record(base_in_use, category, base_level)
+            record(in_use, category, level)
+            clock.advance(duration)
+        del self._live[name]
+        self._in_use = base_in_use
+        self._per_category[category] = base_level
+        record(base_in_use, category, base_level)
+
+    def _take(self, name: str, nbytes: int, category: str) -> tuple[int, int]:
+        """Check and book an allocation; return the bytes in use after it
+        and its category's level, for the caller to record."""
         if nbytes < 0:
             raise MemoryError_(f"negative allocation size {nbytes} for {name!r}")
         live = self._live
@@ -131,7 +166,7 @@ class MemoryTracker:
         # -1 so a category's first allocation, even of zero bytes, has a peak.
         if level > self._peak_by_category.get(category, -1):
             self._peak_by_category[category] = level
-        self._record(in_use, category, level)
+        return in_use, level
 
     def free(self, name: str) -> None:
         """Release the allocation registered under ``name``."""

@@ -5,7 +5,8 @@ rewritten from: ``repro.core.clustering``, ``repro.core.pruning``'s CV
 trigger, ``repro.model.semantics``' noise draw (per layer, and the
 per-pass table built from it row by row), the two LRU row caches
 (``EmbeddingCache`` and ``SharedEmbeddingCache``), the memory tracker
-(``repro.device.memory.MemoryTracker``) and request packing
+(``repro.device.memory.MemoryTracker``), the engines' chunk charges (one
+alloc, kernel and free per chunk) and request packing
 (``Vocabulary.sample`` as one search over the whole CDF,
 ``Tokenizer.build_pair``/``batch_pairs`` and ``build_batch``).  The
 production code must match them bit for bit; the property tests in
@@ -35,6 +36,7 @@ from repro.data.workloads import RerankQuery
 from repro.device.clock import VirtualClock
 from repro.device.memory import (
     CATEGORY_EMBEDDING,
+    CATEGORY_INTERMEDIATE,
     CATEGORY_OTHER,
     MemoryError_,
     MemoryStats,
@@ -586,6 +588,31 @@ class MemoryTracker:
             f"MemoryTracker(in_use={self._in_use / MiB:.1f} MiB, "
             f"peak={self._peak / MiB:.1f} MiB, live={len(self._live)})"
         )
+
+
+# ---------------------------------------------------------------------------
+# Chunk charges (repro.core.engine.EngineBase._run_layer_chunks)
+# ---------------------------------------------------------------------------
+def run_layer_chunk(engine, tag: str, num_candidates: int, chunk_costs) -> None:
+    """One chunk of one layer: its intermediates are resident only
+    while its kernel runs (alloc, compute, free)."""
+    flops_per_candidate, inter_per_candidate, weight_bytes, _ = chunk_costs
+    inter_bytes = num_candidates * inter_per_candidate
+    memory = engine.device.memory
+    memory.alloc(tag, inter_bytes, CATEGORY_INTERMEDIATE)
+    engine.executor.compute(
+        num_candidates * flops_per_candidate,
+        weight_bytes + inter_bytes,
+        quantized=engine.quantized,
+    )
+    memory.free(tag)
+
+
+def run_layer_chunks(engine, tag: str, num_active: int, chunk_size: int, chunk_costs) -> None:
+    """``EngineBase._run_layer_chunks``: one :func:`run_layer_chunk` per
+    chunk, the remainder last."""
+    for start in range(0, num_active, chunk_size):
+        run_layer_chunk(engine, tag, min(chunk_size, num_active - start), chunk_costs)
 
 
 # ---------------------------------------------------------------------------

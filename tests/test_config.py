@@ -36,6 +36,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             PrismConfig(hidden_offload="sometimes")
 
+    def test_forced_offload_needs_chunked_execution(self):
+        # The ring moves chunk slabs: without chunks "on" was served as off.
+        with pytest.raises(ValueError, match="chunked_execution"):
+            PrismConfig(chunked_execution=False, hidden_offload="on")
+        with pytest.raises(ValueError, match="chunked_execution"):
+            PrismConfig.ablation_pruning_only(hidden_offload="on")
+        PrismConfig(chunked_execution=False, hidden_offload="auto")
+        PrismConfig(chunked_execution=False, hidden_offload="off")
+
     def test_cache_fraction_bounds(self):
         with pytest.raises(ValueError):
             PrismConfig(embedding_cache_fraction=0.0)

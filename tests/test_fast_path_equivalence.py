@@ -3,14 +3,18 @@
 Each production routine must reproduce its reference in
 ``tests/reference_impls.py`` bit for bit: cluster labels, centre and
 inertia bytes, the CV trigger, the score noise, every observable of the
-two LRU row caches and of the memory tracker after every operation, and
-every packed token id.  The last test runs the five offline systems end
-to end with the references patched in and requires identical results,
-so no prune decision, latency or memory staircase can drift.
+two LRU row caches and of the memory tracker after every operation (a
+replayed run of chunk charges included), and every packed token id.
+The end-to-end tests run the five offline systems, and PRISM with its
+hidden-state ring, with the references patched in and require
+identical results, so no prune decision, latency or memory staircase
+can drift.
 """
 
+import copy
 import struct
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +22,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import clustering, pruning
+from repro.core.chunking import HiddenStateRing
+from repro.core.config import PrismConfig
 from repro.core.data_plane import SharedEmbeddingCache
 from repro.core.embedding_cache import EmbeddingCache
 from repro.core.engine import EngineBase
@@ -419,6 +425,8 @@ class TestSharedCache:
 # ---------------------------------------------------------------------------
 NAMES = ("a", "b", "c", "d")
 CATEGORIES = ("weights", "hidden", "other")
+#: A category no generated operation uses before a chunk run.
+FRESH = "intermediate"
 BUDGET = 100
 
 tracker_ops = st.lists(
@@ -470,6 +478,32 @@ def _float_bits(value: float) -> bytes:
     return struct.pack("<d", value)
 
 
+def chunk_run(**changes):
+    """An ``@example`` for the chunk-run test: a run of three 7-byte
+    chunks of a fresh category, named ``a``, after one live allocation,
+    with ``changes`` applied."""
+    case = dict(
+        budget=None,
+        start=0.0,
+        ops=[("alloc", "b", 7, "hidden")],
+        name="a",
+        nbytes=7,
+        category=FRESH,
+        duration=0.1,
+        count=3,
+        headroom=None,
+    )
+    return example(**{**case, **changes})
+
+
+def _rounds(tracker, name: str, nbytes: int, category: str, duration: float, count: int):
+    """What ``MemoryTracker.transients`` replays, one call at a time."""
+    for _ in range(count):
+        tracker.alloc(name, nbytes, category)
+        tracker.clock.advance(duration)
+        tracker.free(name)
+
+
 def assert_same_tracker(got: MemoryTracker, want: "ref.MemoryTracker") -> None:
     assert got.in_use == want.in_use and got.peak == want.peak
     for name in NAMES + ("ghost",):
@@ -477,7 +511,7 @@ def assert_same_tracker(got: MemoryTracker, want: "ref.MemoryTracker") -> None:
         assert got.live_bytes(name) == want.live_bytes(name)
     assert _points(got.timeline()) == _points(want.timeline())
     assert len(got._timeline) == len(want._timeline)  # the staircase-point count
-    for category in CATEGORIES + ("never",):
+    for category in CATEGORIES + (FRESH, "never"):
         assert got.in_use_by_category(category) == want.in_use_by_category(category)
         assert _points(got.category_timeline(category)) == _points(
             want.category_timeline(category)
@@ -524,6 +558,59 @@ class TestMemoryTracker:
                 continue
             assert _apply(tracker, op) == _apply(reference, op)
             assert_same_tracker(tracker, reference)
+
+    @EXACT
+    @given(
+        budget=st.sampled_from([None, BUDGET]),
+        start=st.sampled_from([0.0, 2.5, 2.0**53 - 2, 2.0**53]),
+        ops=tracker_ops,
+        name=st.sampled_from(NAMES),
+        nbytes=st.sampled_from([0, 1, 7, 50, -1]),
+        category=st.sampled_from(CATEGORIES + (FRESH,)),
+        duration=st.sampled_from([0.0, 1e-9, 0.1, 0.25, 1 / 3, 0.75, -1.0]),
+        count=st.sampled_from([0, 1, 2, 3, 7]),
+        headroom=st.sampled_from([None, -1, 0, 1]),
+    )
+    @chunk_run(ops=[("alloc", "a", 1, "weights")])  # a live name raises first
+    @chunk_run(nbytes=50, headroom=-1)  # one byte short of the first chunk
+    @chunk_run(nbytes=50, headroom=0)  # exactly at the budget
+    @chunk_run(start=2.0**53, duration=0.25)  # t + duration == t: one instant
+    @chunk_run(start=2.0**53 - 2, duration=0.75, count=7)  # advances twice, then sticks
+    @chunk_run(budget=BUDGET, name="b", nbytes=-1, count=0)  # no round: nothing happens
+    def test_transients_are_the_alloc_advance_free_rounds(
+        self, budget, start, ops, name, nbytes, category, duration, count, headroom
+    ):
+        """``transients`` against ``count`` reference rounds of alloc,
+        ``clock.advance`` and free, each tracker on its own clock."""
+        runs = []
+        for make in (MemoryTracker, ref.MemoryTracker):
+            clock = VirtualClock(start)
+            tracker = make(clock, budget_bytes=budget)
+            for op in ops:
+                if op[0] == "advance":
+                    clock.advance(op[1])
+                else:
+                    _apply(tracker, op)
+            if headroom is not None:
+                # One byte under, at or over what the first chunk needs.
+                tracker.budget_bytes = tracker.in_use + nbytes + headroom
+            if make is MemoryTracker:
+                state = copy.deepcopy({k: v for k, v in vars(tracker).items() if k != "clock"})
+                run = tracker.transients
+            else:
+                run = partial(_rounds, tracker)
+            try:
+                run(name, nbytes, category, duration, count)
+                outcome = None
+            except Exception as exc:
+                outcome = type(exc), str(exc)
+            if make is MemoryTracker and count == 0:
+                assert {k: v for k, v in vars(tracker).items() if k != "clock"} == state
+            runs.append((tracker, clock, outcome))
+        (got, got_clock, got_outcome), (want, want_clock, want_outcome) = runs
+        assert got_outcome == want_outcome
+        assert _float_bits(got_clock.now) == _float_bits(want_clock.now)
+        assert_same_tracker(got, want)
 
     def test_long_staircase_average_is_bitwise(self):
         """Thousands of points with uneven steps: a pairwise or compensated
@@ -742,6 +829,24 @@ def _offline_runs() -> dict:
     return runs
 
 
+def assert_same_run(got, want) -> None:
+    """Two ``RunStats`` agree on results, latencies and memory bits."""
+    assert got.oom == want.oom
+    assert got.latencies == want.latencies
+    assert got.io_stall_seconds == want.io_stall_seconds
+    assert got.precisions == want.precisions
+    assert _float_bits(got.peak_mib) == _float_bits(want.peak_mib)
+    assert _float_bits(got.avg_mib) == _float_bits(want.avg_mib)
+    assert _points(got.timeline) == _points(want.timeline)
+    assert len(got.results) == len(want.results)
+    for result, expected in zip(got.results, want.results):
+        assert same_bits(result.top_indices, expected.top_indices)
+        assert same_bits(result.top_scores, expected.top_scores)
+        assert result.latency_seconds == expected.latency_seconds
+        assert result.io_stall_seconds == expected.io_stall_seconds
+        assert result.prune_events == expected.prune_events
+
+
 def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
     """All five systems over all 18 datasets and three models give the
     same results, latencies and memory staircases with every reference
@@ -764,6 +869,7 @@ def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
         "repro.model.semantics.ScoreDynamics.noise": ref.noise,  # where engines draw
         "repro.core.engine.EmbeddingCache": ref.EmbeddingCache,
         "repro.device.platforms.MemoryTracker": ref.MemoryTracker,
+        "repro.core.engine.EngineBase._run_layer_chunks": ref.run_layer_chunks,
         "repro.harness.runner.build_batch": ref.build_batch,
     }
     for target, oracle in patches.items():
@@ -773,21 +879,7 @@ def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
     assert not never_ran, f"patched references never called: {sorted(never_ran)}"
     assert fast.keys() == reference.keys()
     for key, got in fast.items():
-        want = reference[key]
-        assert got.oom == want.oom
-        assert got.latencies == want.latencies
-        assert got.io_stall_seconds == want.io_stall_seconds
-        assert got.precisions == want.precisions
-        assert _float_bits(got.peak_mib) == _float_bits(want.peak_mib)
-        assert _float_bits(got.avg_mib) == _float_bits(want.avg_mib)
-        assert _points(got.timeline) == _points(want.timeline)
-        assert len(got.results) == len(want.results)
-        for result, expected in zip(got.results, want.results):
-            assert same_bits(result.top_indices, expected.top_indices)
-            assert same_bits(result.top_scores, expected.top_scores)
-            assert result.latency_seconds == expected.latency_seconds
-            assert result.io_stall_seconds == expected.io_stall_seconds
-            assert result.prune_events == expected.prune_events
+        assert_same_run(got, reference[key])
     assert fast["hf", "qwen3-reranker-4b"].oom  # the OOM path ran
     assert all(
         len(fast[system, model].results) == len(ALL_DATASETS)
@@ -795,6 +887,62 @@ def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
         if (system, model) != ("hf", "qwen3-reranker-4b")
     )
     assert any(event for run in fast.values() for r in run.results for event in r.prune_events)
+
+
+def _ring_runs() -> dict:
+    """PRISM and PRISM-Quant with every pass's hidden states offloaded,
+    over 23-candidate queries: chunks of 2 or 3 and a shorter last one."""
+    datasets = ("msmarco", "nfcorpus", "fiqa", "scifact")
+    queries = [q for name in datasets for q in get_dataset(name).queries(1, 23)]
+    configs = {
+        "prism": PrismConfig(hidden_offload="on"),
+        "prism_quant": PrismConfig.quant(hidden_offload="on"),
+    }
+    return {
+        (system, model): run_system(
+            system,
+            get_model_config(model),
+            "nvidia_5070",
+            queries,
+            k=10,
+            prism_config=config,
+            keep_results=True,
+            keep_timeline=True,
+        )
+        for model in ("qwen3-reranker-0.6b", "bge-reranker-v2-m3")
+        for system, config in configs.items()
+    }
+
+
+def test_hidden_state_ring_path_unchanged_against_the_per_chunk_loop(monkeypatch):
+    """The one path where a layer's chunks interleave hidden-state SSD
+    transfers: PRISM charges each chunk between ``ring.acquire`` and
+    ``ring.release``.  Against one reference alloc, kernel and free per
+    chunk, latencies, stalls, selections and the staircase are
+    identical."""
+    acquires: Counter = Counter()
+    acquire = HiddenStateRing.acquire
+
+    def counted_acquire(ring, layer, chunk):
+        acquires[ring.num_chunks > 1] += 1
+        return acquire(ring, layer, chunk)
+
+    monkeypatch.setattr(HiddenStateRing, "acquire", counted_acquire)
+    fast = _ring_runs()
+    assert acquires[True] > 0  # multi-chunk layers ran through the ring
+    chunks: Counter = Counter()
+
+    def reference(engine, tag, num_active, chunk_size, chunk_costs):
+        chunks[num_active] += 1
+        ref.run_layer_chunks(engine, tag, num_active, chunk_size, chunk_costs)
+
+    monkeypatch.setattr(EngineBase, "_run_layer_chunks", reference)
+    reference_runs = _ring_runs()
+    assert len(chunks) > 1  # full chunks and shorter last ones
+    assert fast.keys() == reference_runs.keys()
+    for key, got in fast.items():
+        assert got.io_stall_seconds > 0
+        assert_same_run(got, reference_runs[key])
 
 
 @pytest.mark.parametrize("tokens", [np.array([-1, 2]), np.array([[0, -3]])])

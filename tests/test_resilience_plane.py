@@ -34,6 +34,7 @@ from repro.core.resilience import (
 )
 from repro.core.scheduler import DeviceScheduler, SchedulerConfig
 from repro.core.service import SemanticSelectionService
+from repro.core.trace import TraceRequest, TraceSpec, run_trace
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
@@ -269,6 +270,36 @@ class TestSchedulerContainment:
             [SelectionRequest(batch=b, k=5, request_id=i) for i, b in enumerate(batches[:3])],
         )
         assert all(r.status == REQUEST_FAILED for r in responses)
+
+    def test_crash_fails_the_rest_of_the_drain_on_both_tiers(self):
+        """Four requests arrive together; a crash lands while the second
+        runs.  The engine tier, like a one-slot ``fifo`` device tier,
+        fails the second and every later request at the crash instant;
+        the later ones get an admit and a ``replica_crash`` fail event."""
+        queries = get_dataset("nfcorpus").queries(4, 6)
+        requests = [TraceRequest(q, k=2, request_id=f"r{i}") for i, q in enumerate(queries)]
+        crash = ({"kind": FAULT_REPLICA_CRASH, "at": 0.349},)
+        outcomes = []
+        for spec in (
+            TraceSpec(tier="engine", faults=crash),
+            TraceSpec(tier="device", device={"policy": "fifo"}, faults=crash),
+        ):
+            run = run_trace(spec, requests)
+            by_id = {r.request_id: r for r in run.responses}
+            outcomes.append([(by_id[r].status, by_id[r].finish) for r in ("r0", "r1", "r2", "r3")])
+            if spec.tier == "engine":
+                engine_events = run.log.events
+        assert outcomes[0] == outcomes[1]
+        statuses, finishes = zip(*outcomes[0])
+        assert statuses == ("ok", REQUEST_FAILED, REQUEST_FAILED, REQUEST_FAILED)
+        assert finishes[1] >= 0.349 and set(finishes[1:]) == {finishes[1]}
+        for request in requests[2:]:
+            lifecycle = [
+                (e.kind, e.data.get("detail"))
+                for e in engine_events
+                if e.tier == "engine" and e.request == request.request_id
+            ]
+            assert lifecycle == [("admit", None), ("fail", FAULT_REPLICA_CRASH)]
 
 
 # ----------------------------------------------------------------------
