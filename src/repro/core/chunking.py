@@ -139,6 +139,7 @@ class HiddenStateRing:
         self.num_chunks = max(1, math.ceil(num_candidates / plan.chunk_size))
         self.tag_prefix = tag_prefix
         self._slab_bytes = plan.chunk_size * plan.per_candidate_bytes
+        self._layer_chunks = self.num_chunks
         self._allocated = False
 
     def allocate(self) -> None:
@@ -160,9 +161,20 @@ class HiddenStateRing:
         self._allocated = False
 
     # ------------------------------------------------------------------
-    def begin_layer(self, layer_idx: int) -> None:
-        """Prefetch the first chunks of this layer's sweep."""
-        for chunk in range(min(2, self.num_chunks)):
+    def begin_layer(self, layer_idx: int, num_active: int | None = None) -> None:
+        """Prefetch the first chunks of this layer's sweep.
+
+        ``num_active`` is the layer's candidate count (by default every
+        one the ring was built for): after pruning a layer sweeps fewer
+        chunks, and neither this nor :meth:`release` prefetches past
+        them.
+        """
+        self._layer_chunks = (
+            self.num_chunks
+            if num_active is None
+            else max(1, math.ceil(num_active / self.plan.chunk_size))
+        )
+        for chunk in range(min(2, self._layer_chunks)):
             if layer_idx == 0 and chunk == 0:
                 continue  # chunk 0 of layer 0 is produced by the embedding
             self.executor.prefetch(self._read_tag(layer_idx, chunk), self._slab_bytes)
@@ -176,7 +188,7 @@ class HiddenStateRing:
         """Write back the computed chunk; prefetch two chunks ahead."""
         self.executor.offload_async(self._write_tag(layer_idx, chunk_idx), self._slab_bytes)
         ahead = chunk_idx + 2
-        if ahead < self.num_chunks:
+        if ahead < self._layer_chunks:
             self.executor.prefetch(self._read_tag(layer_idx, ahead), self._slab_bytes)
 
     def _read_tag(self, layer_idx: int, chunk_idx: int) -> str:

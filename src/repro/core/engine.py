@@ -624,7 +624,7 @@ class PrismEngine(EngineBase):
             else:
                 # Each chunk's hidden states move between its kernel and
                 # the next one's, so the ring charges chunk by chunk.
-                ring.begin_layer(layer)
+                ring.begin_layer(layer, num_active)
                 for chunk_no, start in enumerate(range(0, num_active, chunk_size)):
                     ring.acquire(layer, chunk_no)
                     self._run_layer_chunks(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,20 +68,31 @@ class RerankQuery:
 def build_batch(query: RerankQuery, tokenizer: Tokenizer, max_len: int) -> CandidateBatch:
     """Pack a query's candidates into a monolithic model batch.
 
-    Only the ids that survive truncation to ``max_len`` are drawn: a
-    synthetic sequence's prefix does not depend on its full length.
+    The token matrix is packed when it is first read; every argument
+    check runs here.  Only the ids that survive truncation to
+    ``max_len`` are drawn: a synthetic sequence's prefix does not depend
+    on its full length.  A row's attention length is its layout, the
+    kept template, query and document ids plus BOS, SEP and EOS, since
+    no template or drawn id is PAD.
     """
-    _, query_len, room = tokenizer.pair_layout(query.query_length, max_len)
+    template, query_len, room = tokenizer.pair_layout(query.query_length, max_len)
+    if not query.candidates:
+        raise ValueError("a query needs at least one candidate")
     seeds = [query.seed]
-    lengths = [query_len]
+    counts = [query_len]
     for candidate in query.candidates:
         seeds.append(candidate.seed)
-        lengths.append(min(candidate.length, room))
-    query_ids, *docs = tokenizer.encode_synthetic_many(seeds, lengths)
-    tokens = tokenizer.batch_pairs(query_ids, docs, max_len)
-    return CandidateBatch(
-        tokens=tokens,
-        lengths=tokenizer.attention_lengths(tokens),
+        counts.append(min(candidate.length, room))
+    if min(seeds) < 0 or min(counts) < 0:
+        raise ValueError("seeds and lengths must be non-negative")
+
+    def pack() -> np.ndarray:
+        query_ids, *docs = tokenizer.encode_synthetic_many(seeds, counts)
+        return tokenizer.batch_pairs(query_ids, docs, max_len)
+
+    return CandidateBatch.deferred(
+        pack,
+        lengths=np.array(counts[1:], dtype=np.int64) + (template + query_len + 3),
         relevance=query.relevance(),
         uids=query.uids(),
     )
@@ -104,11 +116,12 @@ def build_batches(
     length from that row.  Candidates that compare equal therefore
     pack to equal rows.
 
-    The head's token and length arrays are made read-only, so a write
-    through one request raises instead of changing its siblings.
-    :meth:`CandidateBatch.select` copies, so a pruned subset stays
-    private and writable.  Nothing outlives the call: the returned
-    batches hold the only references to the shared rows.
+    The head is packed when the first of its views reads its tokens,
+    and only once.  Its token and length arrays are made read-only, so
+    a write through one request raises instead of changing its
+    siblings.  :meth:`CandidateBatch.select` copies, so a pruned subset
+    stays private and writable.  Nothing outlives the call: the
+    returned batches hold the only references to the shared rows.
     """
     groups: dict[tuple, list[tuple[tuple[CandidateSpec, ...], CandidateBatch]]] = {}
     batches: dict[int, CandidateBatch] = {}
@@ -125,16 +138,22 @@ def build_batches(
                 break
         else:
             head = build_batch(query, tokenizer, max_len)
-            head.tokens.flags.writeable = False
             head.lengths.flags.writeable = False
             group.append((query.candidates, head))
-        batches[index] = CandidateBatch(
-            tokens=head.tokens[:rows],
+        batches[index] = CandidateBatch.deferred(
+            partial(_shared_rows, head, rows),
             lengths=head.lengths[:rows],
             relevance=query.relevance(),
             uids=query.uids(),
         )
     return [batches[index] for index in range(len(queries))]
+
+
+def _shared_rows(head: CandidateBatch, rows: int) -> np.ndarray:
+    """The first ``rows`` of ``head``'s tokens, as a read-only view."""
+    tokens = head.tokens
+    tokens.flags.writeable = False
+    return tokens[:rows]
 
 
 def make_query(

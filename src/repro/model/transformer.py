@@ -29,6 +29,7 @@ byte for byte against a float64 reference layer kept under ``tests/``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -45,7 +46,6 @@ from .zoo import ModelConfig
 KERNEL_DTYPE = np.float32
 
 
-@dataclass
 class CandidateBatch:
     """A monolithic batch of query-candidate pairs ready to forward.
 
@@ -53,33 +53,65 @@ class CandidateBatch:
     ``relevance``/``uids`` drive the semantic score process and come
     from the workload's hidden ground truth — engines never read them
     directly, only through classifier scores.
+
+    A batch made by :meth:`deferred` packs ``tokens`` the first time
+    they are read, and only once.  ``size`` and the other fields never
+    read them, so an engine that charges the embedding from shapes
+    alone never packs its batch.
     """
 
-    tokens: np.ndarray
-    lengths: np.ndarray
-    relevance: np.ndarray
-    uids: np.ndarray
+    __slots__ = ("_tokens", "_pack", "lengths", "relevance", "uids")
 
-    def __post_init__(self) -> None:
-        n = self.tokens.shape[0]
+    def __init__(
+        self, tokens: np.ndarray, lengths: np.ndarray, relevance: np.ndarray, uids: np.ndarray
+    ) -> None:
+        self._tokens: np.ndarray | None = tokens
+        self._pack: Callable[[], np.ndarray] | None = None
+        self.lengths, self.relevance, self.uids = lengths, relevance, uids
+        self._check_rows(tokens.shape[0])
+
+    @classmethod
+    def deferred(
+        cls,
+        pack: Callable[[], np.ndarray],
+        lengths: np.ndarray,
+        relevance: np.ndarray,
+        uids: np.ndarray,
+    ) -> CandidateBatch:
+        """A batch whose token matrix ``pack()`` builds on first read."""
+        batch = cls.__new__(cls)
+        batch._tokens, batch._pack = None, pack
+        batch.lengths, batch.relevance, batch.uids = lengths, relevance, uids
+        batch._check_rows(lengths.shape[0])
+        return batch
+
+    def _check_rows(self, n: int) -> None:
         for name in ("lengths", "relevance", "uids"):
             arr = getattr(self, name)
             if arr.shape[0] != n:
                 raise ValueError(f"{name} length {arr.shape[0]} != batch size {n}")
 
     @property
+    def tokens(self) -> np.ndarray:
+        if self._tokens is None:
+            self._tokens, self._pack = self._pack(), None
+        return self._tokens
+
+    @property
     def size(self) -> int:
-        return int(self.tokens.shape[0])
+        return int(self.lengths.shape[0])
 
-    def select(self, index: np.ndarray) -> "CandidateBatch":
-        """Sub-batch copy of the rows at ``index``, for chunking / pruning.
+    def select(self, index: np.ndarray) -> CandidateBatch:
+        """Sub-batch of the rows at ``index``, for chunking / pruning.
 
-        Fancy indexing copies, so a subset of a batch whose rows are
-        shared read-only (:func:`~repro.data.workloads.build_batches`)
-        is private and writable.
+        Its tokens are taken from this batch when they are first read,
+        by fancy indexing, which copies: a subset of a batch whose rows
+        are shared read-only (:func:`~repro.data.workloads.build_batches`)
+        is private and writable, and a subset nobody reads copies nothing.
         """
-        return CandidateBatch(
-            tokens=self.tokens[index],
+        index = np.array(index)  # read again on first read; the caller may reuse its own
+        return CandidateBatch.deferred(
+            lambda: self.tokens[index],
             lengths=self.lengths[index],
             relevance=self.relevance[index],
             uids=self.uids[index],

@@ -36,12 +36,15 @@ class Vocabulary:
         Zipf exponent; ``1.0`` matches classic natural-language skew.
     num_special:
         Number of reserved special tokens at the front of the id space
-        (pad/bos/eos/sep...); these are never produced by sampling.
+        (PAD, BOS, EOS, SEP and any more); these are never produced by
+        sampling.
     """
 
     PAD, BOS, EOS, SEP = 0, 1, 2, 3
 
     def __init__(self, size: int, zipf_s: float = 1.0, num_special: int = 4) -> None:
+        if num_special < 4:
+            raise ValueError("num_special must reserve PAD, BOS, EOS and SEP")
         if size <= num_special:
             raise ValueError(f"vocab size {size} must exceed num_special {num_special}")
         if zipf_s <= 0:

@@ -9,10 +9,15 @@ from repro.core.chunking import (
     iter_chunks,
     plan_hidden_states,
 )
+from repro.core.config import PrismConfig
+from repro.core.engine import PrismEngine
+from repro.data.datasets import get_dataset
+from repro.data.workloads import build_batch
 from repro.device.executor import DeviceExecutor
 from repro.device.memory import MiB
 from repro.device.platforms import APPLE_M2, NVIDIA_5070
 from repro.model import costs
+from repro.model.shared import shared_model, shared_tokenizer
 from repro.model.zoo import QWEN3_0_6B
 
 
@@ -161,3 +166,32 @@ class TestHiddenStateRing:
         assert "hidden-ring/read/L0/C0" not in tags
         assert "hidden-ring/read/L0/C1" in tags
         ring.release_all()
+
+    def test_pruned_layers_prefetch_only_the_chunks_they_run(self, monkeypatch):
+        """Two 23-candidate queries with every pass offloaded: once
+        pruning shrinks the active set, a layer prefetches only the
+        chunks it sweeps, so every ring read is awaited (before the
+        bound, 62 of 565 reads were not)."""
+        acquired = set()
+        acquire = HiddenStateRing.acquire
+
+        def recording(ring, layer, chunk):
+            acquired.add(ring._read_tag(layer, chunk))
+            acquire(ring, layer, chunk)
+
+        monkeypatch.setattr(HiddenStateRing, "acquire", recording)
+        device = NVIDIA_5070.create()
+        engine = PrismEngine(
+            shared_model(QWEN3_0_6B), device, PrismConfig(numerics=False, hidden_offload="on")
+        )
+        engine.prepare()
+        tokenizer = shared_tokenizer(QWEN3_0_6B)
+        pruned = 0
+        for name in ("msmarco", "nfcorpus"):
+            (query,) = get_dataset(name).queries(1, 23)
+            batch = build_batch(query, tokenizer, QWEN3_0_6B.max_seq_len)
+            pruned += len(engine.start(batch, 10).run().prune_events)
+        reads = [r.tag for r in device.ssd.request_log if "/hidden-ring/read/" in r.tag]
+        assert pruned > 0
+        assert len(reads) == 503
+        assert set(reads) <= acquired

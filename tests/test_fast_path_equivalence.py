@@ -8,12 +8,14 @@ replayed run of chunk charges included), and every packed token id.
 The end-to-end tests run the five offline systems, and PRISM with its
 hidden-state ring, with the references patched in and require
 identical results, so no prune decision, latency or memory staircase
-can drift.
+can drift.  A batch packs its tokens on first read: the packing tests
+also check that it packs nothing that is never read, and once what is.
 """
 
 import copy
 import struct
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -28,12 +30,12 @@ from repro.core.data_plane import SharedEmbeddingCache
 from repro.core.embedding_cache import EmbeddingCache
 from repro.core.engine import EngineBase
 from repro.data.datasets import ALL_DATASETS, get_dataset
-from repro.data.workloads import CandidateSpec, RerankQuery, build_batch
+from repro.data.workloads import CandidateSpec, RerankQuery, build_batch, build_batches
 from repro.device.clock import VirtualClock
 from repro.device.executor import DeviceExecutor
 from repro.device.memory import MemoryTracker, OutOfMemoryError
 from repro.device.platforms import NVIDIA_5070
-from repro.harness.runner import SYSTEMS, run_system, shared_model
+from repro.harness.runner import SYSTEMS, run_system, shared_model, shared_tokenizer
 from repro.model import semantics
 from repro.model.transformer import CandidateBatch
 from repro.model.zoo import get_model_config
@@ -773,10 +775,15 @@ class TestPacking:
         doc_lengths=st.lists(lengths, min_size=1, max_size=12),
         max_len=max_lens,
         seed=seeds,
+        data=st.data(),
     )
     def test_build_batch_matches_the_reference(
-        self, size, query_length, doc_lengths, max_len, seed
+        self, size, query_length, doc_lengths, max_len, seed, data
     ):
+        """Every field of ``build_batch``, and of each ``build_batches``
+        view over the query, its repeats and its prefixes in any order.
+        ``lengths`` is read before the tokens are packed, and equals the
+        packed rows' attention lengths."""
         candidates = tuple(
             CandidateSpec(uid=i, seed=seed ^ (i + 1), length=n, relevance=0.5, is_relevant=i == 0)
             for i, n in enumerate(doc_lengths)
@@ -784,11 +791,18 @@ class TestPacking:
         query = RerankQuery(
             query_id=0, seed=seed, query_length=query_length, candidates=candidates
         )
+        rows = data.draw(st.lists(st.integers(1, len(candidates)), max_size=4))
+        queries = data.draw(
+            st.permutations([query] + [replace(query, candidates=candidates[:n]) for n in rows])
+        )
         tokenizer = tokenizer_of(size)
-        got = build_batch(query, tokenizer, max_len)
-        want = ref.build_batch(query, tokenizer, max_len)
-        for field in ("tokens", "lengths", "relevance", "uids"):
-            assert same_bits(getattr(got, field), getattr(want, field))
+        for got, request in [(build_batch(query, tokenizer, max_len), query)] + list(
+            zip(build_batches(queries, tokenizer, max_len), queries)
+        ):
+            want = ref.build_batch(request, tokenizer, max_len)
+            for field in ("lengths", "tokens", "relevance", "uids"):
+                assert same_bits(getattr(got, field), getattr(want, field))
+            assert same_bits(got.lengths, tokenizer.attention_lengths(got.tokens))
 
     def test_bad_arguments_rejected(self):
         tokenizer = tokenizer_of(50)
@@ -803,6 +817,120 @@ class TestPacking:
         with pytest.raises(ValueError):
             tokenizer.encode_synthetic_many([1, 2, 3], [5, 5])
         assert tokenizer.vocab.sample_many([], []) == []
+
+
+# ---------------------------------------------------------------------------
+# first-read packing
+# ---------------------------------------------------------------------------
+class Packs:
+    """Counts ``Tokenizer.batch_pairs`` calls: one per packed batch."""
+
+    def __init__(self) -> None:
+        self.count = 0
+
+
+@pytest.fixture
+def packs(monkeypatch) -> Packs:
+    counter = Packs()
+    batch_pairs = Tokenizer.batch_pairs
+
+    def counted(tokenizer, *args, **kwargs):
+        counter.count += 1
+        return batch_pairs(tokenizer, *args, **kwargs)
+
+    monkeypatch.setattr(Tokenizer, "batch_pairs", counted)
+    return counter
+
+
+QWEN = get_model_config("qwen3-reranker-0.6b")
+
+
+def scifact_query(num_candidates: int = 20) -> RerankQuery:
+    return get_dataset("scifact").queries(1, num_candidates)[0]
+
+
+class TestFirstReadPacking:
+    @pytest.mark.parametrize(
+        "system, prism_config, expected",
+        [
+            ("hf", None, 0),
+            ("hf_offload", None, 0),
+            ("hf_quant", None, 0),
+            ("prism", PrismConfig(embedding_cache=False), 0),
+            ("prism", None, 1),  # the embedding-cache lookup reads the tokens
+        ],
+    )
+    def test_engines_pack_only_what_they_read(self, packs, system, prism_config, expected):
+        stats = run_system(
+            system, QWEN, "nvidia_5070", [scifact_query()], k=10, prism_config=prism_config
+        )
+        assert len(stats.latencies) == 1
+        assert packs.count == expected
+
+    def test_a_head_packs_once_for_all_its_views(self, packs):
+        query = scifact_query(8)
+        queries = [replace(query, candidates=query.candidates[:n]) for n in (3, 8, 5, 8, 1)]
+        batches = build_batches(queries, shared_tokenizer(QWEN), QWEN.max_seq_len)
+        assert packs.count == 0
+        for batch in batches + batches:
+            assert batch.tokens.shape == (batch.size, QWEN.max_seq_len)
+        assert packs.count == 1
+
+    def test_select_of_an_unpacked_batch_stays_unpacked(self, packs):
+        query = scifact_query(6)
+        tokenizer = shared_tokenizer(QWEN)
+        batch = build_batch(query, tokenizer, QWEN.max_seq_len)
+        index = np.array([4, 0, 2])
+        sub = batch.select(index)
+        index[:] = 5  # the rows were chosen at select
+        assert sub.size == 3 and same_bits(sub.lengths, batch.lengths[[4, 0, 2]])
+        assert packs.count == 0
+        want = ref.build_batch(query, tokenizer, QWEN.max_seq_len).tokens[[4, 0, 2]]
+        assert same_bits(sub.tokens, want)
+        assert packs.count == 1
+        assert same_bits(batch.tokens[[4, 0, 2]], want)  # the pack the sub-batch read
+        assert packs.count == 1
+
+    def test_select_of_shared_rows_is_a_writable_copy(self):
+        query = scifact_query(6)
+        views = build_batches([query, query], shared_tokenizer(QWEN), QWEN.max_seq_len)
+        shared = views[0].tokens
+        sub = views[1].select(np.arange(2))
+        assert sub.tokens.flags.writeable
+        assert not np.shares_memory(sub.tokens, shared)
+        sub.tokens[0, 0] = -1
+        assert shared[0, 0] != -1
+
+    def test_writes_through_shared_views_raise(self):
+        query = scifact_query(6)
+        prefix = replace(query, candidates=query.candidates[:2])
+        for view in build_batches([query, prefix], shared_tokenizer(QWEN), QWEN.max_seq_len):
+            with pytest.raises(ValueError):
+                view.tokens[0, 0] = 0
+            with pytest.raises(ValueError):
+                view.lengths[0] = 0
+
+    def test_bad_queries_raise_at_build(self, packs):
+        query = scifact_query(3)
+        first, second, third = query.candidates
+        tokenizer = shared_tokenizer(QWEN)
+        cases = [
+            (replace(query, candidates=()), 512),
+            (query, 3),
+            (replace(query, query_length=-1), 512),
+            (replace(query, candidates=(first, replace(second, length=-1))), 512),
+            (replace(query, seed=-1), 512),
+            (replace(query, candidates=(replace(third, seed=-2),)), 512),
+        ]
+        for bad, max_len in cases:
+            for build in (
+                partial(build_batch, bad),
+                lambda *args: build_batches([bad], *args),
+                partial(ref.build_batch, bad),  # the eager reference raises too
+            ):
+                with pytest.raises(ValueError):
+                    build(tokenizer, max_len)
+        assert packs.count == 0
 
 
 # ---------------------------------------------------------------------------
