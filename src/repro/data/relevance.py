@@ -87,6 +87,10 @@ class RelevanceProfile:
         lo, hi = self.relevant_range
         if lo < 0 or hi < lo:
             raise ValueError(f"bad relevant_range {self.relevant_range}")
+        # The tier mean ``_compress`` squeezes toward, once per profile.
+        centers = [self.top_tier.center, self.mid_tier.center]
+        centers += [tier.center for tier in self.low_tiers]
+        object.__setattr__(self, "_mean", float(np.mean(centers)))
 
     # ------------------------------------------------------------------
     def draw_pool(
@@ -123,16 +127,13 @@ class RelevanceProfile:
             tier = self.mid_tier
         else:
             tier = self.low_tiers[int(rng.integers(len(self.low_tiers)))]
-        return float(tier.draw(rng, 1)[0])
+        # Must equal ``float(tier.draw(rng, 1)[0])``: the same normal draw,
+        # clipped to the same bounds, without numpy's per-call overhead.
+        return min(max(rng.normal(tier.center, tier.spread), 0.01), 0.99)
 
     def _compress(self, relevance: np.ndarray) -> np.ndarray:
         """Squeeze tiers toward the profile mean by ``separation``."""
         if self.separation >= 1.0:
             return relevance
-        mean = self._profile_mean()
+        mean = self._mean
         return np.clip(mean + (relevance - mean) * self.separation, 0.01, 0.99)
-
-    def _profile_mean(self) -> float:
-        centers = [self.top_tier.center, self.mid_tier.center]
-        centers += [tier.center for tier in self.low_tiers]
-        return float(np.mean(centers))

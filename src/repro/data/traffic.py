@@ -42,7 +42,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .workloads import CandidateSpec, RerankQuery, make_query
+from .workloads import CandidateSpec, RerankQuery, make_query, weighted_draws
 
 #: JSONL header schema tag / version.
 TRAFFIC_SCHEMA = "repro.traffic"
@@ -128,6 +128,12 @@ class TrafficConfig:
         if self.process not in ARRIVAL_PROCESSES:
             known = ", ".join(ARRIVAL_PROCESSES)
             raise ValueError(f"unknown arrival process {self.process!r}; known: {known}")
+        # A Zipf exponent skews draws toward rank 1, and ``inf`` puts
+        # every draw there.  NaN (and ``-inf``) gives no distribution.
+        if not self.tenant_zipf_s >= 0:
+            raise ValueError("tenant_zipf_s must be >= 0")
+        if not self.query_zipf_s >= 0:
+            raise ValueError("query_zipf_s must be >= 0")
         mix_names = [name for name, _ in self.class_mix]
         if sorted(mix_names) != sorted(set(mix_names)):
             raise ValueError("class_mix names must be unique")
@@ -339,14 +345,17 @@ def generate_traffic(config: TrafficConfig) -> TrafficTrace:
     rng = np.random.default_rng(config.seed)
     tenant_p = _zipf_weights(config.num_tenants, config.tenant_zipf_s)
     mix_names = [name for name, _ in config.class_mix]
-    mix_shares = np.array([share for _, share in config.class_mix], dtype=np.float64)
+    draw_class = weighted_draws(rng, np.array([share for _, share in config.class_mix]))
+    weights = np.asarray(config.tenant_weights)
     factors = dict(config.admit_factor)
     sigmas = dict(config.burst_sigma)
     tenants: dict[str, TenantProfile] = {}
     tenant_ids = [f"t{i:04d}" for i in range(config.num_tenants)]
     for i, tenant in enumerate(tenant_ids):
-        slo = mix_names[int(rng.choice(len(mix_names), p=mix_shares))]
-        weight = float(rng.choice(np.asarray(config.tenant_weights)))
+        slo = mix_names[draw_class()]
+        # The one bounded draw ``rng.choice(weights)`` makes, so traces
+        # replay byte for byte.
+        weight = float(weights[rng.integers(0, weights.size)])
         # Token rate proportional to the tenant's own expected traffic,
         # scaled by its class's admit factor; burst deep enough to
         # absorb a sigma-sized Poisson overshoot (see TrafficConfig).
@@ -370,15 +379,15 @@ def generate_traffic(config: TrafficConfig) -> TrafficTrace:
                 doc_length_mean=config.doc_length_mean,
             )
         )
-    query_p = _zipf_weights(config.num_base_queries, config.query_zipf_s)
+    draw_tenant = weighted_draws(rng, tenant_p)
+    draw_query = weighted_draws(rng, _zipf_weights(config.num_base_queries, config.query_zipf_s))
 
     arrivals = _arrivals(rng, config)
     truncated: dict[tuple[int, int], RerankQuery] = {}
     requests: list[TrafficRequest] = []
     for arrival in arrivals:
-        ti = int(rng.choice(config.num_tenants, p=tenant_p))
-        tenant = tenant_ids[ti]
-        qi = int(rng.choice(config.num_base_queries, p=query_p))
+        tenant = tenant_ids[draw_tenant()]
+        qi = draw_query()
         tail = float(rng.pareto(config.candidate_tail))
         size = min(
             config.max_candidates,
@@ -392,13 +401,20 @@ def generate_traffic(config: TrafficConfig) -> TrafficTrace:
                 if size >= base.num_candidates
                 else replace(base, candidates=base.candidates[:size])
             )
+        query = truncated[key]
         requests.append(
             TrafficRequest(
                 arrival=float(arrival),
                 tenant=tenant,
                 slo=tenants[tenant].slo,
                 k=config.k,
-                query=replace(truncated[key], tenant=tenant),
+                query=RerankQuery(
+                    query_id=query.query_id,
+                    seed=query.seed,
+                    query_length=query.query_length,
+                    candidates=query.candidates,
+                    tenant=tenant,
+                ),
             )
         )
     return TrafficTrace(config=config, tenants=tenants, requests=requests)

@@ -11,6 +11,8 @@ sequence limits.  :func:`build_batch` turns one query into the
 from __future__ import annotations
 
 import hashlib
+import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Sequence
@@ -169,13 +171,9 @@ def make_query(
     if labels.shape != relevance.shape:
         raise ValueError("labels and relevance must align")
     candidates = []
-    for i, (label, rel) in enumerate(zip(labels, relevance)):
+    for label, rel in zip(labels, relevance):
         length = int(
-            np.clip(
-                rng.normal(doc_length_mean, doc_length_jitter),
-                32,
-                4 * doc_length_mean,
-            )
+            min(max(rng.normal(doc_length_mean, doc_length_jitter), 32), 4 * doc_length_mean)
         )
         candidates.append(
             CandidateSpec(
@@ -192,6 +190,50 @@ def make_query(
         query_length=query_length,
         candidates=tuple(candidates),
     )
+
+
+def weighted_draws(rng: np.random.Generator, p) -> Callable[[], int]:
+    """A draw function that picks what ``rng.choice`` picks with weights ``p``.
+
+    ``Generator.choice`` checks ``p`` and rebuilds its CDF on every
+    call; this does both once.  A bad ``p`` raises here the
+    ``ValueError`` that choice raises for it, after the same checks in
+    the same order (choice sums ``p`` with a Kahan sum and widens the
+    tolerance for a low-precision float ``p``).  The CDF is built as
+    choice builds it: ``cumsum``, then division by its last entry.
+    Each call of the returned function takes one uniform from ``rng``,
+    as choice does, and finds it with choice's ``side="right"`` search.
+    So the picks, and the generator's state after each one, are
+    choice's, interleaved with any other draws.
+    """
+    atol = np.sqrt(np.finfo(np.float64).eps)
+    if isinstance(p, np.ndarray) and np.issubdtype(p.dtype, np.floating):
+        atol = max(atol, np.sqrt(np.finfo(p.dtype).eps))
+    if len(p) == 0:
+        raise ValueError("a must be a positive integer unless no samples are taken")
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 1:
+        raise ValueError("p must be 1-dimensional")
+    weights = p.tolist()
+    total, carry = weights[0], 0.0
+    for weight in weights[1:]:
+        step = weight - carry
+        summed = total + step
+        carry = (summed - total) - step
+        total = summed
+    if math.isnan(total):
+        raise ValueError("Probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("Probabilities are not non-negative")
+    if abs(total - 1.0) > atol:
+        raise ValueError(
+            "Probabilities do not sum to 1. See Notes section of docstring for more information."
+        )
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = cdf.tolist()
+    uniform = rng.random
+    return lambda: bisect_right(edges, uniform())
 
 
 def zipf_request_stream(
@@ -234,7 +276,7 @@ def zipf_request_stream(
         raise ValueError("base_queries must be non-empty")
     if num_requests < 0:
         raise ValueError("num_requests must be >= 0")
-    if zipf_s < 0:
+    if not zipf_s >= 0:
         raise ValueError("zipf_s must be >= 0")
     if not 0.0 <= partial_overlap_rate <= 1.0:
         raise ValueError("partial_overlap_rate must lie in [0, 1]")
@@ -244,6 +286,7 @@ def zipf_request_stream(
     ranks = np.arange(1, len(base_queries) + 1, dtype=np.float64)
     weights = ranks**-zipf_s
     weights /= weights.sum()
+    draw_index = weighted_draws(rng, weights)
 
     def mutate(query: RerankQuery, source: np.random.Generator) -> RerankQuery:
         keep = max(1, int(round(len(query.candidates) * (1.0 - resample_fraction))))
@@ -273,7 +316,7 @@ def zipf_request_stream(
         mutated: dict[int, RerankQuery] = {}
         stream: list[RerankQuery] = []
         for _ in range(num_requests):
-            index = int(rng.choice(len(base_queries), p=weights))
+            index = draw_index()
             if partial_overlap_rate > 0.0 and rng.random() < partial_overlap_rate:
                 if index not in mutated:
                     mutated[index] = mutate(base_queries[index], rng)
@@ -300,7 +343,7 @@ def zipf_request_stream(
     tenant_mutated: dict[tuple[int, str], RerankQuery] = {}
     stream = []
     for draw in range(num_requests):
-        index = int(rng.choice(len(base_queries), p=weights))
+        index = draw_index()
         tenant = tenant_of(draw)
         if partial_overlap_rate > 0.0 and rng.random() < partial_overlap_rate:
             key = (index, tenant)

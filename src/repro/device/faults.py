@@ -15,8 +15,12 @@ kinds model the failure modes the resilience plane must survive:
   throttling, a competing tenant saturating the link).
 * ``replica_stall`` — the device freezes for ``duration`` seconds at
   the next task step boundary (GC pause, power-state transition).
-* ``replica_crash`` — the device dies at the next step boundary:
-  every in-flight task on it fails with a :class:`DeviceFault`.
+* ``replica_crash`` — at the next step boundary every in-flight task
+  on the device fails with a :class:`DeviceFault`, and the serving
+  tier fails the rest of that drain.  Like every event it fires once:
+  the device keeps no dead state, so the next drain is served (a
+  restart).  The fleet charges the restart as
+  ``ResilienceConfig.cooldown_s`` out of routing.
 
 Faults surface only at layer boundaries — the same preemption points
 the scheduler uses — so a failing pass releases its shared
@@ -37,7 +41,8 @@ FAULT_SSD_READ_ERROR = "ssd_read_error"
 FAULT_BANDWIDTH_DEGRADATION = "bandwidth_degradation"
 #: Device freezes for a window at its next step boundary.
 FAULT_REPLICA_STALL = "replica_stall"
-#: Device dies at its next step boundary; in-flight work fails.
+#: Device fails at its next step boundary: the drain in flight fails, the
+#: next one is served.
 FAULT_REPLICA_CRASH = "replica_crash"
 
 #: Every fault kind a :class:`FaultEvent` may carry.

@@ -23,8 +23,11 @@ retrieval stack.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
+
+from ..data.workloads import weighted_draws
 
 #: Relevance tiers by topic relation (same / adjacent / unrelated).
 SAME_TOPIC_RELEVANCE = (0.82, 0.07)
@@ -123,30 +126,33 @@ class SyntheticCorpus:
     def _common_word(self, index: int) -> str:
         return f"c{index:04d}"
 
-    def _draw_words(self, topic_id: int, count: int, purity: float) -> tuple[str, ...]:
+    def _draw_words(
+        self, topic_id: int, count: int, purity: float, draw_common: Callable[[], int]
+    ) -> tuple[str, ...]:
         rng = self._rng
         words = []
-        # Zipf-skewed background draw keeps the common band realistic.
-        zipf_weights = 1.0 / np.arange(1, self.common_vocab_size + 1)
-        zipf_weights /= zipf_weights.sum()
         for _ in range(count):
             if rng.random() < purity:
                 words.append(self._topic_word(topic_id, int(rng.integers(self.topic_vocab_size))))
             else:
-                words.append(self._common_word(int(rng.choice(self.common_vocab_size, p=zipf_weights))))
+                words.append(self._common_word(draw_common()))
         return tuple(words)
 
     def _build(self) -> None:
         rng = self._rng
+        # Zipf-skewed background draw keeps the common band realistic.
+        zipf_weights = 1.0 / np.arange(1, self.common_vocab_size + 1)
+        zipf_weights /= zipf_weights.sum()
+        draw_common = weighted_draws(rng, zipf_weights)
         for doc_id in range(self.num_docs):
             topic_id = doc_id % self.num_topics
-            purity = float(np.clip(rng.normal(0.42, 0.10), 0.10, 0.80))
-            length = int(np.clip(rng.normal(self.words_per_doc, 10), 16, 4 * self.words_per_doc))
+            purity = min(max(rng.normal(0.42, 0.10), 0.10), 0.80)
+            length = int(min(max(rng.normal(self.words_per_doc, 10), 16), 4 * self.words_per_doc))
             self.documents.append(
                 Document(
                     doc_id=doc_id,
                     topic_id=topic_id,
-                    words=self._draw_words(topic_id, length, purity),
+                    words=self._draw_words(topic_id, length, purity, draw_common),
                     purity=purity,
                 )
             )
@@ -193,7 +199,7 @@ class SyntheticCorpus:
                 center, spread = ADJACENT_TOPIC_RELEVANCE
             else:
                 center, spread = UNRELATED_RELEVANCE
-            relevance[doc.doc_id] = np.clip(rng.normal(center, spread), 0.01, 0.99)
+            relevance[doc.doc_id] = min(max(rng.normal(center, spread), 0.01), 0.99)
 
         # The answer hinges on a couple of specific documents; pick them
         # among the retrievable (high-purity) same-topic docs so coverage

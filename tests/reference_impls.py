@@ -8,8 +8,11 @@ per-pass table built from it row by row), the two LRU row caches
 (``repro.device.memory.MemoryTracker``), the engines' chunk charges (one
 alloc, kernel and free per chunk) and request packing
 (``Vocabulary.sample`` as one search over the whole CDF,
-``Tokenizer.build_pair``/``batch_pairs`` and ``build_batch``).  The
-production code must match them bit for bit; the property tests in
+``Tokenizer.build_pair``/``batch_pairs`` and ``build_batch``) and the
+seeded input generators (``make_query``, ``zipf_request_stream``,
+``generate_traffic``, ``RelevanceProfile.draw_pool`` and
+``SyntheticCorpus``, drawing through ``Generator.choice(p=...)`` and
+``np.clip``).  The production code must match them bit for bit; the property tests in
 ``tests/test_fast_path_equivalence.py`` and the end-to-end guards there
 compare the two.  Keep them simple and unchanged: they are the oracle,
 not a second code path.
@@ -23,8 +26,10 @@ bit on everything observable (``tests/test_gang_kernels.py``).
 
 from __future__ import annotations
 
+import hashlib
+import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import MethodType
 from unittest import mock
 
@@ -32,7 +37,8 @@ import numpy as np
 
 from repro.core.clustering import MIN_SEPARATION, Clustering
 from repro.core.embedding_cache import CacheLookup
-from repro.data.workloads import RerankQuery
+from repro.data import traffic
+from repro.data.workloads import CandidateSpec, RerankQuery
 from repro.device.clock import VirtualClock
 from repro.device.memory import (
     CATEGORY_EMBEDDING,
@@ -58,6 +64,7 @@ from repro.model.tensor_ops import (
 )
 from repro.model.transformer import CandidateBatch, CrossEncoderModel, ForwardState
 from repro.model.zoo import ModelConfig
+from repro.retrieval import corpus
 
 
 # ---------------------------------------------------------------------------
@@ -687,6 +694,335 @@ def build_batch(query: RerankQuery, tokenizer, max_len: int) -> CandidateBatch:
         relevance=query.relevance(),
         uids=query.uids(),
     )
+
+
+# ---------------------------------------------------------------------------
+# Seeded input generators (repro.data, repro.retrieval.corpus)
+# ---------------------------------------------------------------------------
+def choice_cdf(p) -> np.ndarray:
+    """The CDF ``Generator.choice(len(p), p=p)`` searches, built its way:
+    one uniform ``u`` picks ``cdf.searchsorted(u, side="right")``."""
+    cdf = np.asarray(p, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def make_query(
+    rng: np.random.Generator,
+    query_id: int,
+    labels: np.ndarray,
+    relevance: np.ndarray,
+    query_length: int,
+    doc_length_mean: int,
+    doc_length_jitter: int = 40,
+) -> RerankQuery:
+    """``repro.data.workloads.make_query``: ``np.clip`` per length draw."""
+    if labels.shape != relevance.shape:
+        raise ValueError("labels and relevance must align")
+    candidates = []
+    for i, (label, rel) in enumerate(zip(labels, relevance)):
+        length = int(
+            np.clip(
+                rng.normal(doc_length_mean, doc_length_jitter),
+                32,
+                4 * doc_length_mean,
+            )
+        )
+        candidates.append(
+            CandidateSpec(
+                uid=int(rng.integers(0, 2**31 - 1)),
+                seed=int(rng.integers(0, 2**31 - 1)),
+                length=length,
+                relevance=float(rel),
+                is_relevant=bool(label),
+            )
+        )
+    return RerankQuery(
+        query_id=query_id,
+        seed=int(rng.integers(0, 2**31 - 1)),
+        query_length=query_length,
+        candidates=tuple(candidates),
+    )
+
+
+def zipf_request_stream(
+    rng: np.random.Generator,
+    base_queries: "list[RerankQuery]",
+    num_requests: int,
+    zipf_s: float = 1.1,
+    partial_overlap_rate: float = 0.0,
+    resample_fraction: float = 0.5,
+    tenant_of=None,
+) -> "list[RerankQuery]":
+    """``repro.data.workloads.zipf_request_stream``: one
+    ``rng.choice(p=weights)`` per draw."""
+    if not base_queries:
+        raise ValueError("base_queries must be non-empty")
+    if num_requests < 0:
+        raise ValueError("num_requests must be >= 0")
+    if zipf_s < 0:
+        raise ValueError("zipf_s must be >= 0")
+    if not 0.0 <= partial_overlap_rate <= 1.0:
+        raise ValueError("partial_overlap_rate must lie in [0, 1]")
+    if not 0.0 < resample_fraction <= 1.0:
+        raise ValueError("resample_fraction must lie in (0, 1]")
+
+    ranks = np.arange(1, len(base_queries) + 1, dtype=np.float64)
+    weights = ranks**-zipf_s
+    weights /= weights.sum()
+
+    def mutate(query: RerankQuery, source: np.random.Generator) -> RerankQuery:
+        keep = max(1, int(round(len(query.candidates) * (1.0 - resample_fraction))))
+        fresh = []
+        for _ in range(len(query.candidates) - keep):
+            relevance = float(source.uniform(0.05, 0.95))
+            fresh.append(
+                CandidateSpec(
+                    uid=int(source.integers(0, 2**31 - 1)),
+                    seed=int(source.integers(0, 2**31 - 1)),
+                    length=int(query.candidates[0].length),
+                    relevance=relevance,
+                    is_relevant=relevance >= 0.5,
+                )
+            )
+        return RerankQuery(
+            query_id=query.query_id,
+            seed=query.seed,
+            query_length=query.query_length,
+            candidates=query.candidates[:keep] + tuple(fresh),
+            tenant=query.tenant,
+        )
+
+    if tenant_of is None:
+        mutated: dict[int, RerankQuery] = {}
+        stream: list[RerankQuery] = []
+        for _ in range(num_requests):
+            index = int(rng.choice(len(base_queries), p=weights))
+            if partial_overlap_rate > 0.0 and rng.random() < partial_overlap_rate:
+                if index not in mutated:
+                    mutated[index] = mutate(base_queries[index], rng)
+                stream.append(mutated[index])
+            else:
+                stream.append(base_queries[index])
+        return stream
+
+    base_entropy = int(rng.integers(0, 2**31 - 1))
+    substreams: dict[str, np.random.Generator] = {}
+
+    def substream(tenant: str) -> np.random.Generator:
+        if tenant not in substreams:
+            digest = hashlib.sha256(tenant.encode("utf-8")).digest()
+            substreams[tenant] = np.random.default_rng(
+                [base_entropy, int.from_bytes(digest[:8], "big")]
+            )
+        return substreams[tenant]
+
+    tenant_mutated: dict[tuple[int, str], RerankQuery] = {}
+    stream = []
+    for draw in range(num_requests):
+        index = int(rng.choice(len(base_queries), p=weights))
+        tenant = tenant_of(draw)
+        if partial_overlap_rate > 0.0 and rng.random() < partial_overlap_rate:
+            key = (index, tenant)
+            if key not in tenant_mutated:
+                tenant_mutated[key] = mutate(
+                    replace(base_queries[index], tenant=tenant), substream(tenant)
+                )
+            stream.append(tenant_mutated[key])
+        else:
+            stream.append(replace(base_queries[index], tenant=tenant))
+    return stream
+
+
+def generate_traffic(config: "traffic.TrafficConfig") -> "traffic.TrafficTrace":
+    """``repro.data.traffic.generate_traffic``: ``rng.choice`` per class,
+    weight, tenant and base-query draw, and a ``replace`` per arrival."""
+    rng = np.random.default_rng(config.seed)
+    tenant_p = traffic._zipf_weights(config.num_tenants, config.tenant_zipf_s)
+    mix_names = [name for name, _ in config.class_mix]
+    mix_shares = np.array([share for _, share in config.class_mix], dtype=np.float64)
+    factors = dict(config.admit_factor)
+    sigmas = dict(config.burst_sigma)
+    tenants: dict[str, traffic.TenantProfile] = {}
+    tenant_ids = [f"t{i:04d}" for i in range(config.num_tenants)]
+    for i, tenant in enumerate(tenant_ids):
+        slo = mix_names[int(rng.choice(len(mix_names), p=mix_shares))]
+        weight = float(rng.choice(np.asarray(config.tenant_weights)))
+        expected = float(tenant_p[i]) * config.rate_rps * config.duration_s
+        rate = factors[slo] * float(tenant_p[i]) * config.rate_rps
+        burst = max(config.burst, sigmas.get(slo, 0.0) * math.sqrt(expected))
+        tenants[tenant] = traffic.TenantProfile(slo=slo, weight=weight, rate=rate, burst=burst)
+
+    base_queries = []
+    for qi in range(config.num_base_queries):
+        relevance = rng.uniform(0.05, 0.95, size=config.max_candidates)
+        base_queries.append(
+            make_query(
+                rng,
+                query_id=qi,
+                labels=relevance >= 0.5,
+                relevance=relevance,
+                query_length=config.query_length,
+                doc_length_mean=config.doc_length_mean,
+            )
+        )
+    query_p = traffic._zipf_weights(config.num_base_queries, config.query_zipf_s)
+
+    arrivals = traffic._arrivals(rng, config)
+    truncated: dict[tuple[int, int], RerankQuery] = {}
+    requests: list[traffic.TrafficRequest] = []
+    for arrival in arrivals:
+        ti = int(rng.choice(config.num_tenants, p=tenant_p))
+        tenant = tenant_ids[ti]
+        qi = int(rng.choice(config.num_base_queries, p=query_p))
+        tail = float(rng.pareto(config.candidate_tail))
+        size = min(
+            config.max_candidates,
+            max(config.min_candidates, int(config.min_candidates * (1.0 + tail))),
+        )
+        key = (qi, size)
+        if key not in truncated:
+            base = base_queries[qi]
+            truncated[key] = (
+                base
+                if size >= base.num_candidates
+                else replace(base, candidates=base.candidates[:size])
+            )
+        requests.append(
+            traffic.TrafficRequest(
+                arrival=float(arrival),
+                tenant=tenant,
+                slo=tenants[tenant].slo,
+                k=config.k,
+                query=replace(truncated[key], tenant=tenant),
+            )
+        )
+    return traffic.TrafficTrace(config=config, tenants=tenants, requests=requests)
+
+
+def draw_pool(profile, rng: np.random.Generator, num_candidates: int):
+    """``RelevanceProfile.draw_pool``: each value through ``Tier.draw(rng,
+    1)`` (an array draw and an array clip), the profile mean recomputed
+    per pool."""
+    if num_candidates <= 0:
+        raise ValueError("num_candidates must be positive")
+    lo, hi = profile.relevant_range
+    num_relevant = int(rng.integers(lo, min(hi, num_candidates) + 1))
+    labels = np.zeros(num_candidates, dtype=bool)
+    labels[:num_relevant] = True
+    rng.shuffle(labels)
+
+    relevance = np.empty(num_candidates, dtype=np.float64)
+    for i, is_relevant in enumerate(labels):
+        if is_relevant:
+            draw = rng.random()
+            if draw < profile.invisible_relevant_rate:
+                tier = profile.low_tiers[int(rng.integers(len(profile.low_tiers)))]
+            elif draw < profile.invisible_relevant_rate + profile.hard_relevant_rate:
+                tier = profile.mid_tier
+            else:
+                tier = profile.top_tier
+        elif rng.random() < profile.plausible_distractor_rate:
+            tier = profile.mid_tier
+        else:
+            tier = profile.low_tiers[int(rng.integers(len(profile.low_tiers)))]
+        relevance[i] = float(tier.draw(rng, 1)[0])
+    if profile.separation >= 1.0:
+        return labels, relevance
+    centers = [profile.top_tier.center, profile.mid_tier.center]
+    centers += [tier.center for tier in profile.low_tiers]
+    mean = float(np.mean(centers))
+    return labels, np.clip(mean + (relevance - mean) * profile.separation, 0.01, 0.99)
+
+
+def dataset_queries(spec, num_queries: int, num_candidates: int = 20) -> list[RerankQuery]:
+    """``DatasetSpec.queries`` over the reference :func:`draw_pool` and
+    :func:`make_query`."""
+    if num_queries <= 0:
+        raise ValueError("num_queries must be positive")
+    rng = np.random.default_rng(np.random.SeedSequence([0xDA7A, spec.seed]))
+    out = []
+    for qid in range(num_queries):
+        labels, relevance = draw_pool(spec.profile, rng, num_candidates)
+        out.append(
+            make_query(
+                rng,
+                query_id=qid,
+                labels=labels,
+                relevance=relevance,
+                query_length=spec.query_length,
+                doc_length_mean=spec.doc_length_mean,
+            )
+        )
+    return out
+
+
+class SyntheticCorpus(corpus.SyntheticCorpus):
+    """``repro.retrieval.corpus.SyntheticCorpus`` with its per-document
+    background CDF (one ``rng.choice(p=...)`` per common word) and its
+    ``np.clip`` per purity, length and relevance draw."""
+
+    def _draw_words(self, topic_id: int, count: int, purity: float) -> tuple[str, ...]:
+        rng = self._rng
+        words = []
+        zipf_weights = 1.0 / np.arange(1, self.common_vocab_size + 1)
+        zipf_weights /= zipf_weights.sum()
+        for _ in range(count):
+            if rng.random() < purity:
+                words.append(self._topic_word(topic_id, int(rng.integers(self.topic_vocab_size))))
+            else:
+                words.append(self._common_word(int(rng.choice(self.common_vocab_size, p=zipf_weights))))
+        return tuple(words)
+
+    def _build(self) -> None:
+        rng = self._rng
+        for doc_id in range(self.num_docs):
+            topic_id = doc_id % self.num_topics
+            purity = float(np.clip(rng.normal(0.42, 0.10), 0.10, 0.80))
+            length = int(np.clip(rng.normal(self.words_per_doc, 10), 16, 4 * self.words_per_doc))
+            self.documents.append(
+                corpus.Document(
+                    doc_id=doc_id,
+                    topic_id=topic_id,
+                    words=self._draw_words(topic_id, length, purity),
+                    purity=purity,
+                )
+            )
+
+    def make_query(self, query_id: int, topic_id: int | None = None, length: int = 8):
+        rng = np.random.default_rng(np.random.SeedSequence([0x9E4, self.seed, query_id]))
+        if topic_id is None:
+            topic_id = int(rng.integers(self.num_topics))
+        if not 0 <= topic_id < self.num_topics:
+            raise ValueError(f"topic_id {topic_id} outside [0, {self.num_topics})")
+        words = tuple(
+            self._topic_word(topic_id, int(rng.integers(self.topic_vocab_size)))
+            for _ in range(length)
+        )
+        relevance = np.empty(self.num_docs)
+        labels = np.zeros(self.num_docs, dtype=bool)
+        for doc in self.documents:
+            relation = self.topic_relation(topic_id, doc.topic_id)
+            if relation == "same":
+                center, spread = corpus.SAME_TOPIC_RELEVANCE
+                center = center * (0.90 + 0.18 * doc.purity)
+                labels[doc.doc_id] = True
+            elif relation == "adjacent":
+                center, spread = corpus.ADJACENT_TOPIC_RELEVANCE
+            else:
+                center, spread = corpus.UNRELATED_RELEVANCE
+            relevance[doc.doc_id] = np.clip(rng.normal(center, spread), 0.01, 0.99)
+        same_topic = [d for d in self.documents if d.topic_id == topic_id]
+        same_topic.sort(key=lambda d: -d.purity)
+        needed = tuple(d.doc_id for d in same_topic[: min(2, len(same_topic))])
+        return corpus.CorpusQuery(
+            query_id=query_id,
+            topic_id=topic_id,
+            words=words,
+            relevance=relevance,
+            labels=labels,
+            needed=needed,
+        )
 
 
 # ---------------------------------------------------------------------------

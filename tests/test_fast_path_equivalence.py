@@ -10,13 +10,19 @@ hidden-state ring, with the references patched in and require
 identical results, so no prune decision, latency or memory staircase
 can drift.  A batch packs its tokens on first read: the packing tests
 also check that it packs nothing that is never read, and once what is.
+The seeded input generators (traffic, request streams, dataset queries
+and corpora) must give the same bytes and leave their generator in the
+same state as the references, which draw through ``Generator.choice``
+and ``np.clip``.
 """
 
 import copy
+import math
 import struct
 from collections import Counter
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +36,23 @@ from repro.core.data_plane import SharedEmbeddingCache
 from repro.core.embedding_cache import EmbeddingCache
 from repro.core.engine import EngineBase
 from repro.data.datasets import ALL_DATASETS, get_dataset
-from repro.data.workloads import CandidateSpec, RerankQuery, build_batch, build_batches
+from repro.data.relevance import RelevanceProfile
+from repro.data.traffic import (
+    ARRIVAL_PROCESSES,
+    TRAFFIC_SLO_CLASSES,
+    TrafficConfig,
+    generate_traffic,
+    render_traffic,
+)
+from repro.data.workloads import (
+    CandidateSpec,
+    RerankQuery,
+    build_batch,
+    build_batches,
+    make_query,
+    weighted_draws,
+    zipf_request_stream,
+)
 from repro.device.clock import VirtualClock
 from repro.device.executor import DeviceExecutor
 from repro.device.memory import MemoryTracker, OutOfMemoryError
@@ -39,6 +61,7 @@ from repro.harness.runner import SYSTEMS, run_system, shared_model, shared_token
 from repro.model import semantics
 from repro.model.transformer import CandidateBatch
 from repro.model.zoo import get_model_config
+from repro.retrieval.corpus import SyntheticCorpus
 from repro.text.tokenizer import Tokenizer
 from repro.text.vocab import Vocabulary
 from tests import reference_impls as ref
@@ -931,6 +954,297 @@ class TestFirstReadPacking:
                 with pytest.raises(ValueError):
                     build(tokenizer, max_len)
         assert packs.count == 0
+
+
+# ---------------------------------------------------------------------------
+# seeded input generators
+# ---------------------------------------------------------------------------
+#: Flat, mild, the default and every draw on rank 1.
+zipf_exponents = st.sampled_from([0.0, 0.5, 1.1, math.inf])
+
+
+def zipf_p(n: int, s: float) -> np.ndarray:
+    """Rank weights as the generators build them."""
+    weights = np.arange(1, n + 1, dtype=np.float64) ** -s
+    return weights / weights.sum()
+
+
+@st.composite
+def distributions(draw) -> np.ndarray:
+    """Weights ``choice`` accepts: Zipf ranks, small integer weights with
+    zero entries anywhere, and sums up to 1e-9 off 1, whose CDF the
+    division by its last entry moves."""
+    kind = draw(st.sampled_from(["zipf", "integers", "off_one"]))
+    if kind == "zipf":
+        return zipf_p(draw(st.integers(min_value=1, max_value=1000)), draw(zipf_exponents))
+    counts = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40))
+    counts[draw(st.integers(min_value=0, max_value=len(counts) - 1))] += 1
+    p = np.array(counts, dtype=np.float64) / sum(counts)
+    if kind == "off_one":
+        p = p * (1.0 + draw(st.floats(min_value=-1e-9, max_value=1e-9)))
+    return p
+
+
+#: Probability vectors, good and bad: NaN, infinities, negatives, sums off
+#: 1 by more and less than choice's tolerance, float32 and 2-D arrays, and
+#: the empty list.
+probability_entries = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, -0.0, 1e-9]),
+)
+raw_probabilities = st.one_of(
+    st.lists(probability_entries, max_size=6),
+    distributions().map(list),
+    # float32 widens choice's tolerance to about 3.5e-4.
+    st.tuples(distributions(), st.sampled_from([1e-7, -1e-5, 1e-3])).map(
+        lambda pair: (pair[0] * (1.0 + pair[1])).astype(np.float32)
+    ),
+    st.tuples(distributions(), st.sampled_from([2e-8, -2e-8])).map(
+        lambda pair: pair[0] * (1.0 + pair[1])
+    ),
+    distributions().map(lambda p: p.reshape(1, -1)),
+)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the message of the ``ValueError`` it raises."""
+    try:
+        return call()
+    except ValueError as error:
+        return f"ValueError: {error}"
+
+
+class Uniforms:
+    """A generator stand-in whose ``random()`` returns chosen values in turn."""
+
+    def __init__(self, values) -> None:
+        self._values = iter(values)
+
+    def random(self) -> float:
+        return next(self._values)
+
+
+OTHER_DRAWS = {
+    "random": lambda rng: rng.random(),
+    "integers": lambda rng: int(rng.integers(0, 7)),
+    "normal": lambda rng: rng.normal(0.5, 2.0),
+    "uniform_array": lambda rng: rng.uniform(0.05, 0.95, size=3).tobytes(),
+}
+
+
+def query_pool(size: int) -> list[RerankQuery]:
+    rng = np.random.default_rng(0x9001)
+    pool = []
+    for qid in range(size):
+        relevance = rng.uniform(0.05, 0.95, size=1 + qid % 6)
+        pool.append(
+            make_query(
+                rng,
+                query_id=qid,
+                labels=relevance >= 0.5,
+                relevance=relevance,
+                query_length=8,
+                doc_length_mean=40,
+            )
+        )
+    return pool
+
+
+BASE_POOL = query_pool(512)
+
+
+@st.composite
+def class_mixes(draw) -> tuple:
+    """Three SLO classes in any order, with zero shares first, in the
+    middle, last, twice, or not at all."""
+    names = draw(st.permutations(TRAFFIC_SLO_CLASSES))
+    zeros = draw(st.sampled_from([(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), ()]))
+    counts = [0 if i in zeros else draw(st.integers(min_value=1, max_value=9)) for i in range(3)]
+    return tuple((name, count / sum(counts)) for name, count in zip(names, counts))
+
+
+def captured_generators(generate, config):
+    """``generate(config)`` rendered, and the state of every generator it made."""
+    made = []
+    real = np.random.default_rng
+
+    def capture(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", capture):
+        trace = generate(config)
+    return render_traffic(trace), [rng.bit_generator.state for rng in made]
+
+
+#: Three corpora: the RAG experiments' shape, the unit tests' shape, and
+#: a small one with one common word and topic-per-document.
+CORPORA = (
+    dict(num_docs=60, num_topics=6),
+    dict(num_docs=100, num_topics=10, words_per_doc=80),
+    dict(
+        num_docs=24, num_topics=24, words_per_doc=30, topic_vocab_size=3, common_vocab_size=1, seed=5
+    ),
+)
+
+
+class TestInputDraws:
+    @EXACT
+    @given(
+        p=distributions(),
+        seed=seeds,
+        ops=st.lists(st.sampled_from(["pick", *OTHER_DRAWS]), max_size=24),
+    )
+    def test_weighted_draws_are_choice_interleaved_with_other_draws(self, p, seed, ops):
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = weighted_draws(got, p)
+        for op in ["pick", *ops]:
+            if op == "pick":
+                assert draw() == int(want.choice(len(p), p=p))
+            else:
+                assert OTHER_DRAWS[op](got) == OTHER_DRAWS[op](want)
+            assert got.bit_generator.state == want.bit_generator.state
+
+    @EXACT
+    @given(p=distributions())
+    def test_cdf_entries_and_their_neighbours(self, p):
+        """At a uniform equal to a CDF entry the search side decides the
+        pick, and a CDF left unnormalised misplaces entries by ulps."""
+        cdf = ref.choice_cdf(p)
+        keys = [0.0, np.nextafter(1.0, 0.0)]
+        for entry in cdf[:-1]:
+            keys += [np.nextafter(entry, 0.0), entry, np.nextafter(entry, 1.0)]
+        keys = [float(key) for key in keys if 0.0 <= key < 1.0]
+        draw = weighted_draws(Uniforms(keys), p)
+        for key in keys:
+            assert draw() == int(cdf.searchsorted(key, side="right")), key
+
+    @EXACT
+    @given(p=raw_probabilities)
+    def test_bad_weights_raise_choices_errors(self, p):
+        got, want = np.random.default_rng(1), np.random.default_rng(1)
+        assert outcome(lambda: weighted_draws(got, p)()) == outcome(
+            lambda: int(want.choice(len(p), p=p))
+        )
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @EXACT
+    @given(
+        seed=seeds,
+        size=st.integers(min_value=1, max_value=24),
+        doc_length_mean=st.sampled_from([1, 7, 8, 9, 64, 460]),
+        doc_length_jitter=st.sampled_from([0, 1, 40, 400]),
+    )
+    def test_make_query(self, seed, size, doc_length_mean, doc_length_jitter):
+        """Means below 8 put the upper clip bound below the lower one."""
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        relevance = np.random.default_rng(seed + 1).uniform(0.0, 1.0, size=size)
+        args = dict(
+            query_id=3,
+            labels=relevance >= 0.5,
+            relevance=relevance,
+            query_length=16,
+            doc_length_mean=doc_length_mean,
+            doc_length_jitter=doc_length_jitter,
+        )
+        assert make_query(got, **args) == ref.make_query(want, **args)
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @EXACT
+    @given(
+        name=st.sampled_from(ALL_DATASETS + ("base",)),
+        seed=seeds,
+        extra=st.integers(min_value=0, max_value=30),
+    )
+    def test_draw_pool(self, name, seed, extra):
+        profile = RelevanceProfile() if name == "base" else get_dataset(name).profile
+        # No fewer candidates than relevant ones.
+        size = max(1, profile.relevant_range[0]) + extra
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        labels, relevance = profile.draw_pool(got, size)
+        want_labels, want_relevance = ref.draw_pool(profile, want, size)
+        assert labels.tobytes() == want_labels.tobytes()
+        assert relevance.tobytes() == want_relevance.tobytes()
+        assert got.bit_generator.state == want.bit_generator.state
+
+    def test_every_dataset_queries(self):
+        for name in ALL_DATASETS:
+            spec = get_dataset(name)
+            assert spec.queries(8, 20) == ref.dataset_queries(spec, 8, 20), name
+
+    @EXACT
+    @given(
+        seed=seeds,
+        pool=st.integers(min_value=1, max_value=512),
+        requests=st.integers(min_value=0, max_value=200),
+        zipf_s=zipf_exponents,
+        overlap=st.sampled_from([0.0, 0.25, 1.0]),
+        resample=st.sampled_from([0.5, 1.0]),
+        tenants=st.sampled_from([None, 1, 3, 50]),
+    )
+    def test_zipf_request_stream(self, seed, pool, requests, zipf_s, overlap, resample, tenants):
+        tenant_of = None if tenants is None else (lambda i: f"t{(i * 7) % tenants}")
+        got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+        args = dict(
+            num_requests=requests,
+            zipf_s=zipf_s,
+            partial_overlap_rate=overlap,
+            resample_fraction=resample,
+            tenant_of=tenant_of,
+        )
+        stream = zipf_request_stream(got, BASE_POOL[:pool], **args)
+        assert stream == ref.zipf_request_stream(want, BASE_POOL[:pool], **args)
+        assert [query.tenant for query in stream] == [
+            None if tenant_of is None else tenant_of(i) for i in range(requests)
+        ]
+        assert got.bit_generator.state == want.bit_generator.state
+
+    @settings(EXACT, max_examples=40)
+    @given(
+        process=st.sampled_from(ARRIVAL_PROCESSES),
+        tenants=st.integers(min_value=1, max_value=1000),
+        base_queries=st.integers(min_value=1, max_value=512),
+        class_mix=class_mixes(),
+        tenant_zipf_s=zipf_exponents,
+        query_zipf_s=zipf_exponents,
+        max_candidates=st.sampled_from([4, 9, 16]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_generate_traffic(
+        self, process, tenants, base_queries, class_mix, tenant_zipf_s, query_zipf_s,
+        max_candidates, seed,
+    ):
+        config = TrafficConfig(
+            num_tenants=tenants,
+            duration_s=2.0,
+            rate_rps=60.0,
+            process=process,
+            seed=seed,
+            class_mix=class_mix,
+            tenant_zipf_s=tenant_zipf_s,
+            query_zipf_s=query_zipf_s,
+            num_base_queries=base_queries,
+            max_candidates=max_candidates,
+            doc_length_mean=24,
+        )
+        got_text, got_states = captured_generators(generate_traffic, config)
+        want_text, want_states = captured_generators(ref.generate_traffic, config)
+        assert got_text == want_text
+        assert len(got_states) == 1 and got_states == want_states
+
+    @pytest.mark.parametrize("kwargs", CORPORA)
+    def test_corpus(self, kwargs):
+        got, want = SyntheticCorpus(**kwargs), ref.SyntheticCorpus(**kwargs)
+        assert got.documents == want.documents
+        assert [struct.pack("<d", d.purity) for d in got.documents] == [
+            struct.pack("<d", d.purity) for d in want.documents
+        ]
+        assert got._rng.bit_generator.state == want._rng.bit_generator.state
+        for query, reference in zip(got.make_queries(12), want.make_queries(12)):
+            assert query.words == reference.words
+            assert query.relevance.tobytes() == reference.relevance.tobytes()
+            assert query.labels.tobytes() == reference.labels.tobytes()
+            assert query.needed == reference.needed
 
 
 # ---------------------------------------------------------------------------

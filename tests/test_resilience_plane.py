@@ -34,12 +34,12 @@ from repro.core.resilience import (
 )
 from repro.core.scheduler import DeviceScheduler, SchedulerConfig
 from repro.core.service import SemanticSelectionService
-from repro.core.trace import TraceRequest, TraceSpec, run_trace
+from repro.core.trace import TraceRequest, TraceSpec, build_server, run_trace
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
 from repro.harness.runner import shared_model, shared_tokenizer
-from repro.model.zoo import QWEN3_0_6B
+from repro.model.zoo import QWEN3_0_6B, get_model_config
 
 
 @pytest.fixture(scope="module")
@@ -300,6 +300,40 @@ class TestSchedulerContainment:
                 if e.tier == "engine" and e.request == request.request_id
             ]
             assert lifecycle == [("admit", None), ("fail", FAULT_REPLICA_CRASH)]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            TraceSpec(tier="engine", faults=({"kind": FAULT_REPLICA_CRASH, "at": 0.349},)),
+            TraceSpec(
+                tier="device",
+                device={"policy": "fifo"},
+                faults=({"kind": FAULT_REPLICA_CRASH, "at": 0.349},),
+            ),
+        ],
+        ids=["engine", "device"],
+    )
+    def test_a_crash_is_one_shot_and_the_next_drain_is_served(self, spec):
+        """A ``replica_crash`` fails the rest of the drain it lands in and
+        leaves no dead device behind: a fifth request, in a second drain
+        on the same server, completes (the fleet charges the restart as
+        ``ResilienceConfig.cooldown_s``)."""
+        config = get_model_config(spec.model)
+        tokenizer = shared_tokenizer(config)
+        batches = [
+            build_batch(q, tokenizer, config.max_seq_len)
+            for q in get_dataset("nfcorpus").queries(5, 6)
+        ]
+        server, clock = build_server(spec, None)
+        first = serve_all(
+            server,
+            [SelectionRequest(batch=b, k=2, request_id=f"r{i}") for i, b in enumerate(batches[:4])],
+        )
+        assert [r.status for r in first] == ["ok"] + [REQUEST_FAILED] * 3
+        crashed_at = clock.now
+        (fifth,) = serve_all(server, [SelectionRequest(batch=batches[4], k=2, request_id="r4")])
+        assert fifth.ok
+        assert fifth.finish > crashed_at >= 0.349
 
 
 # ----------------------------------------------------------------------

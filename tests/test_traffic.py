@@ -1,6 +1,19 @@
-"""Tests for the trace-driven open-loop traffic generator (DESIGN.md §13)."""
+"""Tests for the trace-driven open-loop traffic generator (DESIGN.md §13).
 
+``tests/fixtures/traffic/`` pins one generated trace per arrival
+process byte for byte.  After an intentional change to the generator,
+regenerate them and review the diff::
+
+    for p in poisson mmpp diurnal; do \
+      PYTHONPATH=src python -m repro.harness.cli traffic generate \
+        --process $p --tenants 50 --duration 5 --rate 40 \
+        tests/fixtures/traffic/$p.jsonl; \
+    done
+"""
+
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +31,7 @@ from repro.data.traffic import (
 )
 
 SMALL = dict(num_tenants=20, duration_s=4.0, rate_rps=40.0, seed=3)
+FIXTURES = Path(__file__).resolve().parent / "fixtures" / "traffic"
 
 
 class TestConfigValidation:
@@ -51,6 +65,22 @@ class TestConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             TrafficConfig(**kwargs)
+
+    @pytest.mark.parametrize("knob", ["tenant_zipf_s", "query_zipf_s"])
+    @pytest.mark.parametrize("value", [math.nan, -0.5, -math.inf])
+    def test_zipf_exponents_rejected_at_build(self, knob, value):
+        """NaN and -inf used to fail only inside ``generate_traffic``, in
+        numpy's "Probabilities contain NaN"; -0.5 used to be served."""
+        with pytest.raises(ValueError, match=f"{knob} must be >= 0"):
+            TrafficConfig(**{knob: value})
+
+    @pytest.mark.parametrize("knob", ["tenant_zipf_s", "query_zipf_s"])
+    def test_infinite_zipf_exponent_puts_every_draw_on_rank_one(self, knob):
+        trace = generate_traffic(TrafficConfig(**SMALL, **{knob: math.inf}))
+        if knob == "tenant_zipf_s":
+            assert trace.arriving_tenants() == {"t0000"}
+        else:
+            assert {request.query.query_id for request in trace.requests} == {0}
 
 
 class TestGeneration:
@@ -159,6 +189,15 @@ class TestArtifact:
         assert sum(summary.per_class.values()) == trace.num_requests
         lo, hi, mean = summary.candidate_sizes
         assert lo <= mean <= hi
+
+
+class TestGoldenTraces:
+    @pytest.mark.parametrize("process", ARRIVAL_PROCESSES)
+    def test_regenerates_byte_for_byte(self, process):
+        text = (FIXTURES / f"{process}.jsonl").read_text()
+        config = TrafficConfig.from_payload(json.loads(text.splitlines()[0])["config"])
+        assert config.process == process
+        assert render_traffic(generate_traffic(config)) == text
 
 
 class TestTenancyBridge:

@@ -230,6 +230,22 @@ class TestZipfRequestStream:
             np.random.default_rng(seed), base_queries, 64, **kwargs
         )
 
+    @pytest.mark.parametrize("num_requests", [0, 4])
+    def test_nan_exponent_rejected_before_any_draw(self, base_queries, num_requests):
+        """NaN used to pass the ``zipf_s < 0`` check and fail at the first
+        draw, in numpy's "Probabilities contain NaN", or not at all with
+        no draw."""
+        from repro.data.workloads import zipf_request_stream
+
+        with pytest.raises(ValueError, match="zipf_s must be >= 0"):
+            zipf_request_stream(
+                np.random.default_rng(0), base_queries, num_requests, zipf_s=float("nan")
+            )
+
+    def test_infinite_exponent_repeats_the_first_query(self, base_queries):
+        stream = self._stream(base_queries, zipf_s=float("inf"))
+        assert stream == [base_queries[0]] * len(stream)
+
     def test_untagged_stream_deterministic_and_untenanted(self, base_queries):
         a = self._stream(base_queries, partial_overlap_rate=0.4)
         b = self._stream(base_queries, partial_overlap_rate=0.4)
