@@ -11,7 +11,7 @@ resulting operating points.
 Run:  python examples/threshold_autotune.py
 """
 
-from repro import PrismConfig, get_model_config, get_profile
+from repro import PrismConfig, get_model_config
 from repro.core.calibration import ThresholdCalibrator
 from repro.data import get_dataset
 from repro.data.workloads import build_batches
@@ -28,12 +28,7 @@ def main() -> None:
 
     rows = []
     for target in (0.80, 0.90, 0.99):
-        calibrator = ThresholdCalibrator(
-            model,
-            get_profile("nvidia_5070"),
-            precision_target=target,
-            step=0.08,
-        )
+        calibrator = ThresholdCalibrator(model, precision_target=target, step=0.08)
         result = calibrator.calibrate(
             sample_batches, k=10, base_config=PrismConfig(numerics=False)
         )

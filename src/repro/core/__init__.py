@@ -19,9 +19,9 @@ from .chunking import (
 from .clustering import Clustering, cluster_scores, kmeans_1d
 from .config import PrismConfig
 from .embedding_cache import CacheLookup, EmbeddingCache
-from .engine import EngineBase, PrismEngine, PruneEvent, RerankResult, RerankTask, TaskContext
+from .engine import EngineBase, PrismEngine, RerankResult, RerankTask, TaskContext
 from .metrics import cluster_gamma, goodman_kruskal_gamma, precision_at_k, top_k_overlap
-from .pruning import ProgressiveClusterPruner, PruneDecision, coefficient_of_variation
+from .pruning import ProgressiveClusterPruner, PruneDecision, PruneEvent, coefficient_of_variation
 from .streaming import LayerStreamer, PlanePass, PlaneStats, WeightPlane
 
 __all__ = [

@@ -473,8 +473,8 @@ class EngineServer(ServerBase):
         return responses
 
     def _threshold(self) -> float | None:
-        pruner = getattr(self.engine, "pruner", None)
-        return None if pruner is None else float(pruner.dispersion_threshold)
+        config = getattr(self.engine, "config", None)  # PRISM engines only
+        return None if config is None else float(config.dispersion_threshold)
 
 
 class DeviceServer(ServerBase):

@@ -10,22 +10,21 @@ lower it when there is headroom — converging to the lowest (fastest)
 threshold that meets the constraint.
 
 ``ThresholdCalibrator`` implements that feedback loop over the
-simulator.  The "idle-time ground-truth re-execution" is an unpruned
-engine run over the same batches; its cost is *not* charged to request
+simulator.  The sampled selections and the "idle-time ground-truth
+re-execution" are device-free plans, so nothing is charged to request
 latency, mirroring the paper's background execution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..device.platforms import DeviceProfile
 from ..model.transformer import CandidateBatch, CrossEncoderModel
 from .config import PrismConfig
-from .engine import PrismEngine
 from .metrics import top_k_overlap
+from .pruning import plan_selection
 
 
 @dataclass
@@ -54,9 +53,8 @@ class ThresholdCalibrator:
 
     Parameters
     ----------
-    model / profile:
-        The reranker and target platform; each evaluation round runs on
-        a fresh simulated device so rounds are independent.
+    model:
+        The reranker whose selections are sampled.
     precision_target:
         Minimum acceptable agreement between pruned and unpruned top-K
         sets (the paper's "minimum precision target" mode measures
@@ -67,7 +65,6 @@ class ThresholdCalibrator:
     def __init__(
         self,
         model: CrossEncoderModel,
-        profile: DeviceProfile,
         precision_target: float = 0.95,
         step: float = 0.05,
         max_rounds: int = 12,
@@ -77,7 +74,6 @@ class ThresholdCalibrator:
         if step <= 0:
             raise ValueError("step must be positive")
         self.model = model
-        self.profile = profile
         self.precision_target = precision_target
         self.step = step
         self.max_rounds = max_rounds
@@ -93,17 +89,18 @@ class ThresholdCalibrator:
         """Run the loop over logged sample requests; returns the tuned value."""
         if not sample_batches:
             raise ValueError("need at least one sample batch")
-        config = base_config or PrismConfig()
+        config = replace(base_config or PrismConfig(), numerics=False)
         threshold = (
             initial_threshold if initial_threshold is not None else config.dispersion_threshold
         )
-        ground_truth = [self._ground_truth(batch, k, config) for batch in sample_batches]
+        unpruned = replace(config, pruning_enabled=False)  # idle-time ground truth
+        truth = [plan_selection(self.model, b, k, unpruned).top_indices for b in sample_batches]
 
         history: list[CalibrationStep] = []
         best_meeting: float | None = None
         for _ in range(self.max_rounds):
             precision = self._sampled_precision(
-                sample_batches, ground_truth, k, config.with_threshold(threshold)
+                sample_batches, truth, k, config.with_threshold(threshold)
             )
             met = precision >= self.precision_target
             history.append(CalibrationStep(threshold, precision, met))
@@ -126,17 +123,6 @@ class ThresholdCalibrator:
         return CalibrationResult(threshold=float(final), history=history)
 
     # ------------------------------------------------------------------
-    def _ground_truth(self, batch: CandidateBatch, k: int, config: PrismConfig) -> np.ndarray:
-        """Idle-time full inference (no pruning) over a logged request."""
-        from dataclasses import replace
-
-        device = self.profile.create()
-        engine = PrismEngine(
-            self.model, device, replace(config, pruning_enabled=False, numerics=False)
-        )
-        engine.prepare()
-        return engine.start(batch, k).run().top_indices
-
     def _sampled_precision(
         self,
         batches: list[CandidateBatch],
@@ -144,13 +130,8 @@ class ThresholdCalibrator:
         k: int,
         config: PrismConfig,
     ) -> float:
-        from dataclasses import replace
-
-        device = self.profile.create()
-        engine = PrismEngine(self.model, device, replace(config, numerics=False))
-        engine.prepare()
-        overlaps = []
-        for batch, truth in zip(batches, ground_truth):
-            result = engine.start(batch, k).run()
-            overlaps.append(top_k_overlap(result.top_indices, truth, k))
+        overlaps = [
+            top_k_overlap(plan_selection(self.model, batch, k, config).top_indices, truth, k)
+            for batch, truth in zip(batches, ground_truth)
+        ]
         return float(np.mean(overlaps))

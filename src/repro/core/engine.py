@@ -40,25 +40,13 @@ from ..device.memory import (
 )
 from ..device.platforms import Device
 from ..model import costs
-from ..model.transformer import CandidateBatch, CrossEncoderModel, ForwardState
+from ..model.transformer import CandidateBatch, CrossEncoderModel
 from ..model.weights import WeightStore
 from .chunking import HiddenStateRing, choose_chunk_size, plan_hidden_states
 from .config import PrismConfig
 from .embedding_cache import EmbeddingCache
-from .pruning import ProgressiveClusterPruner, PruneDecision
+from .pruning import PassSelection, PruneDecision, PruneEvent
 from .streaming import LayerStreamer, PlanePass, WeightPlane
-
-
-@dataclass
-class PruneEvent:
-    """One pruning action recorded by the engine."""
-
-    layer: int
-    cv: float
-    num_selected: int
-    num_dropped: int
-    num_deferred: int
-    terminal: bool
 
 
 @dataclass
@@ -400,24 +388,6 @@ class EngineBase:
         flops = num_candidates * costs.classifier_flops_per_candidate(self.model.config)
         self.executor.compute(flops)
 
-    # ------------------------------------------------------------------
-    # numerics helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _subset_state(state: ForwardState, positions: np.ndarray) -> ForwardState:
-        # Row subsets of the float64 hidden batch keep each survivor's
-        # exact semantic channel (DESIGN.md §11), and column subsets of
-        # the noise table keep the survivors' draws for later layers.
-        sub = ForwardState(batch=state.batch.select(positions), layer_done=state.layer_done)
-        if state.noise is not None:
-            sub.noise = state.noise[:, positions]
-            sub.noise_from = state.noise_from
-        if state.hidden is not None:
-            assert state.sim_lengths is not None
-            sub.hidden = state.hidden[positions]
-            sub.sim_lengths = state.sim_lengths[positions]
-        return sub
-
 
 class PrismEngine(EngineBase):
     """Monolithic forwarding with progressive cluster pruning, overlapped
@@ -434,11 +404,6 @@ class PrismEngine(EngineBase):
     ) -> None:
         self.config = config or PrismConfig()
         super().__init__(model, device, quantized=self.config.quantized)
-        self.pruner = ProgressiveClusterPruner(
-            dispersion_threshold=self.config.dispersion_threshold,
-            max_clusters=self.config.max_clusters,
-            exact_rank_mode=self.config.exact_rank_mode,
-        )
         self.embedding_cache: EmbeddingCache | None = None
         #: Fleet-shared embedding residency (DESIGN.md §12): when set,
         #: it replaces the private per-engine cache — one directory
@@ -531,7 +496,7 @@ class PrismEngine(EngineBase):
         elif self.embedding_cache is not None:
             self.embedding_cache.lookup(batch.tokens)
         self._charge_embedding(batch.size, seq_len)
-        state = self.model.embed(batch, numerics=prism_cfg.numerics)
+        selection = PassSelection(self.model, batch, k, prism_cfg)
 
         # ---------------- residency plan -------------------------------
         if prism_cfg.chunked_execution:
@@ -568,57 +533,26 @@ class PrismEngine(EngineBase):
         # ---------------- monolithic layer loop ------------------------
         chunk_costs = self._layer_chunk_costs(seq_len)
         inter_tag = ctx.tag("chunk-intermediates")
-        active = np.arange(batch.size)
-        selected_idx: list[int] = []
-        selected_scores: list[float] = []
-        prune_events: list[PruneEvent] = []
         layers_executed = 0
         candidate_layers = 0
-        terminated_early = False
 
         for layer in range(cfg.num_layers):
-            slots = k - len(selected_idx)
-            if (
-                prism_cfg.pruning_enabled
-                and layer >= max(1, prism_cfg.min_layers_before_pruning)
-                and slots > 0
-                and active.size > 0
-            ):
-                decision = self._pruning_check(state, active, slots)
-                if decision.triggered:
-                    active, state = self._apply_decision(
-                        decision,
-                        state,
-                        active,
-                        batch,
-                        selected_idx,
-                        selected_scores,
-                        hidden_plan,
-                        ring,
-                        hidden_tag,
-                    )
-                    prune_events.append(
-                        PruneEvent(
-                            layer=layer,
-                            cv=decision.cv,
-                            num_selected=int(decision.selected.size),
-                            num_dropped=int(decision.dropped.size),
-                            num_deferred=int(active.size),
-                            terminal=decision.terminal,
-                        )
-                    )
-                    if decision.terminal or len(selected_idx) >= k:
-                        terminated_early = True
+            if layer >= selection.check_from and selection.open:
+                if self._pruning_check(selection, layer).triggered:
+                    if not selection.open:
                         break
-
-            if active.size == 0:
-                terminated_early = True
-                break
+                    if ring is None:
+                        memory.free(hidden_tag)
+                        memory.alloc(
+                            hidden_tag,
+                            int(selection.active.size) * hidden_plan.per_candidate_bytes,
+                            CATEGORY_HIDDEN,
+                        )
 
             if streamer is not None:
                 streamer.acquire(layer)
 
-            num_active = int(active.size)
+            num_active = int(selection.active.size)
             if ring is None:
                 self._run_layer_chunks(inter_tag, num_active, chunk_size, chunk_costs)
             else:
@@ -634,7 +568,7 @@ class PrismEngine(EngineBase):
 
             # Costs are charged from shapes alone: numerics never reach
             # the clock (DESIGN.md §11).
-            self.model.forward_layer(state, layer)
+            self.model.forward_layer(selection.state, layer)
             if streamer is not None:
                 streamer.advance(layer)
             layers_executed += 1
@@ -642,13 +576,9 @@ class PrismEngine(EngineBase):
             yield layer  # preemption point: one layer advanced
 
         # ---------------- finalisation ---------------------------------
-        slots = k - len(selected_idx)
-        if slots > 0 and active.size > 0:
-            self._charge_classifier(int(active.size))
-            scores = self.model.score(state)
-            order = np.argsort(-scores)[:slots]
-            selected_idx.extend(int(active[i]) for i in order)
-            selected_scores.extend(float(scores[i]) for i in order)
+        scored = selection.finish()
+        if scored:
+            self._charge_classifier(scored)
 
         if ring is not None:
             ring.release_all()
@@ -661,65 +591,27 @@ class PrismEngine(EngineBase):
         self.device.ssd.drain(prefix=ctx.prefix)
 
         return RerankResult(
-            top_indices=np.array(selected_idx[:k], dtype=np.int64),
-            top_scores=np.array(selected_scores[:k]),
+            top_indices=selection.top_indices,
+            top_scores=selection.top_scores,
             latency_seconds=executor.now - t0,
             layers_executed=layers_executed,
             candidate_layers=candidate_layers,
             io_stall_seconds=executor.io_stall_seconds - stall0,
-            prune_events=prune_events,
+            prune_events=selection.prune_events,
             chunk_size=chunk_size,
-            terminated_early=terminated_early,
+            terminated_early=layers_executed < cfg.num_layers,
         )
 
     # ------------------------------------------------------------------
-    def _pruning_check(
-        self, state: ForwardState, active: np.ndarray, slots: int
-    ) -> PruneDecision:
-        """Score the active candidates and evaluate the pruning trigger."""
+    def _pruning_check(self, selection: PassSelection, layer: int) -> PruneDecision:
+        """Charge one pruning check over the active rows and run it: the
+        CV check, the classifier and, if it ran, the clustering."""
         executor = self.executor
         executor.device.clock.advance(self.config.cv_check_latency)
-        self._charge_classifier(int(active.size))
+        self._charge_classifier(int(selection.active.size))
         # The head reads the exactly injected channel, so the decision
         # does not depend on the kernel's precision (DESIGN.md §11).
-        scores = self.model.score(state)
-        decision = self.pruner.decide(scores, slots)
+        decision = selection.check(layer)
         if decision.clustering is not None:
             executor.device.clock.advance(self.config.clustering_latency)
         return decision
-
-    def _apply_decision(
-        self,
-        decision: PruneDecision,
-        state: ForwardState,
-        active: np.ndarray,
-        batch: CandidateBatch,
-        selected_idx: list[int],
-        selected_scores: list[float],
-        hidden_plan,
-        ring,
-        hidden_tag: str = "hidden",
-    ) -> tuple[np.ndarray, ForwardState]:
-        """Route candidates per the decision; shrink hidden residency."""
-        assert state.scores is not None
-        for pos in decision.selected:
-            selected_idx.append(int(active[pos]))
-            selected_scores.append(float(state.scores[pos]))
-        if decision.terminal:
-            for pos in decision.deferred:
-                selected_idx.append(int(active[pos]))
-                selected_scores.append(float(state.scores[pos]))
-            return np.empty(0, dtype=np.int64), state
-
-        keep = np.sort(decision.deferred)
-        new_active = active[keep]
-        new_state = self._subset_state(state, keep)
-        new_state.scores = state.scores[keep]
-        if ring is None and self.device.memory.is_live(hidden_tag):
-            self.device.memory.free(hidden_tag)
-            self.device.memory.alloc(
-                hidden_tag,
-                int(new_active.size) * hidden_plan.per_candidate_bytes,
-                CATEGORY_HIDDEN,
-            )
-        return new_active, new_state

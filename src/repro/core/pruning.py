@@ -1,7 +1,7 @@
-"""Progressive cluster pruning (§4.1).
+"""Progressive cluster pruning (§4.1), and the pass selection it drives.
 
-Before each layer, the engine scores the still-active candidates with
-the model's classifier and hands the scores here.  The pruner:
+Before each layer, a pass scores the still-active candidates with the
+model's classifier and hands the scores here.  The pruner:
 
 1. computes the coefficient of variation CV = |std/mean| of the scores
    and does nothing while CV stays below the dispersion threshold — a
@@ -19,6 +19,10 @@ the model's classifier and hands the scores here.  The pruner:
 ``exact_rank_mode`` (§7) keeps would-be-selected clusters computing so
 the returned winners carry exact final scores; only hopeless clusters
 are pruned.
+
+A selection depends on the batch's scores and the config alone
+(DESIGN.md §2), so :class:`PassSelection` reads no device: the engine
+drives it and charges the costs, :func:`plan_selection` drives it bare.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..model.transformer import CandidateBatch, CrossEncoderModel, ForwardState
 from .clustering import Clustering, cluster_scores
+from .config import PrismConfig
 
 
 @dataclass(frozen=True)
@@ -35,8 +41,8 @@ class PruneDecision:
     """Outcome of one pruning check over the active candidates.
 
     Index arrays refer to positions within the *active* score vector
-    handed to :meth:`ProgressiveClusterPruner.decide`; the engine maps
-    them back to pool candidates.
+    handed to :meth:`ProgressiveClusterPruner.decide`; the
+    :class:`PassSelection` maps them back to pool candidates.
     """
 
     triggered: bool
@@ -71,7 +77,8 @@ def coefficient_of_variation(scores: np.ndarray) -> float:
 
 
 class ProgressiveClusterPruner:
-    """Stateless pruning-decision logic (the engine owns the loop state)."""
+    """Stateless pruning-decision logic (:class:`PassSelection` owns the
+    loop state)."""
 
     def __init__(
         self,
@@ -134,7 +141,7 @@ class ProgressiveClusterPruner:
         selected = np.flatnonzero(selected_mask).astype(np.int64)
         deferred = np.flatnonzero(deferred_mask).astype(np.int64)
         dropped = np.flatnonzero(dropped_mask).astype(np.int64)
-        # Order the selected best-first so the engine can place them.
+        # Order the selected best-first so the pass can place them.
         selected = selected[np.argsort(-scores[selected])] if selected.size else selected
 
         # Exact mode never terminates early: contenders must reach the
@@ -161,3 +168,119 @@ class ProgressiveClusterPruner:
         order = np.argsort(-scores)
         kth_candidate = order[slots_remaining - 1]
         return int(clustering.labels[kth_candidate])
+
+
+@dataclass
+class PruneEvent:
+    """One pruning action of a pass."""
+
+    layer: int
+    cv: float
+    num_selected: int
+    num_dropped: int
+    num_deferred: int
+    terminal: bool
+
+
+def subset_state(state: ForwardState, positions: np.ndarray) -> ForwardState:
+    """The rows of ``state`` at ``positions``, as a new state."""
+    # Row subsets of the float64 hidden batch keep each survivor's
+    # exact semantic channel (DESIGN.md §11), and column subsets of
+    # the noise table keep the survivors' draws for later layers.
+    sub = ForwardState(batch=state.batch.select(positions), layer_done=state.layer_done)
+    if state.noise is not None:
+        sub.noise = state.noise[:, positions]
+        sub.noise_from = state.noise_from
+    if state.hidden is not None:
+        assert state.sim_lengths is not None
+        sub.hidden = state.hidden[positions]
+        sub.sim_lengths = state.sim_lengths[positions]
+    return sub
+
+
+class PassSelection:
+    """One pass's selection state (§4.1): its forward state, the pool
+    indices still active, the picks and the prune events.  Driven as in
+    :func:`plan_selection`; :meth:`finish` sets ``top_indices`` and
+    ``top_scores``, best-first per pick."""
+
+    def __init__(
+        self, model: CrossEncoderModel, batch: CandidateBatch, k: int, config: PrismConfig
+    ) -> None:
+        self.model = model
+        self.k = min(k, batch.size)
+        self.state = model.embed(batch, numerics=config.numerics)
+        self.active = np.arange(batch.size)
+        #: Whether top-K slots are open and candidates still active.
+        self.open = self.k > 0
+        #: The first layer checked before; none with pruning off.
+        first = max(1, config.min_layers_before_pruning)
+        self.check_from = first if config.pruning_enabled else model.config.num_layers
+        self._pruner = ProgressiveClusterPruner(
+            config.dispersion_threshold, config.max_clusters, config.exact_rank_mode
+        )
+        self.prune_events: list[PruneEvent] = []
+        self._indices: list[int] = []
+        self._scores: list[float] = []
+
+    def _pick(self, positions, scores: np.ndarray) -> None:
+        for pos in positions:
+            self._indices.append(int(self.active[pos]))
+            self._scores.append(float(scores[pos]))
+
+    def check(self, layer: int) -> PruneDecision:
+        """Score the active rows before ``layer`` and route them."""
+        scores = self.model.score(self.state)
+        decision = self._pruner.decide(scores, self.k - len(self._indices))
+        if decision.triggered:
+            self._pick(decision.selected, scores)
+            if decision.terminal:
+                self._pick(decision.deferred, scores)
+                self.active = np.empty(0, dtype=np.int64)
+            else:
+                keep = np.sort(decision.deferred)
+                self.active = self.active[keep]
+                self.state = subset_state(self.state, keep)
+            self.open = len(self._indices) < self.k and self.active.size > 0
+            self.prune_events.append(
+                PruneEvent(
+                    layer=layer,
+                    cv=decision.cv,
+                    num_selected=int(decision.selected.size),
+                    num_dropped=int(decision.dropped.size),
+                    num_deferred=int(self.active.size),
+                    terminal=decision.terminal,
+                )
+            )
+        return decision
+
+    def finish(self) -> int:
+        """Fill the open slots with the best active rows at the depth
+        reached; returns how many rows the classifier scored for it."""
+        scored = 0
+        if self.open:
+            scores = self.model.score(self.state)
+            self._pick(np.argsort(-scores)[: self.k - len(self._indices)], scores)
+            scored, self.open = int(scores.size), False
+        self.top_indices = np.array(self._indices, dtype=np.int64)
+        self.top_scores = np.array(self._scores)
+        return scored
+
+
+def plan_selection(
+    model: CrossEncoderModel, batch: CandidateBatch, k: int, config: PrismConfig
+) -> PassSelection:
+    """The selection a PRISM pass makes at ``config``, bit for bit, with
+    no device.  With ``pruning_enabled=False`` it is the unpruned ground
+    truth (§4.1), which the HF-family baselines also select."""
+    if k <= 0 or batch.size == 0:
+        raise ValueError("need a positive k and a non-empty batch")
+    selection = PassSelection(model, batch, k, config)
+    for layer in range(model.config.num_layers):
+        if layer >= selection.check_from and selection.open:
+            selection.check(layer)
+            if not selection.open:
+                break
+        model.forward_layer(selection.state, layer)
+    selection.finish()
+    return selection

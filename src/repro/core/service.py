@@ -18,9 +18,9 @@ falls below the target, down when there is headroom.
   ``sample_rate`` fraction of them for idle checking (callers reach it
   through :class:`~repro.core.api.DeviceServer`);
 * :meth:`idle_maintenance` models the device-idle background pass — it
-  replays the logged requests unpruned on a *shadow* device (so the
-  serving clock and memory are untouched), measures top-K agreement,
-  and applies one §4.1 threshold step.
+  plans the logged requests unpruned, device-free (so the serving clock
+  and memory are untouched), measures top-K agreement, and applies one
+  §4.1 threshold step.
 
 The controller is deliberately incremental (one step per idle pass),
 matching the paper's description, rather than re-running the full
@@ -42,6 +42,7 @@ from .config import PrismConfig
 from .data_plane import SharedEmbeddingCache
 from .engine import PrismEngine, RerankResult
 from .metrics import top_k_overlap
+from .pruning import plan_selection
 from .scheduler import DeviceScheduler, DroppedRequest, ScheduledOutcome, SchedulerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (api imports service)
@@ -127,9 +128,9 @@ class SemanticSelectionService:
     ----------
     model / profile:
         Reranker and platform.  The serving engine runs on a device
-        created from ``profile``; ground-truth re-execution happens on
-        shadow devices so it never appears in serving latency — the
-        paper's "when the device is idle" semantics.
+        created from ``profile``; ground-truth re-execution reads no
+        device, so it never appears in serving latency — the paper's
+        "when the device is idle" semantics.
     precision_target:
         Minimum acceptable agreement between served and unpruned top-K.
     sample_rate:
@@ -224,14 +225,12 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     @property
     def threshold(self) -> float:
-        return self.engine.pruner.dispersion_threshold
+        return self.config.dispersion_threshold
 
     def _set_threshold(self, value: float) -> None:
         value = float(np.clip(value, self.min_threshold, self.max_threshold))
         # The config rejects NaN (which the clip keeps) before either changes.
-        config = replace(self.config, dispersion_threshold=value)
-        self.engine.pruner.dispersion_threshold = value
-        self.config = config
+        self.config = self.engine.config = replace(self.config, dispersion_threshold=value)
 
     def apply_threshold(self, value: float) -> float:
         """Externally set the operating threshold (clamped); returns it.
@@ -361,18 +360,18 @@ class SemanticSelectionService:
         )
 
     # ------------------------------------------------------------------
-    # shadow passes
+    # shadow pass
     # ------------------------------------------------------------------
     def replay_selection(self, batch: CandidateBatch, k: int) -> RerankResult:
         """Full-batch selection replay on a zero-cost shadow engine.
 
         Pruning stays ON at the current config, so the replay is
         byte-identical to serving the batch solo (cross-tier
-        determinism, DESIGN.md §8) — but it runs on a shadow device
-        like :meth:`_ground_truth`, so serving clocks and memory are
-        untouched.  This is how the fleet's partial-overlap path
-        (DESIGN.md §12) recovers the exact full-batch selection after
-        executing only the residue rows.
+        determinism, DESIGN.md §8) — but it runs on a shadow device, so
+        serving clocks and memory are untouched.  This is how the
+        fleet's partial-overlap path (DESIGN.md §12) recovers the exact
+        full-batch selection after executing only the residue rows; the
+        fleet also reads the replay's costs, so it is not a plan.
         """
         shadow = self.profile.create()
         engine = PrismEngine(self.model, shadow, self.config)
@@ -384,20 +383,12 @@ class SemanticSelectionService:
     # ------------------------------------------------------------------
     # idle path
     # ------------------------------------------------------------------
-    def _ground_truth(self, sample: SampledRequest) -> np.ndarray:
-        """Full unpruned inference on a shadow device (idle time)."""
-        shadow = self.profile.create()
-        engine = PrismEngine(
-            self.model, shadow, replace(self.config, pruning_enabled=False)
-        )
-        engine.prepare()
-        return engine.start(sample.batch, sample.k).run().top_indices
-
     def _sampled_precision(self) -> tuple[int, float]:
-        overlaps = [
-            top_k_overlap(sample.served_top, self._ground_truth(sample), sample.k)
-            for sample in self._pending_samples
-        ]
+        unpruned = replace(self.config, pruning_enabled=False)  # idle-time ground truth
+        overlaps = []
+        for sample in self._pending_samples:
+            truth = plan_selection(self.model, sample.batch, sample.k, unpruned).top_indices
+            overlaps.append(top_k_overlap(sample.served_top, truth, sample.k))
         return len(overlaps), float(np.mean(overlaps)) if overlaps else 1.0
 
     def idle_maintenance(self) -> MaintenanceReport | None:

@@ -101,9 +101,12 @@ class RelevanceProfile:
         Returns ``(labels, relevance)`` — bool ground truth and the
         perceived relevance values the model converges to.
         """
-        if num_candidates <= 0:
-            raise ValueError("num_candidates must be positive")
         lo, hi = self.relevant_range
+        if num_candidates < max(lo, 1):
+            raise ValueError(
+                f"num_candidates ({num_candidates}) must be positive and at least "
+                f"relevant_range[0] ({lo})"
+            )
         num_relevant = int(rng.integers(lo, min(hi, num_candidates) + 1))
         labels = np.zeros(num_candidates, dtype=bool)
         labels[:num_relevant] = True

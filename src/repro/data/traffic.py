@@ -167,6 +167,10 @@ class TrafficConfig:
             raise ValueError("max_candidates must be >= min_candidates")
         if self.candidate_tail <= 0:
             raise ValueError("candidate_tail must be positive")
+        if self.query_length < 0:
+            raise ValueError("query_length must be >= 0")
+        if self.doc_length_mean < 1:
+            raise ValueError("doc_length_mean must be >= 1")
         if self.k < 1 or self.k > self.min_candidates:
             raise ValueError("k must lie in [1, min_candidates]")
         if self.burst_multiplier <= 1:

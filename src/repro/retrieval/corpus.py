@@ -114,6 +114,8 @@ class SyntheticCorpus:
             raise ValueError("num_docs and num_topics must be positive")
         if self.num_topics > self.num_docs:
             raise ValueError("cannot have more topics than documents")
+        if self.topic_vocab_size < 1 or self.common_vocab_size < 1:
+            raise ValueError("topic_vocab_size and common_vocab_size must be >= 1")
         self._rng = np.random.default_rng(np.random.SeedSequence([0x0C0, self.seed]))
         self._build()
 

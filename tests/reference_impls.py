@@ -6,7 +6,9 @@ trigger, ``repro.model.semantics``' noise draw (per layer, and the
 per-pass table built from it row by row), the two LRU row caches
 (``EmbeddingCache`` and ``SharedEmbeddingCache``), the memory tracker
 (``repro.device.memory.MemoryTracker``), the engines' chunk charges (one
-alloc, kernel and free per chunk) and request packing
+alloc, kernel and free per chunk), PRISM's decision loop as its pass ran
+it inline (``select``, against ``repro.core.pruning.plan_selection``) and
+request packing
 (``Vocabulary.sample`` as one search over the whole CDF,
 ``Tokenizer.build_pair``/``batch_pairs`` and ``build_batch``) and the
 seeded input generators (``make_query``, ``zipf_request_stream``,
@@ -35,6 +37,7 @@ from unittest import mock
 
 import numpy as np
 
+from repro.core import ProgressiveClusterPruner, PruneEvent
 from repro.core.clustering import MIN_SEPARATION, Clustering
 from repro.core.embedding_cache import CacheLookup
 from repro.data import traffic
@@ -620,6 +623,97 @@ def run_layer_chunks(engine, tag: str, num_active: int, chunk_size: int, chunk_c
     chunk, the remainder last."""
     for start in range(0, num_active, chunk_size):
         run_layer_chunk(engine, tag, min(chunk_size, num_active - start), chunk_costs)
+
+
+# ---------------------------------------------------------------------------
+# A pass's selection (repro.core.pruning.PassSelection / plan_selection)
+# ---------------------------------------------------------------------------
+def subset_state(state: ForwardState, positions: np.ndarray) -> ForwardState:
+    """The rows of ``state`` at ``positions``: hidden rows, lengths and
+    the columns of the noise table."""
+    sub = ForwardState(batch=state.batch.select(positions), layer_done=state.layer_done)
+    if state.noise is not None:
+        sub.noise = state.noise[:, positions]
+        sub.noise_from = state.noise_from
+    if state.hidden is not None:
+        assert state.sim_lengths is not None
+        sub.hidden = state.hidden[positions]
+        sub.sim_lengths = state.sim_lengths[positions]
+    return sub
+
+
+def select(model: CrossEncoderModel, batch: CandidateBatch, k: int, config):
+    """PRISM's decision loop as the engine ran it inline, every cost
+    taken out: ``(top_indices, top_scores, prune_events)``.
+
+    Before each layer from ``max(1, min_layers_before_pruning)`` on, while
+    top-K slots are open, the active rows are scored and the pruner
+    routes them: selected rows take slots best-first, a terminal decision
+    also places the deferred rows, and otherwise the deferred rows stay
+    active.  After the loop the open slots take the best active rows.
+    """
+    pruner = ProgressiveClusterPruner(
+        dispersion_threshold=config.dispersion_threshold,
+        max_clusters=config.max_clusters,
+        exact_rank_mode=config.exact_rank_mode,
+    )
+    k = min(k, batch.size)
+    state = model.embed(batch, numerics=config.numerics)
+    active = np.arange(batch.size)
+    selected_idx: list[int] = []
+    selected_scores: list[float] = []
+    prune_events = []
+    for layer in range(model.config.num_layers):
+        slots = k - len(selected_idx)
+        if (
+            config.pruning_enabled
+            and layer >= max(1, config.min_layers_before_pruning)
+            and slots > 0
+            and active.size > 0
+        ):
+            scores = model.score(state)
+            decision = pruner.decide(scores, slots)
+            if decision.triggered:
+                for pos in decision.selected:
+                    selected_idx.append(int(active[pos]))
+                    selected_scores.append(float(state.scores[pos]))
+                if decision.terminal:
+                    for pos in decision.deferred:
+                        selected_idx.append(int(active[pos]))
+                        selected_scores.append(float(state.scores[pos]))
+                    active = np.empty(0, dtype=np.int64)
+                else:
+                    keep = np.sort(decision.deferred)
+                    active = active[keep]
+                    sub = subset_state(state, keep)
+                    sub.scores = state.scores[keep]
+                    state = sub
+                prune_events.append(
+                    PruneEvent(
+                        layer=layer,
+                        cv=decision.cv,
+                        num_selected=int(decision.selected.size),
+                        num_dropped=int(decision.dropped.size),
+                        num_deferred=int(active.size),
+                        terminal=decision.terminal,
+                    )
+                )
+                if decision.terminal or len(selected_idx) >= k:
+                    break
+        if active.size == 0:
+            break
+        model.forward_layer(state, layer)
+    slots = k - len(selected_idx)
+    if slots > 0 and active.size > 0:
+        scores = model.score(state)
+        order = np.argsort(-scores)[:slots]
+        selected_idx.extend(int(active[i]) for i in order)
+        selected_scores.extend(float(scores[i]) for i in order)
+    return (
+        np.array(selected_idx[:k], dtype=np.int64),
+        np.array(selected_scores[:k]),
+        prune_events,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Unit tests for dispersion-threshold auto-calibration (§4.1)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import PrismConfig
+from repro.core.pruning import plan_selection
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
-from repro.device.platforms import get_profile
 from repro.harness.runner import shared_model, shared_tokenizer
 from repro.model.zoo import QWEN3_0_6B
 
@@ -22,7 +24,6 @@ def sample_batches():
 def calibrator():
     return ThresholdCalibrator(
         shared_model(QWEN3_0_6B),
-        get_profile("nvidia_5070"),
         precision_target=0.9,
         step=0.1,
         max_rounds=8,
@@ -32,17 +33,14 @@ def calibrator():
 class TestValidation:
     def test_precision_target_bounds(self):
         model = shared_model(QWEN3_0_6B)
-        profile = get_profile("nvidia_5070")
         with pytest.raises(ValueError):
-            ThresholdCalibrator(model, profile, precision_target=0.0)
+            ThresholdCalibrator(model, precision_target=0.0)
         with pytest.raises(ValueError):
-            ThresholdCalibrator(model, profile, precision_target=1.1)
+            ThresholdCalibrator(model, precision_target=1.1)
 
     def test_step_positive(self):
         with pytest.raises(ValueError):
-            ThresholdCalibrator(
-                shared_model(QWEN3_0_6B), get_profile("nvidia_5070"), step=0.0
-            )
+            ThresholdCalibrator(shared_model(QWEN3_0_6B), step=0.0)
 
     def test_empty_samples_rejected(self, calibrator):
         with pytest.raises(ValueError):
@@ -56,9 +54,10 @@ class TestCalibration:
         )
         # Re-evaluate at the tuned threshold: must meet the target.
         config = PrismConfig(numerics=False).with_threshold(result.threshold)
+        unpruned = replace(config, pruning_enabled=False)
         precision = calibrator._sampled_precision(
             sample_batches,
-            [calibrator._ground_truth(b, 10, config) for b in sample_batches],
+            [plan_selection(calibrator.model, b, 10, unpruned).top_indices for b in sample_batches],
             10,
             config,
         )
@@ -86,7 +85,6 @@ class TestCalibration:
     def test_bounded_by_max_rounds(self, sample_batches):
         calibrator = ThresholdCalibrator(
             shared_model(QWEN3_0_6B),
-            get_profile("nvidia_5070"),
             precision_target=0.9,
             step=0.02,
             max_rounds=3,

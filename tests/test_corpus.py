@@ -44,6 +44,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SyntheticCorpus(num_docs=5, num_topics=10)
 
+    @pytest.mark.parametrize("knob", ["common_vocab_size", "topic_vocab_size"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_empty_vocabularies_rejected_by_name(self, knob, value):
+        """numpy used to fail mid-build with "a must be a positive
+        integer" or "high <= 0"."""
+        with pytest.raises(ValueError, match=knob):
+            SyntheticCorpus(num_docs=4, num_topics=2, **{knob: value})
+        SyntheticCorpus(num_docs=4, num_topics=2, **{knob: 1})
+
     def test_doc_id_bounds(self, corpus):
         with pytest.raises(IndexError):
             corpus.document(100)

@@ -41,6 +41,12 @@ class TestProfiles:
         """ArguAna queries have exactly one counter-argument."""
         assert get_dataset("arguana").profile.relevant_range == (1, 1)
 
+    def test_pool_below_a_datasets_relevant_floor_rejected_by_name(self):
+        """trec-covid needs at least 6 candidates; numpy used to raise
+        its bare "low >= high"."""
+        with pytest.raises(ValueError, match=r"num_candidates \(4\).*relevant_range\[0\] \(6\)"):
+            get_dataset("trec-covid").queries(2, 4)
+
     def test_quora_short_documents(self):
         """Quora candidates are duplicate questions — short texts."""
         assert get_dataset("quora").doc_length_mean < 200

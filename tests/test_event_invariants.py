@@ -17,17 +17,27 @@ run, three structural laws:
 * **Cross-tier pairing** — every fleet dispatch reaches its replica's
   device tier under the same request label, and every device admission
   answers a fleet dispatch (or hedge) of that label to that replica.
+* **Planned selections** — every completed selection, on any tier and
+  however the fleet's data plane answered it, equals
+  :func:`~repro.core.pruning.plan_selection` of its batch at the
+  stack's config: indices and score bytes.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from repro.core.events import SERVING_TIERS, TERMINAL_KINDS, EventLog
-from repro.core.trace import TraceSpec, run_trace
+from repro.core.config import PrismConfig
+from repro.core.events import EVENT_CACHE_HIT, SERVING_TIERS, TERMINAL_KINDS, EventLog
+from repro.core.pruning import plan_selection
+from repro.core.trace import TraceRun, TraceSpec, run_trace
+from repro.data.workloads import CandidateSpec, build_batch
+from repro.harness.runner import shared_model, shared_tokenizer
 from repro.harness.traces import SCENARIOS, build_scenario
 from repro.data.datasets import get_dataset
 from repro.core.trace import TraceRequest
+from repro.model.zoo import get_model_config
 
 ALL_SCENARIOS = tuple(sorted(SCENARIOS))
 
@@ -159,12 +169,40 @@ def check_plane_balance(log: EventLog) -> None:
     )
 
 
+def check_selections_planned(run: TraceRun) -> int:
+    """Each completed response's selection is the device-free plan of its
+    batch at the config ``build_server`` serves every tier with; returns
+    how many completions were checked."""
+    model_config = get_model_config(run.spec.model)
+    model = shared_model(model_config)
+    tokenizer = shared_tokenizer(model_config)
+    config = PrismConfig(numerics=False)
+    requests = {request.request_id: request for request in run.requests}
+    checked = 0
+    for response in run.responses:
+        if response.result is None:
+            continue
+        request = requests[response.request_id]
+        batch = build_batch(request.query, tokenizer, model_config.max_seq_len)
+        plan = plan_selection(model, batch, request.k, config)
+        assert response.result.top_indices.tobytes() == plan.top_indices.tobytes(), request
+        assert response.result.top_scores.tobytes() == plan.top_scores.tobytes(), request
+        checked += 1
+    return checked
+
+
 @pytest.fixture(scope="module")
-def scenario_logs():
+def scenario_runs():
     return {
-        name: run_trace(*build_scenario(name, quick=True)).log
+        (name, quick): run_trace(*build_scenario(name, quick=quick))
         for name in ALL_SCENARIOS
+        for quick in (True, False)
     }
+
+
+@pytest.fixture(scope="module")
+def scenario_logs(scenario_runs):
+    return {name: scenario_runs[name, True].log for name in ALL_SCENARIOS}
 
 
 class TestScenarioInvariants:
@@ -192,6 +230,11 @@ class TestScenarioInvariants:
     def test_seq_is_emission_order(self, scenario_logs, name):
         log = scenario_logs[name]
         assert [e.seq for e in log] == list(range(len(log)))
+
+    @pytest.mark.parametrize("quick", (True, False), ids=("quick", "full"))
+    @pytest.mark.parametrize("name", ALL_SCENARIOS)
+    def test_completed_selections_equal_the_plan(self, scenario_runs, name, quick):
+        assert check_selections_planned(scenario_runs[name, quick]) > 0
 
 
 class TestSweptInvariants:
@@ -223,10 +266,42 @@ class TestSweptInvariants:
                     cancel_at=0.04 if (i + case) % 3 == 1 else None,
                 )
             )
-        log = run_trace(spec, requests).log
-        check_monotone(log)
-        check_exactly_one_terminal(log)
-        check_plane_balance(log)
+        run = run_trace(spec, requests)
+        check_monotone(run.log)
+        check_exactly_one_terminal(run.log)
+        check_plane_balance(run.log)
+        check_selections_planned(run)
+
+    def test_data_plane_answers_equal_the_plan(self):
+        """Memo hits, coalesced followers and overlap leaders (a half-new
+        variant with a residue pass, and a subset answered by replay
+        alone) all complete with the plan's selection."""
+        (base,) = get_dataset("wikipedia").queries(1, 12)
+        fresh = tuple(
+            CandidateSpec(
+                uid=900_000 + i,
+                seed=77_000 + i,
+                length=candidate.length,
+                relevance=0.1 + 0.07 * i,
+                is_relevant=0.1 + 0.07 * i >= 0.5,
+            )
+            for i, candidate in enumerate(base.candidates[6:])
+        )
+        variant = replace(base, candidates=base.candidates[:6] + fresh)
+        subset = replace(base, candidates=base.candidates[:6])
+        spec = TraceSpec(
+            tier="fleet",
+            fleet={"data_plane": True, "max_batch": 1, "max_wait_ms": 0.0, "intra_concurrency": 4},
+        )
+        shapes = [(base, 0.0), (base, 0.0), (base, 2.0), (variant, 4.0), (subset, 6.0)]
+        requests = [
+            TraceRequest(query=query, k=4, request_id=f"dp-{i}", arrival=arrival)
+            for i, (query, arrival) in enumerate(shapes)
+        ]
+        run = run_trace(spec, requests)
+        modes = Counter(e.data["mode"] for e in run.log if e.kind == EVENT_CACHE_HIT)
+        assert modes == {"coalesced": 1, "memo": 1, "overlap": 2}
+        assert check_selections_planned(run) == len(requests)
 
     def test_crash_preserves_invariants(self):
         """A mid-stream replica crash must not break any law: the dying

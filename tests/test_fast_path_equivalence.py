@@ -317,7 +317,7 @@ class TestScoreNoise:
             if layer == prune_at:
                 order = data.draw(st.permutations(range(state.size)))
                 keep = np.array(order[: data.draw(st.integers(1, state.size))])
-                state = EngineBase._subset_state(state, keep)
+                state = pruning.subset_state(state, keep)
                 assert same_bits(state.batch.uids, batch.uids[keep])
                 want = ref.scores_at(dynamics, layer, state.batch.relevance, state.batch.uids)
                 assert same_bits(cross_encoder.score(state), want)
@@ -335,11 +335,69 @@ class TestScoreNoise:
         for layer in range(config.num_layers):
             cross_encoder.forward_layer(state, layer)
             if layer == config.num_layers // 2:
-                state = EngineBase._subset_state(state, np.array([7, 1, 2, 10]))
+                state = pruning.subset_state(state, np.array([7, 1, 2, 10]))
             want = ref.scores_at(dynamics, layer, state.batch.relevance, state.batch.uids)
             readout = cross_encoder.classifier.readout_positions(state.sim_lengths)
             assert same_bits(state.hidden[np.arange(state.size), readout, 0], want)
             assert same_bits(cross_encoder.score(state), want)
+
+
+# ---------------------------------------------------------------------------
+# a pass's selection
+# ---------------------------------------------------------------------------
+def assert_same_selection(got, want) -> None:
+    """``got`` carries the reference loop's top-K indices, score bytes
+    and prune events, ``want``."""
+    indices, scores, events = want
+    assert same_bits(got.top_indices, indices)
+    assert same_bits(got.top_scores, scores)
+    assert got.prune_events == events
+
+
+class TestPassSelection:
+    @EXACT
+    @given(
+        model=MODELS,
+        name=st.sampled_from(ALL_DATASETS),
+        query=st.integers(0, 2),
+        k=st.integers(1, 24),
+        threshold=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        exact_rank_mode=st.booleans(),
+        max_clusters=st.integers(2, 8),
+        pruning_enabled=st.booleans(),
+        data=st.data(),
+    )
+    def test_plan_is_the_engine_loop(
+        self, model, name, query, k, threshold, exact_rank_mode, max_clusters, pruning_enabled, data
+    ):
+        """``plan_selection`` against the decision loop PRISM's pass used to
+        run inline, with every knob the loop reads drawn."""
+        config = get_model_config(model)
+        cross_encoder = shared_model(config)
+        batch = build_batch(
+            get_dataset(name).queries(3, 20)[query], shared_tokenizer(config), config.max_seq_len
+        )
+        prism_config = PrismConfig(
+            numerics=False,
+            dispersion_threshold=threshold,
+            exact_rank_mode=exact_rank_mode,
+            min_layers_before_pruning=data.draw(st.integers(0, config.num_layers)),
+            max_clusters=max_clusters,
+            pruning_enabled=pruning_enabled,
+        )
+        assert_same_selection(
+            pruning.plan_selection(cross_encoder, batch, k, prism_config),
+            ref.select(cross_encoder, batch, k, prism_config),
+        )
+
+    def test_bad_requests_rejected(self):
+        config = get_model_config("qwen3-reranker-0.6b")
+        batch = build_batch(scifact_query(), shared_tokenizer(config), config.max_seq_len)
+        with pytest.raises(ValueError, match="positive k"):
+            pruning.plan_selection(shared_model(config), batch, 0, PrismConfig(numerics=False))
+        with pytest.raises(ValueError, match="non-empty batch"):
+            empty = batch.select(np.arange(0))
+            pruning.plan_selection(shared_model(config), empty, 3, PrismConfig(numerics=False))
 
 
 # ---------------------------------------------------------------------------
@@ -1253,11 +1311,15 @@ class TestInputDraws:
 OFFLINE_MODELS = ("qwen3-reranker-0.6b", "qwen3-reranker-4b", "bge-reranker-v2-m3")
 
 
+def _sweep_queries() -> list[RerankQuery]:
+    return [q for name in ALL_DATASETS for q in get_dataset(name).queries(1, 20)]
+
+
 def _offline_runs() -> dict:
     runs = {}
     for model in OFFLINE_MODELS:
         config = get_model_config(model)
-        queries = [q for name in ALL_DATASETS for q in get_dataset(name).queries(1, 20)]
+        queries = _sweep_queries()
         for system in SYSTEMS:
             runs[system, model] = run_system(
                 system,
@@ -1294,8 +1356,27 @@ def test_prune_decisions_unchanged_across_the_dataset_sweep(monkeypatch):
     same results, latencies and memory staircases with every reference
     implementation patched in.  Each patch counts its calls, so one that
     a later re-route no longer reaches fails here instead of checking
-    nothing."""
+    nothing.  PRISM's served selections are the reference decision
+    loop's, and the HF-family selections are the unpruned plan."""
     fast = _offline_runs()
+    queries = _sweep_queries()
+    unpruned = PrismConfig(numerics=False, pruning_enabled=False)
+    loop_configs = {
+        "prism": PrismConfig(numerics=False),
+        "prism_quant": PrismConfig.quant(numerics=False),
+    }
+    for (system, model), run in fast.items():
+        config = get_model_config(model)
+        cross_encoder = shared_model(config)
+        tokenizer = shared_tokenizer(config)
+        for query, result in zip(queries, run.results):
+            batch = build_batch(query, tokenizer, config.max_seq_len)
+            if system in loop_configs:
+                want = ref.select(cross_encoder, batch, 10, loop_configs[system])
+            else:
+                plan = pruning.plan_selection(cross_encoder, batch, 10, unpruned)
+                want = (plan.top_indices, plan.top_scores, [])
+            assert_same_selection(result, want)
     calls: Counter = Counter()
 
     def counted(name, reference):

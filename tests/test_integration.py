@@ -181,8 +181,11 @@ class TestThresholdCalibrationEndToEnd:
     def test_calibrated_threshold_meets_target_on_fresh_queries(self):
         """Calibrate on one set of requests, verify on another —
         the §4.1 precision-target mode works out of sample."""
+        from dataclasses import replace
+
         from repro.core.calibration import ThresholdCalibrator
         from repro.core.metrics import top_k_overlap
+        from repro.core.pruning import plan_selection
         from repro.data.workloads import build_batch
         from repro.device.platforms import get_profile
         from repro.harness.runner import shared_model, shared_tokenizer
@@ -198,7 +201,6 @@ class TestThresholdCalibrationEndToEnd:
         ]
         calibrator = ThresholdCalibrator(
             shared_model(QWEN3_0_6B),
-            get_profile("nvidia_5070"),
             precision_target=0.85,
             step=0.1,
             max_rounds=6,
@@ -208,8 +210,9 @@ class TestThresholdCalibrationEndToEnd:
         )
         config = PrismConfig(numerics=False).with_threshold(result.threshold)
         overlaps = []
+        unpruned = replace(config, pruning_enabled=False)
         for batch in test:
-            truth = calibrator._ground_truth(batch, 10, config)
+            truth = plan_selection(calibrator.model, batch, 10, unpruned).top_indices
             from repro.core.engine import PrismEngine
 
             device = get_profile("nvidia_5070").create()

@@ -67,6 +67,16 @@ class TestDrawPool:
         with pytest.raises(ValueError):
             RelevanceProfile().draw_pool(np.random.default_rng(0), 0)
 
+    def test_pool_smaller_than_the_relevant_floor_rejected_before_any_draw(self):
+        """numpy used to raise its bare "low >= high" from the first draw."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"num_candidates \(4\).*relevant_range\[0\] \(5\)"):
+            RelevanceProfile(relevant_range=(5, 9)).draw_pool(rng, 4)
+        assert rng.bit_generator.state == state
+        labels, _ = RelevanceProfile(relevant_range=(5, 9)).draw_pool(rng, 5)
+        assert labels.all()
+
     def test_relevant_docs_read_higher_on_average(self):
         profile = RelevanceProfile()
         rng = np.random.default_rng(7)

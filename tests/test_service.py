@@ -5,11 +5,12 @@ import warnings
 import pytest
 
 from repro.core.api import DeviceServer, SelectionRequest
+from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import PrismConfig
 from repro.core.service import SemanticSelectionService
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
-from repro.device.platforms import get_profile
+from repro.device.platforms import DeviceProfile, get_profile
 from repro.harness.runner import shared_model, shared_tokenizer
 from repro.model.zoo import QWEN3_0_6B
 
@@ -211,6 +212,22 @@ class TestIdleMaintenance:
         service.idle_maintenance()
         assert service.stats.maintenance_passes == 1
         assert len(service.stats.history) == 1
+
+    def test_idle_check_and_calibration_build_no_device(self, batches, monkeypatch):
+        """Ground truth and sampled selections are device-free plans, so
+        neither path needs a shadow device."""
+        service = make_service(sample_rate=1.0)
+        for batch in batches[:2]:
+            select(service, batch, 10)
+
+        def no_device(profile):
+            raise AssertionError(f"built a {profile.name} device")
+
+        monkeypatch.setattr(DeviceProfile, "create", no_device)
+        report = service.idle_maintenance()
+        assert report is not None and report.samples_checked == 2
+        calibrator = ThresholdCalibrator(service.model, precision_target=0.9, max_rounds=2)
+        assert calibrator.calibrate(batches[:2], k=10).rounds >= 1
 
     def test_maintenance_does_not_touch_serving_clock(self, batches):
         """Ground-truth re-execution is idle-time work on shadow

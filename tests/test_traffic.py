@@ -74,6 +74,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{knob} must be >= 0"):
             TrafficConfig(**{knob: value})
 
+    @pytest.mark.parametrize(
+        "knob, value, floor",
+        [("doc_length_mean", -5, 1), ("doc_length_mean", 0, 1), ("query_length", -3, 0)],
+    )
+    def test_lengths_rejected_at_build(self, knob, value, floor):
+        """These used to generate traces: every candidate of length -20,
+        or every query of length -3."""
+        with pytest.raises(ValueError, match=f"{knob} must be >= {floor}"):
+            TrafficConfig(**{knob: value})
+        TrafficConfig(**{knob: floor})
+
     @pytest.mark.parametrize("knob", ["tenant_zipf_s", "query_zipf_s"])
     def test_infinite_zipf_exponent_puts_every_draw_on_rank_one(self, knob):
         trace = generate_traffic(TrafficConfig(**SMALL, **{knob: math.inf}))
