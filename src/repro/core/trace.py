@@ -47,6 +47,7 @@ from .fleet import FleetConfig, FleetService
 from .resilience import AutoscalerConfig, ResilienceConfig
 from .scheduler import LANE_BATCH
 from .service import SemanticSelectionService
+from .tenancy import TenancyConfig
 from .telemetry import EventFold, LifecycleFold, TierSummary, lifecycle_key
 
 #: JSONL header schema tag / version.
@@ -55,6 +56,9 @@ TRACE_VERSION = 1
 
 #: Tiers a trace can drive end-to-end.
 TRACE_TIERS = ("engine", "device", "fleet")
+
+#: The device-tier scheduler knobs a spec's ``device`` dict may set.
+DEVICE_KNOBS = ("policy", "quantum_layers", "max_skew", "edf", "max_concurrency", "shared_weights")
 
 
 # ---------------------------------------------------------------------------
@@ -142,14 +146,13 @@ class TraceRequest:
 class TraceSpec:
     """The serving stack a trace runs against (the JSONL header body).
 
-    ``device`` holds device-tier scheduler knobs (``policy``,
-    ``quantum_layers``, ``max_skew``, ``edf``, ``max_concurrency``,
-    ``shared_weights``); ``fleet`` holds
-    :class:`~repro.core.fleet.FleetConfig` kwargs; ``resilience`` /
-    ``autoscaler`` hold the §9 config kwargs (``None`` = defaults /
-    disabled); ``faults`` holds
+    ``device`` holds device-tier scheduler knobs (:data:`DEVICE_KNOBS`);
+    ``fleet`` holds :class:`~repro.core.fleet.FleetConfig` kwargs;
+    ``resilience`` / ``autoscaler`` hold the §9 config kwargs (``None``
+    = defaults / disabled); ``faults`` holds
     :class:`~repro.device.faults.FaultEvent` kwargs with instants
-    relative to the serving origin.
+    relative to the serving origin.  A knob the tier would not read is
+    rejected, never ignored (DESIGN.md §10).
     """
 
     tier: str
@@ -167,6 +170,23 @@ class TraceSpec:
             raise ValueError(f"unknown trace tier {self.tier!r}; known: {known}")
         if not self.platforms:
             raise ValueError("a trace needs at least one platform")
+        unknown = sorted(set(self.device) - set(DEVICE_KNOBS))
+        if unknown:
+            raise ValueError(f"unknown device knobs {unknown}; known: {', '.join(DEVICE_KNOBS)}")
+        off_fleet = self.tier != "fleet"
+        ignored = [
+            what
+            for what, off_tier in (
+                (f"device knobs {sorted(self.device)}", self.device and self.tier != "device"),
+                (f"fleet knobs {sorted(self.fleet)}", self.fleet and off_fleet),
+                ("resilience", self.resilience is not None and off_fleet),
+                ("autoscaler", self.autoscaler is not None and off_fleet),
+                (f"{len(self.platforms)} platforms", len(self.platforms) > 1 and off_fleet),
+            )
+            if off_tier
+        ]
+        if ignored:
+            raise ValueError(f"the {self.tier} tier would ignore {', '.join(ignored)}")
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -226,14 +246,21 @@ class TraceRun:
         return {str(r.request_id): r.status for r in self.responses}
 
 
-def build_server(spec: TraceSpec, log: EventLog | None):
-    """Instantiate the serving stack a spec describes.
+def build_server(
+    spec: TraceSpec, log: EventLog | None = None, tenancy: TenancyConfig | None = None
+):
+    """Instantiate the serving stack a spec describes: the one
+    constructor of ``cli serve``, the serving studies and replay.
 
     Returns ``(server, clock)`` where ``clock`` is the tier's workload
     time axis (the fleet clock, or the single device's clock).  With
     ``log=None`` the stack runs unobserved — the equivalence tests use
-    exactly this to pin zero behaviour change.
+    exactly this to pin zero behaviour change.  ``tenancy`` attaches
+    the fleet's admission plane (DESIGN.md §13); like the requests, it
+    comes from a traffic trace, not from the spec.
     """
+    if tenancy is not None and spec.tier != "fleet":
+        raise ValueError(f"tenancy applies only to the fleet tier, not {spec.tier}")
     model = shared_model(get_model_config(spec.model))
     profiles = [get_profile(name) for name in spec.platforms]
     config = PrismConfig(numerics=False)
@@ -280,6 +307,7 @@ def build_server(spec: TraceSpec, log: EventLog | None):
         autoscaler=(
             AutoscalerConfig(**spec.autoscaler) if spec.autoscaler is not None else None
         ),
+        tenancy=tenancy,
         event_log=log,
     )
     return FleetServer(fleet), fleet.clock

@@ -222,18 +222,12 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--model", default="qwen3-reranker-0.6b", help="reranker model name"
     )
     parser.add_argument("--platform", default="nvidia_5070", help="device profile")
+    parser.add_argument("--policy", help="device-tier scheduling policy (default round_robin)")
     parser.add_argument(
-        "--policy", default="round_robin", help="device-tier scheduling policy"
+        "--edf", action="store_true", default=None, help="earliest-deadline-first (device tier)"
     )
-    parser.add_argument(
-        "--edf", action="store_true", help="earliest-deadline-first admission (device tier)"
-    )
-    parser.add_argument(
-        "--concurrency", type=int, default=4, help="device-tier in-flight request cap"
-    )
-    parser.add_argument(
-        "--replicas", type=int, default=2, help="fleet-tier replica count"
-    )
+    parser.add_argument("--concurrency", type=int, help="device-tier in-flight cap (default 4)")
+    parser.add_argument("--replicas", type=int, help="fleet-tier replica count (default 2)")
     parser.add_argument(
         "--live-port",
         type=int,
@@ -261,56 +255,46 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_server(args: argparse.Namespace, tenancy=None, event_log=None):
-    """Construct the requested tier's Server adapter."""
-    from ..core.api import DeviceServer, EngineServer, FleetServer
-    from ..core.config import PrismConfig
-    from ..core.fleet import FleetService
-    from ..core.service import SemanticSelectionService
-    from ..device.platforms import get_profile
-    from ..model.zoo import get_model_config
-    from .runner import create_engine, shared_model
+def _serve_spec(parser: argparse.ArgumentParser, args: argparse.Namespace):
+    """The stack ``serve`` builds (DESIGN.md §10); a flag the tier would
+    ignore is a usage error, the device flags through the spec's check."""
+    from ..core.trace import TraceSpec
 
-    model_config = get_model_config(args.model)
-    model = shared_model(model_config)
-    profile = get_profile(args.platform)
-    if args.tier == "engine":
-        engine = create_engine("prism", model, profile.create(), numerics=False)
-        engine.prepare()
-        if event_log is not None:
-            engine.device.attach_event_log(event_log)
-        return EngineServer(engine), model_config
+    if args.replicas is not None and args.tier != "fleet":
+        parser.error(f"--replicas applies only to the fleet tier, not {args.tier}")
+    given = {"policy": args.policy, "edf": args.edf, "max_concurrency": args.concurrency}
+    device = {knob: value for knob, value in given.items() if value is not None}
     if args.tier == "device":
-        service = SemanticSelectionService(
-            model,
-            profile,
-            config=PrismConfig(numerics=False),
-            max_concurrency=args.concurrency,
-            event_log=event_log,
+        device = {"policy": "round_robin", "max_concurrency": 4, **device}
+    replicas = 2 if args.replicas is None else args.replicas
+    try:
+        return TraceSpec(
+            args.tier,
+            model=args.model,
+            platforms=(args.platform,) * (replicas if args.tier == "fleet" else 1),
+            device=device,
         )
-        return DeviceServer(service, policy=args.policy, edf=args.edf), model_config
-    fleet = FleetService.homogeneous(
-        model,
-        profile,
-        args.replicas,
-        config=PrismConfig(numerics=False),
-        tenancy=tenancy,
-        event_log=event_log,
-    )
-    return FleetServer(fleet), model_config
+    except ValueError as error:
+        parser.error(str(error))
 
 
 def run_serve(argv: list[str]) -> int:
     """The ``serve`` subcommand: replay requests, print provenance."""
     from ..core.api import SelectionRequest
     from ..core.tenancy import selection_requests_from_trace, tenancy_from_trace
+    from ..core.trace import build_server
     from ..data.datasets import get_dataset
     from ..data.traffic import is_traffic_file, read_traffic_trace
     from ..data.workloads import build_batches
+    from ..model.zoo import get_model_config
     from .reporting import format_table, ms
     from .runner import shared_tokenizer
 
-    args = build_serve_parser().parse_args(argv)
+    parser = build_serve_parser()
+    args = parser.parse_args(argv)
+    spec = _serve_spec(parser, args)
+    model_config = get_model_config(spec.model)
+    tokenizer = shared_tokenizer(model_config)
 
     # Live telemetry / timeline export both need the event log attached
     # (DESIGN.md §14); a plain serve keeps the unobserved fast path.
@@ -327,9 +311,8 @@ def run_serve(argv: list[str]) -> int:
         # attaches the trace's per-tenant admission profiles.
         trace = read_traffic_trace(args.requests)
         tenancy = tenancy_from_trace(trace) if args.tier == "fleet" else None
-        server, model_config = _build_server(args, tenancy=tenancy, event_log=event_log)
+        server, _ = build_server(spec, event_log, tenancy)
         live = _start_live(args, event_log, tenancy)
-        tokenizer = shared_tokenizer(model_config)
         for request in selection_requests_from_trace(
             trace, tokenizer, model_config.max_seq_len
         ):
@@ -338,9 +321,8 @@ def run_serve(argv: list[str]) -> int:
         entries = json.loads(args.requests.read_text())
         if not isinstance(entries, list) or not entries:
             raise SystemExit("request file must hold a non-empty JSON list")
-        server, model_config = _build_server(args, event_log=event_log)
+        server, _ = build_server(spec, event_log)
         live = _start_live(args, event_log, None)
-        tokenizer = shared_tokenizer(model_config)
         # Entry ``i`` serves query ``i`` of its (dataset, num_candidates)
         # workload.  ``DatasetSpec.queries`` draws from one sequential
         # generator, so each group is drawn once, up to its last entry.

@@ -20,19 +20,13 @@ from ..apps.agent_memory import AgentMemoryApp, AgentRunResult
 from ..apps.long_context import LongContextApp, LongContextRunResult
 from ..apps.long_context import generate_tasks as generate_lcs_tasks
 from ..apps.rag import RagPipeline, RagRunResult
-from ..core.api import DeviceServer, FleetServer, SelectionRequest, serve_all
+from ..core.api import SelectionRequest, serve_all
 from ..core.clustering import cluster_scores
 from ..core.config import PrismConfig
-from ..core.fleet import FleetConfig, FleetService
-from ..core.resilience import (
-    FAULT_REPLICA_CRASH,
-    AutoscalerConfig,
-    FaultEvent,
-    FaultPlan,
-    ResilienceConfig,
-)
+from ..core.resilience import FAULT_REPLICA_CRASH
 from ..core.scheduler import LANE_BATCH, LANE_INTERACTIVE
 from ..core.service import SemanticSelectionService
+from ..core.trace import TraceSpec, build_server
 from ..core.metrics import cluster_gamma, goodman_kruskal_gamma, precision_at_k
 from ..data.datasets import ALL_DATASETS, get_dataset
 from ..device.memory import TimelinePoint
@@ -44,7 +38,6 @@ from ..model.zoo import (
     get_model_config,
 )
 from ..data.workloads import build_batches
-from ..device.platforms import get_profile
 from ..retrieval.corpus import SyntheticCorpus
 from .reporting import format_series, format_table, ms, pct
 from .runner import RunStats, run_system, shared_model, shared_tokenizer
@@ -950,9 +943,7 @@ def fleet_serving(
     fleet sizes — scaling is free of quality drift by construction.
     """
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
-    profile = get_profile(platform)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
     batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
@@ -961,19 +952,18 @@ def fleet_serving(
     )
     baseline_throughput: float | None = None
     for num_replicas in replica_counts:
-        fleet = FleetService.homogeneous(
-            model,
-            profile,
-            num_replicas,
-            fleet_config=FleetConfig(
-                max_batch=max_batch,
-                max_wait_ms=max_wait_ms,
-                routing=routing,
-                dispatch_overhead_ms=dispatch_overhead_ms,
-            ),
-            config=PrismConfig(numerics=False),
+        spec = TraceSpec(
+            "fleet",
+            model=model_name,
+            platforms=(platform,) * num_replicas,
+            fleet={
+                "max_batch": max_batch,
+                "max_wait_ms": max_wait_ms,
+                "routing": routing,
+                "dispatch_overhead_ms": dispatch_overhead_ms,
+            },
         )
-        server = FleetServer(fleet)
+        server, _ = build_server(spec)
         responses = serve_all(
             server,
             [
@@ -987,7 +977,7 @@ def fleet_serving(
             ],
         )
         by_id = {response.request_id: response for response in responses}
-        stats = fleet.stats()
+        stats = server.fleet.stats()
         precision = float(
             np.mean(
                 [
@@ -1137,7 +1127,6 @@ def concurrent_serving(
     bytes the plane saved and how full its fused groups ran.
     """
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     spec = get_dataset(dataset)
     batch_requests = build_batches(
@@ -1177,16 +1166,21 @@ def concurrent_serving(
     )
     reference_selections: list[tuple] | None = None
     for policy in policies:
-        service = SemanticSelectionService(
-            model,
-            get_profile(platform),
-            config=PrismConfig(numerics=False),
-            max_concurrency=max_concurrency,
-            shared_weights=policy == "fusion",
+        server, _ = build_server(
+            TraceSpec(
+                "device",
+                model=model_name,
+                platforms=(platform,),
+                device={
+                    "policy": policy,
+                    "quantum_layers": quantum_layers,
+                    "max_concurrency": max_concurrency,
+                    "shared_weights": policy == "fusion",
+                },
+            )
         )
-        responses = serve_all(
-            DeviceServer(service, policy=policy, quantum_layers=quantum_layers), wave
-        )
+        service = server.service
+        responses = serve_all(server, wave)
         selections = [
             tuple(response.result.top_indices.tolist())
             for response in sorted(responses, key=lambda r: r.request_id)
@@ -1316,6 +1310,15 @@ def _layer_weight_bytes(service: SemanticSelectionService, mark: int) -> int:
     )
 
 
+def _solo_latency(model_name: str, platform: str, batch, k: int) -> float:
+    """One request's service time alone on a fresh one-slot ``fifo`` device."""
+    spec = TraceSpec("device", model=model_name, platforms=(platform,), device={"policy": "fifo"})
+    server, _ = build_server(spec)
+    probe = server.submit(SelectionRequest(batch=batch, k=k, sample=False)).result()
+    assert probe.result is not None
+    return probe.result.latency_seconds
+
+
 def shared_weights_serving(
     model_name: str = "qwen3-reranker-0.6b",
     platform: str = "nvidia_5070",
@@ -1346,21 +1349,11 @@ def shared_weights_serving(
     per-pass SSD floor.
     """
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
     requests = [
         (batch, k) for batch in build_batches(queries, tokenizer, model_config.max_seq_len)
     ]
-
-    def make_service(shared: bool, max_concurrency: int) -> SemanticSelectionService:
-        return SemanticSelectionService(
-            model,
-            get_profile(platform),
-            config=PrismConfig(numerics=False),
-            max_concurrency=max_concurrency,
-            shared_weights=shared,
-        )
 
     result = SharedWeightsResult(
         model=model_name,
@@ -1371,8 +1364,11 @@ def shared_weights_serving(
     )
 
     # Solo floor: the deepest request's one-at-a-time weight traffic.
-    solo = make_service(shared=False, max_concurrency=1)
-    solo_server = DeviceServer(solo, policy="fifo")
+    solo_spec = TraceSpec(
+        "device", model=model_name, platforms=(platform,), device={"policy": "fifo"}
+    )
+    solo_server, _ = build_server(solo_spec)
+    solo = solo_server.service
     solo_bytes = []
     reference_selections = []
     for index, (batch, k_req) in enumerate(requests):
@@ -1386,10 +1382,14 @@ def shared_weights_serving(
 
     baseline_throughput: float | None = None
     for mode, policy, shared in modes:
-        service = make_service(shared=shared, max_concurrency=num_requests)
+        knobs = {"policy": policy, "max_concurrency": num_requests, "shared_weights": shared}
+        server, _ = build_server(
+            TraceSpec("device", model=model_name, platforms=(platform,), device=knobs)
+        )
+        service = server.service
         mark = len(service.device.ssd.request_log)
         responses = serve_all(
-            DeviceServer(service, policy=policy),
+            server,
             [
                 SelectionRequest(batch=batch, k=k_req, request_id=index)
                 for index, (batch, k_req) in enumerate(requests)
@@ -1516,26 +1516,12 @@ def deadline_serving(
     see them.
     """
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
     batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
-    def make_service() -> SemanticSelectionService:
-        return SemanticSelectionService(
-            model,
-            get_profile(platform),
-            config=PrismConfig(numerics=False),
-            max_concurrency=1,
-        )
-
     # Probe: one request's solo service time is the slack unit.
-    probe_service = make_service()
-    probe = DeviceServer(probe_service).submit(
-        SelectionRequest(batch=batches[0], k=k, sample=False)
-    ).result()
-    assert probe.result is not None
-    probe_latency = probe.result.latency_seconds
+    probe_latency = _solo_latency(model_name, platform, batches[0], k)
 
     result = DeadlineServingResult(
         model=model_name,
@@ -1545,8 +1531,10 @@ def deadline_serving(
         probe_latency=probe_latency,
     )
     for mode in ("fifo", "edf"):
-        service = make_service()
-        server = DeviceServer(service, policy="fifo", edf=(mode == "edf"))
+        knobs = {"policy": "fifo", "edf": mode == "edf"}
+        server, _ = build_server(
+            TraceSpec("device", model=model_name, platforms=(platform,), device=knobs)
+        )
         responses = serve_all(
             server,
             [
@@ -1563,8 +1551,7 @@ def deadline_serving(
         )
         completed = [r for r in responses if r.ok]
         met = [r for r in completed if r.deadline_met]
-        latencies = sorted(r.e2e_seconds for r in completed)
-        stats = service.last_scheduler.stats()
+        stats = server.service.last_scheduler.stats()
         result.points.append(
             DeadlinePoint(
                 mode=mode,
@@ -1572,9 +1559,7 @@ def deadline_serving(
                 shed=sum(1 for r in responses if r.status == "shed"),
                 deadlines_met=len(met),
                 hit_rate=len(met) / num_requests,
-                p99_latency=(
-                    float(np.percentile(latencies, 99)) if latencies else float("nan")
-                ),
+                p99_latency=stats.latency_percentile(99),
                 makespan=stats.makespan,
             )
         )
@@ -1697,53 +1682,42 @@ def resilience_serving(
     — faults move *where and when* work runs, never what it computes.
     """
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
-    profile = get_profile(platform)
     queries = get_dataset(dataset).queries(num_requests, num_candidates)
     batches = build_batches(queries, tokenizer, model_config.max_seq_len)
 
     # Probe: one request's solo service time sets the saturation rate.
-    probe_service = SemanticSelectionService(
-        model, profile, config=PrismConfig(numerics=False)
-    )
-    probe = DeviceServer(probe_service).submit(
-        SelectionRequest(batch=batches[0], k=k, sample=False)
-    ).result()
-    assert probe.result is not None
-    arrival_interval = probe.result.latency_seconds / num_replicas
+    arrival_interval = _solo_latency(model_name, platform, batches[0], k) / num_replicas
 
     def run(mode: str, crash_at: float | None) -> tuple[ResiliencePoint, float]:
-        plan = None
+        faults = ()
         autoscaler = None
         if crash_at is not None:
-            plan = FaultPlan(
-                [FaultEvent(FAULT_REPLICA_CRASH, at=crash_at, replica=0)]
-            )
+            faults = ({"kind": FAULT_REPLICA_CRASH, "at": crash_at, "replica": 0},)
             if mode == "crash_autoscale":
                 # Threshold 3 per routable replica: the saturated but
                 # healthy fleet runs ~2 in-system requests per replica
                 # (one batch in service, arrivals trickling in), so
                 # only the post-crash pile-up trips the controller.
-                autoscaler = AutoscalerConfig(
-                    min_replicas=1,
-                    max_replicas=num_replicas + 1,
-                    scale_up_queue_depth=3,
-                    warmup_s=0.05,
-                    action_cooldown_s=0.1,
-                )
-        fleet = FleetService.homogeneous(
-            model,
-            profile,
-            num_replicas,
-            fleet_config=FleetConfig(max_batch=2, max_wait_ms=0.0),
-            config=PrismConfig(numerics=False),
-            fault_plan=plan,
+                autoscaler = {
+                    "min_replicas": 1,
+                    "max_replicas": num_replicas + 1,
+                    "scale_up_queue_depth": 3,
+                    "warmup_s": 0.05,
+                    "action_cooldown_s": 0.1,
+                }
+        spec = TraceSpec(
+            "fleet",
+            model=model_name,
+            platforms=(platform,) * num_replicas,
+            fleet={"max_batch": 2, "max_wait_ms": 0.0},
             # The crashed replica never restarts inside the run: the
             # cooldown outlives any plausible makespan.
-            resilience=ResilienceConfig(max_retries=2, cooldown_s=1e6),
+            resilience={"max_retries": 2, "cooldown_s": 1e6},
             autoscaler=autoscaler,
+            faults=faults,
         )
+        fleet = build_server(spec)[0].fleet
         for index, batch in enumerate(batches):
             fleet.submit_request(
                 batch, k, at=index * arrival_interval, client_id=index
@@ -1752,7 +1726,6 @@ def resilience_serving(
         stats = fleet.stats()
         failed = stats.failed_requests
         lost = num_requests - len(outcomes) - failed
-        latencies = sorted(o.latency for o in outcomes)
         point = ResiliencePoint(
             mode=mode,
             completed=len(outcomes),
@@ -1766,9 +1739,7 @@ def resilience_serving(
             peak_capacity=stats.peak_capacity,
             throughput_rps=stats.throughput_rps,
             recovery=1.0,  # filled in against the fault-free reference
-            p99_latency=(
-                float(np.percentile(latencies, 99)) if latencies else float("nan")
-            ),
+            p99_latency=stats.p99_latency,
         )
         if crash_at is not None:
             # The controller must be reactive, never prescient: any
@@ -1973,9 +1944,7 @@ def data_plane_serving(
     from ..data.workloads import zipf_request_stream
 
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
-    profile = get_profile(platform)
     rng = np.random.default_rng(seed)
     base = get_dataset(dataset).queries(unique_queries, num_candidates)
     stream = zipf_request_stream(
@@ -1988,13 +1957,13 @@ def data_plane_serving(
     batches = build_batches(stream, tokenizer, model_config.max_seq_len)
 
     def run(cache_on: bool):
-        fleet = FleetService.homogeneous(
-            model,
-            profile,
-            num_replicas,
-            fleet_config=FleetConfig(max_batch=max_batch, data_plane=cache_on),
-            config=PrismConfig(numerics=False),
+        spec = TraceSpec(
+            "fleet",
+            model=model_name,
+            platforms=(platform,) * num_replicas,
+            fleet={"max_batch": max_batch, "data_plane": cache_on},
         )
+        fleet = build_server(spec)[0].fleet
         for index, batch in enumerate(batches):
             fleet.submit_request(batch, k, at=index * arrival_interval_ms * 1e-3)
         outcomes = sorted(fleet.drain(), key=lambda o: o.request_id)
@@ -2185,22 +2154,16 @@ def multitenant_serving(
     from ..data.traffic import TrafficConfig, generate_traffic
 
     model_config = get_model_config(model_name)
-    model = shared_model(model_config)
     tokenizer = shared_tokenizer(model_config)
-    profile = get_profile(platform)
-
-    def build_fleet(tenancy=None) -> FleetService:
-        return FleetService.homogeneous(
-            model,
-            profile,
-            num_replicas,
-            fleet_config=FleetConfig(max_batch=max_batch, max_wait_ms=max_wait_ms),
-            config=PrismConfig(numerics=False),
-            tenancy=tenancy,
-        )
+    spec = TraceSpec(
+        "fleet",
+        model=model_name,
+        platforms=(platform,) * num_replicas,
+        fleet={"max_batch": max_batch, "max_wait_ms": max_wait_ms},
+    )
 
     # 1. Calibrate: a closed back-to-back burst measures capacity.
-    probe = build_fleet()
+    probe = build_server(spec)[0].fleet
     for batch in build_batches(
         get_dataset("wikipedia").queries(probe_requests, num_candidates),
         tokenizer,
@@ -2220,12 +2183,11 @@ def multitenant_serving(
         max_candidates=num_candidates,
     )
     trace = generate_traffic(config)
-    fleet = build_fleet(tenancy_from_trace(trace))
+    server, _ = build_server(spec, tenancy=tenancy_from_trace(trace))
     serve_all(
-        FleetServer(fleet),
-        selection_requests_from_trace(trace, tokenizer, model_config.max_seq_len),
+        server, selection_requests_from_trace(trace, tokenizer, model_config.max_seq_len)
     )
-    stats = fleet.stats()
+    stats = server.fleet.stats()
 
     result = MultiTenantResult(
         model=model_name,

@@ -28,7 +28,7 @@ byte for byte against a float64 reference layer kept under ``tests/``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -129,12 +129,10 @@ class ForwardState:
     #: exact semantic channel survives between crossings (DESIGN.md §11).
     hidden: np.ndarray | None = None
     sim_lengths: np.ndarray | None = None
-    scores: np.ndarray | None = None  # provisional scores at layer_done
     #: The pass's score noise, drawn once on its first score: row
     #: ``ℓ - noise_from`` holds every candidate's draw after layer ``ℓ``.
     noise: np.ndarray | None = None
     noise_from: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def size(self) -> int:
@@ -196,7 +194,6 @@ class CrossEncoderModel:
         if state.hidden is not None:
             self.forward_layer_batched([state], layer_idx)
         state.layer_done = layer_idx
-        state.scores = None  # invalidate: scores belong to a specific depth
         return state
 
     def forward_layer_batched(self, states: list[ForwardState], layer_idx: int) -> None:
@@ -228,11 +225,8 @@ class CrossEncoderModel:
             raise ValueError("cannot score before any transformer layer has run")
         if state.hidden is not None:
             assert state.sim_lengths is not None
-            scores = self.classifier.score(state.hidden, state.sim_lengths)
-        else:
-            scores = self._semantic_scores(state, state.layer_done)
-        state.scores = scores
-        return scores
+            return self.classifier.score(state.hidden, state.sim_lengths)
+        return self._semantic_scores(state, state.layer_done)
 
     def full_forward(self, batch: CandidateBatch, numerics: bool = True) -> np.ndarray:
         """Reference unpruned forward pass → final scores."""

@@ -676,18 +676,16 @@ def select(model: CrossEncoderModel, batch: CandidateBatch, k: int, config):
             if decision.triggered:
                 for pos in decision.selected:
                     selected_idx.append(int(active[pos]))
-                    selected_scores.append(float(state.scores[pos]))
+                    selected_scores.append(float(scores[pos]))
                 if decision.terminal:
                     for pos in decision.deferred:
                         selected_idx.append(int(active[pos]))
-                        selected_scores.append(float(state.scores[pos]))
+                        selected_scores.append(float(scores[pos]))
                     active = np.empty(0, dtype=np.int64)
                 else:
                     keep = np.sort(decision.deferred)
                     active = active[keep]
-                    sub = subset_state(state, keep)
-                    sub.scores = state.scores[keep]
-                    state = sub
+                    state = subset_state(state, keep)
                 prune_events.append(
                     PruneEvent(
                         layer=layer,
@@ -1189,7 +1187,6 @@ def forward_layer(
     state.layer_done = layer_idx
     if state.hidden is not None:
         self._inject(state, layer_idx)
-    state.scores = None  # invalidate: scores belong to a specific depth
     return state
 
 

@@ -154,6 +154,28 @@ class TestServe:
         with pytest.raises(SystemExit):
             main(["serve", str(path)])
 
+    @pytest.mark.parametrize(
+        "tier, flags",
+        [
+            ("fleet", ["--policy", "fusion"]),
+            ("fleet", ["--edf"]),
+            ("fleet", ["--concurrency", "2"]),
+            ("engine", ["--policy", "fifo"]),
+            ("engine", ["--replicas", "3"]),
+            ("device", ["--replicas", "3"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else value[0].lstrip("-"),
+    )
+    def test_flag_the_tier_ignores_is_a_usage_error(self, tier, flags, tmp_path, capsys):
+        path = self._request_file(tmp_path, self.CLEAN)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(path), "--tier", tier, *flags])
+        assert exit_info.value.code == 2
+        # The error line names the flag (``--concurrency`` as the
+        # spec's ``max_concurrency`` knob).
+        error = capsys.readouterr().err.splitlines()[-1]
+        assert flags[0].lstrip("-") in error and tier in error
+
 
 class TestServeRequestList:
     """``serve`` on a JSON request list mixing datasets and candidate counts.
@@ -171,6 +193,25 @@ class TestServeRequestList:
         # Two entries shed and one cancels, so the run exits 1.
         assert main(["serve", str(self.FIXTURES / "requests.json"), "--tier", tier]) == 1
         assert capsys.readouterr().out == (self.FIXTURES / f"{tier}.txt").read_text()
+
+    @pytest.mark.parametrize("tier, code", [("engine", 0), ("device", 0), ("fleet", 1)])
+    def test_traffic_stdout_matches_snapshot(self, tier, code, capsys):
+        """A traffic trace through every tier, the fleet with the trace's
+        tenancy attached (84 of its 183 requests shed, so it exits 1).
+
+        ``tests/fixtures/serve/poisson_<tier>.txt`` is the stdout of
+        ``PYTHONPATH=src python -m repro.harness.cli serve
+        tests/fixtures/traffic/poisson.jsonl --tier <tier> >
+        tests/fixtures/serve/poisson_<tier>.txt``, run from the
+        repository root; rerun it to regenerate one after an intended
+        change.
+        """
+        trace = Path(__file__).parent / "fixtures" / "traffic" / "poisson.jsonl"
+        assert main(["serve", str(trace), "--tier", tier]) == code
+        assert (
+            capsys.readouterr().out
+            == (self.FIXTURES / f"poisson_{tier}.txt").read_text()
+        )
 
     def test_each_group_is_drawn_once(self, monkeypatch, capsys):
         queries = DatasetSpec.queries

@@ -68,7 +68,8 @@ SNAPSHOTS = Path(__file__).resolve().parent / "fixtures" / "telemetry"
 SNAPSHOT_RUNS = ("engine", "device", "fleet", "deadline", "resilience", "tenancy")
 
 #: The stack the tenancy run serves, as a trace header (the summary
-#: reads only the events; a spec cannot express tenancy).
+#: reads only the events; tenancy is ``build_server``'s parameter,
+#: not a spec field).
 TENANCY_SPEC = TraceSpec(
     tier="fleet",
     platforms=("nvidia_5070", "nvidia_5070"),

@@ -15,10 +15,12 @@ import json
 
 import pytest
 
+from repro.core.tenancy import TenancyConfig
 from repro.core.trace import (
     TRACE_SCHEMA,
     TRACE_VERSION,
     TraceSpec,
+    build_server,
     compare_logs,
     parse_trace,
     record_trace,
@@ -137,3 +139,34 @@ class TestArtifact:
     def test_unknown_tier_rejected(self):
         with pytest.raises(ValueError, match="unknown trace tier"):
             TraceSpec(tier="warp")
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"tier": "device", "device": {"polciy": "fusion"}}, "unknown device knobs"),
+            ({"tier": "fleet", "device": {"policy": "fusion"}}, "fleet tier would ignore"),
+            ({"tier": "engine", "device": {"edf": True}}, "engine tier would ignore"),
+            (
+                {"tier": "device", "fleet": {"max_batch": 3}, "resilience": {"max_retries": 9}},
+                "fleet knobs.*resilience",
+            ),
+            ({"tier": "device", "autoscaler": {}}, "autoscaler"),
+            ({"tier": "engine", "platforms": ("nvidia_5070", "apple_m2")}, "2 platforms"),
+        ],
+        ids=[
+            "misspelt-device-knob",
+            "device-knob-on-fleet",
+            "device-knob-on-engine",
+            "fleet-and-resilience-on-device",
+            "autoscaler-on-device",
+            "two-platforms-on-engine",
+        ],
+    )
+    def test_knob_the_tier_ignores_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            TraceSpec(**kwargs)
+
+    @pytest.mark.parametrize("tier", ["engine", "device"])
+    def test_tenancy_off_the_fleet_tier_rejected(self, tier):
+        with pytest.raises(ValueError, match="only to the fleet tier"):
+            build_server(TraceSpec(tier=tier), None, TenancyConfig())

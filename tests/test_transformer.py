@@ -67,14 +67,6 @@ class TestForwardOrdering:
         with pytest.raises(ValueError):
             model.score(state)
 
-    def test_scores_invalidated_by_forward(self, model):
-        state = model.embed(make_batch(QWEN3_0_6B), numerics=False)
-        model.forward_layer(state, 0)
-        model.score(state)
-        assert state.scores is not None
-        model.forward_layer(state, 1)
-        assert state.scores is None
-
 
 #: Every zoo config: the five paper models plus the generality extension.
 ZOO_CONFIGS = (*PAPER_MODELS, QWEN3_4B_INSTRUCT_AS_RERANKER)
