@@ -79,7 +79,7 @@ def _wall_time_per_step(gang_size: int, reference: bool) -> float:
         t0 = time.perf_counter()
         scheduler.drain()
         wall = time.perf_counter() - t0
-    return wall / len(scheduler.trace)
+    return wall / sum(scheduler.fused_group_sizes())
 
 
 def _measure_all() -> dict[str, float]:

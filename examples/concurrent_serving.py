@@ -15,7 +15,7 @@ Run:  python examples/concurrent_serving.py
 
 from repro.core.api import DeviceServer, SelectionRequest, serve_all
 from repro.core.config import PrismConfig
-from repro.core.scheduler import LANE_BATCH, LANE_INTERACTIVE
+from repro.core.scheduler import LANE_BATCH, LANE_INTERACTIVE, SchedulerConfig
 from repro.core.service import SemanticSelectionService
 from repro.data import get_dataset
 from repro.data.workloads import build_batches
@@ -62,9 +62,9 @@ def main() -> None:
             model,
             get_profile("nvidia_5070"),
             config=PrismConfig(numerics=False),
-            max_concurrency=5,
+            scheduler=SchedulerConfig(policy=policy, max_concurrency=5),
         )
-        responses = serve_all(DeviceServer(service, policy=policy), requests)
+        responses = serve_all(DeviceServer(service), requests)
         selections[policy] = [
             tuple(r.result.top_indices.tolist())
             for r in sorted(responses, key=lambda r: r.request_id)

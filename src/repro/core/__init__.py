@@ -68,7 +68,6 @@ from .scheduler import (  # noqa: E402  (appended export)
     ScheduledRequest,
     SchedulerConfig,
     SchedulerStats,
-    StepEvent,
 )
 
 __all__ += [
@@ -81,7 +80,6 @@ __all__ += [
     "ScheduledRequest",
     "SchedulerConfig",
     "SchedulerStats",
-    "StepEvent",
 ]
 
 from .service import (  # noqa: E402  (appended export)

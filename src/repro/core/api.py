@@ -482,39 +482,24 @@ class DeviceServer(ServerBase):
 
     Wraps a :class:`~repro.core.service.SemanticSelectionService`; a
     drain serves the pending wave through a
-    :class:`~repro.core.scheduler.DeviceScheduler` configured with this
-    server's policy knobs, with the service's deterministic sampling
-    stride feeding the idle-check log.  ``edf=True`` orders admission
-    by earliest deadline (DESIGN.md §8).
+    :class:`~repro.core.scheduler.DeviceScheduler` built from the
+    service's one ``SchedulerConfig`` (DESIGN.md §6), with the service's
+    deterministic sampling stride feeding the idle-check log.  The
+    server takes no knob of its own: responses name
+    ``service.scheduler.policy``, and ``SchedulerConfig(edf=True)``
+    orders admission by earliest deadline (DESIGN.md §8).
     """
 
     tier = "device"
 
-    def __init__(
-        self,
-        service: SemanticSelectionService,
-        policy: str = "fifo",
-        quantum_layers: int = 1,
-        max_skew: float = 0.0,
-        edf: bool = False,
-    ) -> None:
+    def __init__(self, service: SemanticSelectionService) -> None:
         super().__init__()
         self.service = service
-        self.policy = policy
-        self.quantum_layers = quantum_layers
-        self.max_skew = max_skew
-        self.edf = edf
 
     def _serve(self, pending: list[SelectionRequest]) -> list[SelectionResponse]:
         cancels = [self._cancel_offset(request) for request in pending]
-        wave = self.service.serve_requests(
-            pending,
-            policy=self.policy,
-            quantum_layers=self.quantum_layers,
-            max_skew=self.max_skew,
-            edf=self.edf,
-            cancels=cancels,
-        )
+        wave = self.service.serve_requests(pending, cancels=cancels)
+        policy = self.service.scheduler.policy
         threshold = self.service.threshold
         by_scheduler_id = {
             scheduler_id: request
@@ -536,14 +521,14 @@ class DeviceServer(ServerBase):
                     finish=outcome.finish,
                     service_seconds=outcome.service_seconds,
                     deadline=outcome.deadline,
-                    policy=self.policy,
+                    policy=policy,
                     fused_group=fused_groups.get(outcome.request_id),
                     threshold=threshold,
                     tenant=request.tenant,
                 )
             )
         responses.extend(
-            _drop_response(by_scheduler_id[drop.request_id], drop, self.tier, self.policy)
+            _drop_response(by_scheduler_id[drop.request_id], drop, self.tier, policy)
             for drop in wave.dropped
         )
         responses.sort(key=lambda r: (r.finish if r.finish is not None else r.arrival))

@@ -62,7 +62,7 @@ from .data_plane import (
 )
 from .engine import RerankResult
 from .resilience import AutoscalerConfig, ReplicaHealth, ResilienceConfig, ScalingEvent
-from .scheduler import LANE_BATCH, SCHEDULING_POLICIES, DroppedRequest
+from .scheduler import LANE_BATCH, DroppedRequest, SchedulerConfig
 from .service import MaintenanceReport, SampleStride, SemanticSelectionService
 from .telemetry import LifecycleFold
 from .tenancy import FairAdmission, TenancyConfig, TenantStats
@@ -110,6 +110,8 @@ class FleetConfig:
     max_skew:
         Group-join bound of the ``fusion`` intra-replica policy
         (seconds); see :class:`~repro.core.scheduler.SchedulerConfig`.
+        ``intra_concurrency``, ``intra_policy`` and ``max_skew`` make up
+        :attr:`scheduler`, which checks them.
     data_plane:
         Attach the fleet-shared semantic result & candidate cache
         (DESIGN.md §12): request memoization, in-flight coalescing and
@@ -118,8 +120,8 @@ class FleetConfig:
         fleet built before the plane existed.
     data_plane_config:
         Tunables of the plane (:class:`~repro.core.data_plane.DataPlaneConfig`);
-        ``None`` takes the defaults.  Only meaningful with
-        ``data_plane=True``.
+        ``None`` takes the defaults.  Rejected without
+        ``data_plane=True``, which alone builds a plane.
     shared_embedding_cache:
         Promote the per-engine §4.4 embedding row cache to one
         fleet-shared refcounted directory (DESIGN.md §12 layer 3): a
@@ -151,15 +153,18 @@ class FleetConfig:
             raise ValueError("dispatch_overhead_ms must be >= 0")
         if not 0 < self.ewma_alpha <= 1:
             raise ValueError("ewma_alpha must lie in (0, 1]")
-        if self.intra_concurrency < 1:
-            raise ValueError("intra_concurrency must be >= 1")
-        if self.intra_policy not in SCHEDULING_POLICIES:
-            known = ", ".join(SCHEDULING_POLICIES)
-            raise ValueError(
-                f"unknown intra-replica policy {self.intra_policy!r}; known: {known}"
-            )
-        if self.max_skew < 0:
-            raise ValueError("max_skew must be >= 0")
+        if self.data_plane_config is not None and not self.data_plane:
+            raise ValueError("data_plane_config needs data_plane=True")
+        self.scheduler  # SchedulerConfig checks the intra-replica knobs
+
+    @property
+    def scheduler(self) -> SchedulerConfig:
+        """Every replica's :class:`~repro.core.scheduler.SchedulerConfig`."""
+        return SchedulerConfig(
+            policy=self.intra_policy,
+            max_concurrency=self.intra_concurrency,
+            max_skew=self.max_skew,
+        )
 
 
 @dataclass
@@ -642,7 +647,7 @@ class FleetService:
             self._model,
             profile,
             config=self._config,
-            max_concurrency=self.fleet_config.intra_concurrency,
+            scheduler=self.fleet_config.scheduler,
             shared_weights=self.fleet_config.shared_weight_plane,
             embedding_plane=self.embedding_plane,
             event_log=self.events,
@@ -1083,8 +1088,6 @@ class FleetService:
         if wave_inputs:
             wave = replica.service.serve_requests(
                 [selection for _, selection, _ in wave_inputs],
-                policy=cfg.intra_policy,
-                max_skew=cfg.max_skew,
                 cancels=[cancel for _, _, cancel in wave_inputs],
             )
             by_scheduler_id = {
@@ -1551,8 +1554,6 @@ class FleetService:
                     tenant=request.tenant,
                 )
             ],
-            policy=self.fleet_config.intra_policy,
-            max_skew=self.fleet_config.max_skew,
             cancels=[max(0.0, outcome.finish - backup.local_now)],
         )
         for drop in wave.dropped:

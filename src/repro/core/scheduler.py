@@ -28,9 +28,10 @@ scheduler that time-multiplexes several in-flight passes on the single
   one simulated timeline; a request's end-to-end latency is simply its
   span on that axis, and queue/service/e2e decompose exactly.
 * **Determinism** — the simulator has no hidden randomness, so the
-  schedule itself is a deterministic artifact: :meth:`trace_text`
-  renders the step sequence canonically and identical inputs produce
-  byte-identical schedules (asserted in ``tests/test_scheduler.py``).
+  schedule itself is a deterministic artifact: with an event log
+  attached to the device and the scheduler, identical inputs produce
+  byte-identical ``admit``/``dispatch``/``step``/``complete`` lines
+  (asserted in ``tests/test_scheduler.py``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,11 @@ SCHEDULING_POLICIES = ("fifo", "round_robin", "priority", "fusion")
 class SchedulerConfig:
     """Knobs for a :class:`DeviceScheduler`.
 
+    The one description of how a device schedules its waves: a
+    :class:`~repro.core.service.SemanticSelectionService` takes it when
+    it is built and serves every wave with it, so a bad value fails
+    there, not at the first drain.
+
     Parameters
     ----------
     policy:
@@ -71,7 +77,8 @@ class SchedulerConfig:
         the cap to preempt in-flight batch work (overshoot bounded by
         the number of concurrent higher-priority requests).
     max_skew:
-        ``fusion`` only: the longest (simulated seconds) an arrival may
+        ``fusion`` only (a positive value under any other policy is
+        rejected): the longest (simulated seconds) an arrival may
         be held back to join a *fresh* fused group at layer 0 rather
         than start skewed behind a group already deep into its sweep.
         ``0.0`` admits arrivals immediately (they catch up and fuse
@@ -101,8 +108,12 @@ class SchedulerConfig:
             raise ValueError("quantum_layers must be >= 1")
         if self.max_concurrency < 1:
             raise ValueError("max_concurrency must be >= 1")
-        if self.max_skew < 0:
+        if not self.max_skew >= 0:
             raise ValueError("max_skew must be >= 0")
+        if self.max_skew > 0 and self.policy != "fusion":
+            raise ValueError(
+                f"max_skew applies only to the fusion policy, not {self.policy!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -158,16 +169,6 @@ class DroppedRequest:
     #: Submitting tenant on tiers with multi-tenant admission
     #: (DESIGN.md §13); ``None`` outside the tenancy plane.
     tenant: str | None = None
-
-
-@dataclass
-class StepEvent:
-    """One executed layer step — the unit of the schedule trace."""
-
-    request_id: int
-    step_index: int  # per-task step counter
-    start: float
-    end: float
 
 
 @dataclass
@@ -285,7 +286,12 @@ class DeviceScheduler:
         #: Observability sink (DESIGN.md §10); ``None`` observes nothing
         #: and changes nothing — selections stay byte-identical.
         self.events = event_log
-        self.trace: list[StepEvent] = []
+        #: Fused-group provenance, kept step by step: the size of each
+        #: run of consecutive steps sharing one step index, the index
+        #: of the open run, and the run each request's first step joined.
+        self._group_sizes: list[int] = []
+        self._group_step: int | None = None
+        self._first_group: dict[int, int] = {}
         #: Requests dropped instead of completed (shed / cancelled),
         #: in drop order; see :class:`DroppedRequest`.
         self.dropped: list[DroppedRequest] = []
@@ -497,13 +503,14 @@ class DeviceScheduler:
                     if flight.last_step_end is not None and before > flight.last_step_end:
                         flight.preempted = True
                     flight.last_step_end = now
-                    self.trace.append(
-                        StepEvent(
-                            request_id=flight.request.request_id,
-                            step_index=flight.task.steps_taken - 1,
-                            start=before,
-                            end=now,
-                        )
+                    step_index = flight.task.steps_taken - 1
+                    if step_index == self._group_step:
+                        self._group_sizes[-1] += 1
+                    else:
+                        self._group_sizes.append(1)
+                        self._group_step = step_index
+                    self._first_group.setdefault(
+                        flight.request.request_id, len(self._group_sizes) - 1
                     )
                     admit()  # the step advanced the clock; new arrivals may be due
                     if done:
@@ -684,7 +691,7 @@ class DeviceScheduler:
         )
 
     # ------------------------------------------------------------------
-    # statistics & trace
+    # statistics
     # ------------------------------------------------------------------
     def stats(self) -> SchedulerStats:
         first = self._first_arrival if self._first_arrival is not None else 0.0
@@ -694,7 +701,7 @@ class DeviceScheduler:
         )
 
     def fused_group_sizes(self) -> list[int]:
-        """Sizes of the back-to-back same-layer step groups in the trace.
+        """Sizes of the back-to-back same-layer step groups so far.
 
         A *fused group* is a maximal run of consecutive steps sharing
         one step index — the signature of several tasks crossing the
@@ -702,20 +709,12 @@ class DeviceScheduler:
         shared plane, per-task compute charged in sequence).  FIFO
         yields groups of 1; a perfect gang of N yields groups of N.
         """
-        sizes: list[int] = []
-        current_index: int | None = None
-        for event in self.trace:
-            if current_index is not None and event.step_index == current_index:
-                sizes[-1] += 1
-            else:
-                sizes.append(1)
-                current_index = event.step_index
-        return sizes
+        return list(self._group_sizes)
 
     @property
     def mean_fused_occupancy(self) -> float:
         """Mean fused-group size over the executed schedule."""
-        sizes = self.fused_group_sizes()
+        sizes = self._group_sizes
         return float(np.mean(sizes)) if sizes else 0.0
 
     def fused_group_ids(self) -> dict[int, int]:
@@ -726,27 +725,4 @@ class DeviceScheduler:
         same layer boundary.  Provenance for
         :class:`~repro.core.api.SelectionResponse`.
         """
-        groups: dict[int, int] = {}
-        group_id = -1
-        current_index: int | None = None
-        for event in self.trace:
-            if current_index is None or event.step_index != current_index:
-                group_id += 1
-                current_index = event.step_index
-            groups.setdefault(event.request_id, group_id)
-        return groups
-
-    def trace_text(self) -> str:
-        """Canonical rendering of the schedule — byte-comparable.
-
-        One line per executed step: which request ran its n-th step
-        over which interval of the simulated timeline.  Two runs over
-        identical inputs must produce identical bytes (determinism is
-        an acceptance bar, not an aspiration).
-        """
-        lines = [
-            f"r{e.request_id:03d} step{e.step_index:04d} "
-            f"{e.start:.9f} -> {e.end:.9f}"
-            for e in self.trace
-        ]
-        return "\n".join(lines)
+        return dict(self._first_group)

@@ -12,9 +12,10 @@ falls below the target, down when there is headroom.
 
 * :meth:`serve_requests` serves a wave of requests at the current
   threshold through the step-multiplexing
-  :class:`~repro.core.scheduler.DeviceScheduler` (DESIGN.md §6): up to
-  ``max_concurrency`` requests share the device, interleaved at layer
-  boundaries, and a deterministic :class:`SampleStride` logs a
+  :class:`~repro.core.scheduler.DeviceScheduler` (DESIGN.md §6), built
+  from the service's one :class:`~repro.core.scheduler.SchedulerConfig`:
+  up to its ``max_concurrency`` requests share the device, interleaved
+  at layer boundaries, and a deterministic :class:`SampleStride` logs a
   ``sample_rate`` fraction of them for idle checking (callers reach it
   through :class:`~repro.core.api.DeviceServer`);
 * :meth:`idle_maintenance` models the device-idle background pass — it
@@ -140,10 +141,12 @@ class SemanticSelectionService:
         Threshold increment per idle pass.
     min_threshold / max_threshold:
         Clamp range for the walk.
-    max_concurrency:
-        In-flight request cap of a :meth:`serve_requests` wave; ``1``
-        keeps the service strictly serial.  Each in-flight request
-        holds its own hidden-state and stream-buffer memory, so the cap
+    scheduler:
+        How every :meth:`serve_requests` wave shares the device
+        (DESIGN.md §6): policy, quantum, in-flight cap, fusion skew and
+        EDF ordering, fixed for the service's life.  ``None`` serves
+        one request at a time, ``fifo``.  Each in-flight request holds
+        its own hidden-state and stream-buffer memory, so the cap
         bounds serving overhead.
     shared_weights:
         Serve concurrent requests from one refcounted weight plane
@@ -171,7 +174,7 @@ class SemanticSelectionService:
         step: float = 0.05,
         min_threshold: float = 0.02,
         max_threshold: float = 1.5,
-        max_concurrency: int = 1,
+        scheduler: SchedulerConfig | None = None,
         shared_weights: bool = False,
         embedding_plane: SharedEmbeddingCache | None = None,
         event_log=None,
@@ -185,8 +188,6 @@ class SemanticSelectionService:
             raise ValueError("step must be positive")
         if not 0 <= min_threshold < max_threshold:
             raise ValueError("need 0 <= min_threshold < max_threshold")
-        if max_concurrency < 1:
-            raise ValueError("max_concurrency must be >= 1")
         self.model = model
         self.profile = profile
         self.config = config or PrismConfig(numerics=False)
@@ -197,7 +198,7 @@ class SemanticSelectionService:
         self.step = step
         self.min_threshold = min_threshold
         self.max_threshold = max_threshold
-        self.max_concurrency = max_concurrency
+        self.scheduler = scheduler or SchedulerConfig(max_concurrency=1)
 
         self.device: Device = profile.create()
         #: Fleet-shared embedding residency (DESIGN.md §12 layer 3);
@@ -218,8 +219,8 @@ class SemanticSelectionService:
         self._stride = SampleStride(sample_rate)
         #: The scheduler of the most recent :meth:`serve_requests`
         #: wave — its ``stats()`` (lane percentiles, queue waits,
-        #: throughput) and ``trace_text()`` stay reachable after the
-        #: wave completes.
+        #: throughput) and fused groups stay reachable after the wave
+        #: completes.
         self.last_scheduler: DeviceScheduler | None = None
 
     # ------------------------------------------------------------------
@@ -249,17 +250,13 @@ class SemanticSelectionService:
         self,
         requests: "Sequence[SelectionRequest]",
         *,
-        policy: str = "round_robin",
-        quantum_layers: int = 1,
-        max_skew: float = 0.0,
-        edf: bool = False,
         cancels: Sequence[float | None] | None = None,
     ) -> DeviceWave:
         """Serve one wave of :class:`~repro.core.api.SelectionRequest`\\ s.
 
         The request-centric serving core (DESIGN.md §8): requests are
-        submitted to a :class:`DeviceScheduler` (DESIGN.md §6) capped
-        at the service's ``max_concurrency`` and driven to completion.
+        submitted to a :class:`DeviceScheduler` (DESIGN.md §6) built
+        from :attr:`scheduler` and driven to completion.
         Request ``arrival``/``deadline`` offsets are resolved against
         the call instant; ``cancels`` (aligned with ``requests``) adds
         per-request cancellation offsets on the same axis.  Deadline
@@ -271,7 +268,7 @@ class SemanticSelectionService:
         the deterministic :class:`SampleStride` (or the request's
         ``sample`` override); only completed requests enter the
         idle-check log.  The scheduler stays reachable as
-        :attr:`last_scheduler` for ``stats()`` and ``trace_text()``.
+        :attr:`last_scheduler` for ``stats()`` and the fused groups.
 
         A fleet replica serves every dispatched batch as one such wave,
         partial-overlap residue passes (DESIGN.md §12) and hedge
@@ -282,8 +279,8 @@ class SemanticSelectionService:
             raise ValueError("cancels must match requests")
         if (
             self.engine.weight_plane is not None
-            and policy == "fifo"
-            and self.max_concurrency > 1
+            and self.scheduler.policy == "fifo"
+            and self.scheduler.max_concurrency > 1
             and len(requests) > 1
         ):
             # Run-to-completion over the plane keeps every admitted
@@ -301,17 +298,7 @@ class SemanticSelectionService:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        scheduler = DeviceScheduler(
-            self.engine,
-            SchedulerConfig(
-                policy=policy,
-                quantum_layers=quantum_layers,
-                max_concurrency=self.max_concurrency,
-                max_skew=max_skew,
-                edf=edf,
-            ),
-            event_log=self.events,
-        )
+        scheduler = DeviceScheduler(self.engine, self.scheduler, event_log=self.events)
         origin = self.device.clock.now
         request_ids: list[int] = []
         for index, request in enumerate(requests):

@@ -24,7 +24,7 @@ therefore always means a real behaviour change, never noise.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -45,7 +45,7 @@ from .events import (
 )
 from .fleet import FleetConfig, FleetService
 from .resilience import AutoscalerConfig, ResilienceConfig
-from .scheduler import LANE_BATCH
+from .scheduler import LANE_BATCH, SchedulerConfig
 from .service import SemanticSelectionService
 from .tenancy import TenancyConfig
 from .telemetry import EventFold, LifecycleFold, TierSummary, lifecycle_key
@@ -57,8 +57,10 @@ TRACE_VERSION = 1
 #: Tiers a trace can drive end-to-end.
 TRACE_TIERS = ("engine", "device", "fleet")
 
-#: The device-tier scheduler knobs a spec's ``device`` dict may set.
-DEVICE_KNOBS = ("policy", "quantum_layers", "max_skew", "edf", "max_concurrency", "shared_weights")
+#: The device-tier knobs a spec's ``device`` dict may set: the
+#: :class:`~repro.core.scheduler.SchedulerConfig` fields, and the
+#: service's shared weight plane.
+DEVICE_KNOBS = tuple(f.name for f in fields(SchedulerConfig)) + ("shared_weights",)
 
 
 # ---------------------------------------------------------------------------
@@ -146,13 +148,16 @@ class TraceRequest:
 class TraceSpec:
     """The serving stack a trace runs against (the JSONL header body).
 
-    ``device`` holds device-tier scheduler knobs (:data:`DEVICE_KNOBS`);
+    ``device`` holds device-tier knobs (:data:`DEVICE_KNOBS`), from
+    which the device tier's :attr:`scheduler` is built with the
+    defaults ``round_robin`` and cap 1 (DESIGN.md §6);
     ``fleet`` holds :class:`~repro.core.fleet.FleetConfig` kwargs;
     ``resilience`` / ``autoscaler`` hold the §9 config kwargs (``None``
     = defaults / disabled); ``faults`` holds
     :class:`~repro.device.faults.FaultEvent` kwargs with instants
-    relative to the serving origin.  A knob the tier would not read is
-    rejected, never ignored (DESIGN.md §10).
+    relative to the serving origin.  A knob the tier would not read,
+    or a device knob value the scheduler rejects, fails when the spec
+    is built, never at serving time (DESIGN.md §10).
     """
 
     tier: str
@@ -163,6 +168,9 @@ class TraceSpec:
     resilience: dict[str, Any] | None = None
     autoscaler: dict[str, Any] | None = None
     faults: tuple[dict[str, Any], ...] = ()
+    #: The device tier's scheduling, built from ``device``; ``None`` on
+    #: the other tiers.
+    scheduler: SchedulerConfig | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.tier not in TRACE_TIERS:
@@ -187,6 +195,10 @@ class TraceSpec:
         ]
         if ignored:
             raise ValueError(f"the {self.tier} tier would ignore {', '.join(ignored)}")
+        if self.tier == "device":
+            knobs = {"policy": "round_robin", "max_concurrency": 1, **self.device}
+            knobs.pop("shared_weights", None)
+            object.__setattr__(self, "scheduler", SchedulerConfig(**knobs))
 
     def to_payload(self) -> dict[str, Any]:
         return {
@@ -274,27 +286,19 @@ def build_server(
             device.install_faults(spec.fault_events(), origin=device.clock.now)
         return EngineServer(engine), device.clock
     if spec.tier == "device":
-        knobs = dict(spec.device)
         service = SemanticSelectionService(
             model,
             profiles[0],
             config=config,
-            max_concurrency=knobs.get("max_concurrency", 1),
-            shared_weights=knobs.get("shared_weights", False),
+            scheduler=spec.scheduler,
+            shared_weights=spec.device.get("shared_weights", False),
             event_log=log,
         )
         if spec.faults:
             service.device.install_faults(
                 spec.fault_events(), origin=service.device.clock.now
             )
-        server = DeviceServer(
-            service,
-            policy=knobs.get("policy", "round_robin"),
-            quantum_layers=knobs.get("quantum_layers", 1),
-            max_skew=knobs.get("max_skew", 0.0),
-            edf=knobs.get("edf", False),
-        )
-        return server, service.device.clock
+        return DeviceServer(service), service.device.clock
     fleet = FleetService(
         model,
         profiles,

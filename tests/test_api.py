@@ -47,12 +47,12 @@ def make_engine(config=None):
     return engine
 
 
-def make_service(max_concurrency=2, shared_weights=False, sample_rate=0.25):
+def make_service(max_concurrency=2, policy="fifo", shared_weights=False, sample_rate=0.25):
     return SemanticSelectionService(
         shared_model(QWEN3_0_6B),
         get_profile("nvidia_5070"),
         config=PrismConfig(numerics=False),
-        max_concurrency=max_concurrency,
+        scheduler=SchedulerConfig(policy=policy, max_concurrency=max_concurrency),
         shared_weights=shared_weights,
         sample_rate=sample_rate,
     )
@@ -126,7 +126,7 @@ class TestCrossTierEquivalence:
         results = {}
         for name, server in (
             ("engine", EngineServer(make_engine())),
-            ("device", DeviceServer(make_service(max_concurrency=1), policy="fifo")),
+            ("device", DeviceServer(make_service(max_concurrency=1, policy="fifo"))),
             ("fleet", FleetServer(make_fleet(num_replicas=1))),
         ):
             responses = serve_all(server, wave())
@@ -139,7 +139,7 @@ class TestCrossTierEquivalence:
     def test_interleaved_device_tier_matches_engine_tier(self):
         engine_responses = serve_all(EngineServer(make_engine()), wave(4))
         device_responses = serve_all(
-            DeviceServer(make_service(max_concurrency=4), policy="round_robin"), wave(4)
+            DeviceServer(make_service(max_concurrency=4, policy="round_robin")), wave(4)
         )
         def sel(responses):
             return {r.request_id: tuple(r.result.top_indices.tolist()) for r in responses}
@@ -242,9 +242,9 @@ class TestDeadlines:
     def test_shed_request_never_reaches_engine(self):
         """Satellite: a shed request is dropped at admission — the
         engine's request counter never moves for it."""
-        service = make_service(max_concurrency=1)
+        service = make_service(max_concurrency=1, policy="fifo")
         engine = service.engine
-        server = DeviceServer(service, policy="fifo")
+        server = DeviceServer(service)
         counter = engine._request_counter
         requests = [
             SelectionRequest(batch=make_batch(query_idx=0), k=3, request_id="head"),
@@ -301,8 +301,8 @@ class TestCancellation:
         """Satellite: a cancelled mid-pass request drops its PlanePass
         refcounts at the next layer boundary — no leaked layer buffers,
         and the surviving request completes normally."""
-        service = make_service(max_concurrency=2, shared_weights=True)
-        server = DeviceServer(service, policy="fusion")
+        service = make_service(max_concurrency=2, policy="fusion", shared_weights=True)
+        server = DeviceServer(service)
         server.submit(SelectionRequest(batch=make_batch(query_idx=0), k=3, request_id="keep"))
         victim = server.submit(
             SelectionRequest(batch=make_batch(query_idx=1), k=3, request_id="kill")
@@ -323,8 +323,8 @@ class TestCancellation:
     def test_mid_pass_cancel_frees_private_stream_buffers(self):
         """Without the shared plane, a cancelled task's namespaced
         stream buffers are freed by the generator teardown."""
-        service = make_service(max_concurrency=2)
-        server = DeviceServer(service, policy="round_robin")
+        service = make_service(max_concurrency=2, policy="round_robin")
+        server = DeviceServer(service)
         server.submit(SelectionRequest(batch=make_batch(query_idx=0), k=3, request_id="keep"))
         victim = server.submit(
             SelectionRequest(batch=make_batch(query_idx=1), k=3, request_id="kill")
@@ -410,8 +410,8 @@ class TestFleetHedging:
 
 class TestResponseTiming:
     def test_latency_decomposition(self):
-        service = make_service(max_concurrency=1)
-        responses = serve_all(DeviceServer(service, policy="fifo"), wave(2))
+        service = make_service(max_concurrency=1, policy="fifo")
+        responses = serve_all(DeviceServer(service), wave(2))
         for response in responses:
             assert response.e2e_seconds >= response.service_seconds >= 0
             assert response.queue_seconds >= 0
@@ -439,8 +439,8 @@ class TestResponseTiming:
         assert response.threshold == pytest.approx(service.threshold)
 
     def test_fused_group_provenance(self):
-        service = make_service(max_concurrency=2, shared_weights=True)
-        responses = serve_all(DeviceServer(service, policy="fusion"), wave(2))
+        service = make_service(max_concurrency=2, policy="fusion", shared_weights=True)
+        responses = serve_all(DeviceServer(service), wave(2))
         groups = {r.request_id: r.fused_group for r in responses}
         # A gang admitted together crosses layer 0 back-to-back: both
         # requests' first steps land in the same fused group.

@@ -176,6 +176,27 @@ class TestServe:
         error = capsys.readouterr().err.splitlines()[-1]
         assert flags[0].lstrip("-") in error and tier in error
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [(["--policy", "warp"], "'warp'"), (["--concurrency", "0"], "max_concurrency")],
+        ids=["policy-warp", "concurrency-0"],
+    )
+    def test_bad_device_flag_value_is_a_usage_error(
+        self, flags, named, tmp_path, capsys, monkeypatch
+    ):
+        """A value the device scheduler rejects fails with the spec,
+        before any request is packed, instead of with a traceback."""
+
+        def no_packing(*args, **kwargs):
+            raise AssertionError("a request was packed")
+
+        monkeypatch.setattr("repro.data.workloads.build_batches", no_packing)
+        path = self._request_file(tmp_path, self.CLEAN)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", str(path), "--tier", "device", *flags])
+        assert exit_info.value.code == 2
+        assert named in capsys.readouterr().err.splitlines()[-1]
+
 
 class TestServeRequestList:
     """``serve`` on a JSON request list mixing datasets and candidate counts.

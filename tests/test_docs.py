@@ -4,13 +4,25 @@ Module docstrings cite design sections as ``DESIGN.md §N``.  These
 tests grep every source file for such references and fail when the
 cited section heading is missing from DESIGN.md — so a doc
 reorganisation cannot silently strand the citations, and a new
-citation cannot point at a section that was never written.
+citation cannot point at a section that was never written.  The
+serving calls the README and docs/ show are checked against the
+code's signatures the same way, so a removed knob cannot stay
+documented.
 """
 
+import ast
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
+
+from repro.core.api import DeviceServer
+from repro.core.fleet import FleetConfig, FleetService
+from repro.core.scheduler import SchedulerConfig
+from repro.core.service import SemanticSelectionService
+from repro.core.trace import TraceSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DESIGN_MD = REPO_ROOT / "DESIGN.md"
@@ -330,3 +342,117 @@ def test_readme_points_at_data_plane():
     readme = (REPO_ROOT / "README.md").read_text()
     assert "cli cache" in readme
     assert "DataPlaneStats" in readme
+
+
+# ----------------------------------------------------------------------
+# The docs' serving calls against the code's signatures
+# ----------------------------------------------------------------------
+DOC_PAGES = (REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md")))
+PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.MULTILINE | re.DOTALL)
+
+
+def python_blocks() -> list[tuple[str, str]]:
+    """Every python code block of the README and docs/: (where, source)."""
+    blocks = []
+    for page in DOC_PAGES:
+        text = page.read_text()
+        for match in PYTHON_BLOCK.finditer(text):
+            line = text.count("\n", 0, match.start()) + 2
+            blocks.append((f"{page.relative_to(REPO_ROOT)}:{line}", match.group(1)))
+    return blocks
+
+
+#: The serving surface the docs' calls are checked against.
+SERVING_SURFACE = {
+    "SemanticSelectionService": SemanticSelectionService,
+    "DeviceServer": DeviceServer,
+    "SchedulerConfig": SchedulerConfig,
+    "FleetConfig": FleetConfig,
+    "FleetService": FleetService,
+    "FleetService.homogeneous": FleetService.homogeneous,
+    "TraceSpec": TraceSpec,
+    "serve_requests": SemanticSelectionService.serve_requests,
+}
+#: Where a surface's ``**kwargs`` go: (the surface they reach, the
+#: function whose call forwards them).
+FORWARDS = {
+    "FleetService": ("SemanticSelectionService", FleetService._spawn_replica),
+    "FleetService.homogeneous": ("FleetService", FleetService.homogeneous),
+}
+
+
+def accepted_keywords(name: str) -> set[str]:
+    """The keywords a call to the serving surface ``name`` may pass;
+    ``**kwargs`` are followed to the signature they reach, less what
+    the forwarding call fills itself, by position or by name."""
+    kinds = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    accepted = {
+        parameter
+        for parameter, spec in inspect.signature(SERVING_SURFACE[name]).parameters.items()
+        if spec.kind in kinds and parameter not in ("self", "cls")
+    }
+    if name in FORWARDS:
+        target, holder = FORWARDS[name]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(holder)))
+        (call,) = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and any(kw.arg is None for kw in node.keywords)
+        ]
+        filled = set(list(inspect.signature(SERVING_SURFACE[target]).parameters)[: len(call.args)])
+        filled |= {kw.arg for kw in call.keywords if kw.arg is not None}
+        accepted |= accepted_keywords(target) - filled
+    return accepted
+
+
+def serving_calls(source: str) -> list[tuple[str, list[str]]]:
+    """(surface name, keywords passed) of each serving call in a block."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "homogeneous":
+            name = "FleetService.homogeneous"
+        else:
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in SERVING_SURFACE:
+            calls.append((name, [kw.arg for kw in node.keywords if kw.arg is not None]))
+    return calls
+
+
+def test_docs_python_blocks_parse():
+    blocks = python_blocks()
+    assert len(blocks) >= 11, "the docs' python blocks are no longer found"
+    for where, source in blocks:
+        try:
+            ast.parse(source)
+        except SyntaxError as error:
+            pytest.fail(f"{where}: python block does not parse: {error}")
+
+
+def test_docs_serving_calls_match_signatures():
+    """Every serving call the docs show passes only keywords its
+    signature accepts, so a removed or renamed knob cannot stay
+    documented."""
+    stale = []
+    checked = 0
+    for where, source in python_blocks():
+        for name, keywords in serving_calls(source):
+            checked += 1
+            unknown = sorted(set(keywords) - accepted_keywords(name))
+            if unknown:
+                stale.append(f"{where}: {name}(...) passes {unknown}")
+    assert checked >= 8, "the docs show fewer serving calls than expected"
+    assert not stale, "\n".join(stale)
+
+
+def test_forwarded_keywords_reach_the_service():
+    """The forwarding rule itself: a fleet passes the service's
+    calibration knobs through, and not what each replica sets itself."""
+    fleet = accepted_keywords("FleetService")
+    assert {"sample_rate", "precision_target", "event_log"} <= fleet
+    assert not {"scheduler", "shared_weights", "events_replica"} & fleet
+    homogeneous = accepted_keywords("FleetService.homogeneous")
+    assert {"num_replicas", "profile", "fleet_config", "sample_rate"} <= homogeneous
+    assert "profiles" not in homogeneous

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.config import PrismConfig
+from repro.core.data_plane import DataPlaneConfig
 from repro.core.fleet import (
     ROUTING_POLICIES,
     FleetConfig,
     FleetService,
 )
+from repro.core.scheduler import SchedulerConfig
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
 from repro.device.platforms import get_profile
@@ -63,6 +65,20 @@ class TestConfigValidation:
     def test_bad_ewma_alpha(self):
         with pytest.raises(ValueError):
             FleetConfig(ewma_alpha=0.0)
+
+    def test_max_skew_off_fusion_rejected(self):
+        """The group-join bound is read only by the ``fusion`` policy;
+        a round-robin fleet used to build with it and ignore it."""
+        with pytest.raises(ValueError, match="only to the fusion policy"):
+            FleetConfig(max_skew=5.0)
+        assert FleetConfig(intra_policy="fusion", max_skew=5.0).scheduler.max_skew == 5.0
+
+    def test_data_plane_config_needs_the_plane(self):
+        """Plane tunables without ``data_plane=True`` used to build a
+        fleet with no plane at all."""
+        with pytest.raises(ValueError, match="data_plane=True"):
+            FleetConfig(data_plane_config=DataPlaneConfig(min_overlap=0.9))
+        assert FleetConfig(data_plane=True, data_plane_config=DataPlaneConfig()).data_plane
 
     def test_needs_replicas(self):
         with pytest.raises(ValueError):
@@ -297,6 +313,14 @@ class TestIntraReplicaConcurrency:
     def test_bad_intra_policy_rejected(self):
         with pytest.raises(ValueError):
             FleetConfig(intra_concurrency=2, intra_policy="lottery")
+
+    def test_replicas_serve_the_fleet_scheduler(self):
+        """Every replica's service is built with the one
+        ``SchedulerConfig`` the fleet's intra-replica knobs describe."""
+        fleet = make_fleet(2, intra_concurrency=3, intra_policy="fusion", max_skew=0.5)
+        expected = SchedulerConfig(policy="fusion", max_concurrency=3, max_skew=0.5)
+        assert fleet.fleet_config.scheduler == expected
+        assert all(replica.service.scheduler == expected for replica in fleet.replicas)
 
     def test_selections_identical_to_serial_fleet(self, batches):
         serial = make_fleet(2, max_batch=3)

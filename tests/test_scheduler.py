@@ -13,6 +13,7 @@ from repro.baselines import (
 from repro.core.api import DeviceServer, EngineServer, SelectionRequest, serve_all
 from repro.core.config import PrismConfig
 from repro.core.engine import PrismEngine
+from repro.core.events import EventLog
 from repro.core.scheduler import (
     LANE_BATCH,
     LANE_INTERACTIVE,
@@ -163,6 +164,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SchedulerConfig(policy="fusion", max_skew=-0.1)
 
+    @pytest.mark.parametrize("policy", ("fifo", "round_robin", "priority"))
+    def test_max_skew_off_fusion_rejected(self, policy):
+        """Only ``fusion`` holds arrivals back: elsewhere a skew bound
+        served the same instants as none at all."""
+        with pytest.raises(ValueError, match="only to the fusion policy"):
+            SchedulerConfig(policy=policy, max_skew=5.0)
+        assert SchedulerConfig(policy=policy, max_skew=0.0).max_skew == 0.0
+
     def test_past_arrival_rejected(self):
         engine = make_prism()
         scheduler = DeviceScheduler(engine)
@@ -191,12 +200,15 @@ class TestConfigValidation:
             DeviceScheduler(engine)
 
 
-def _mixed_workload(engine, policy, quantum_layers=1, max_concurrency=4):
+def _mixed_workload(engine, policy, quantum_layers=1, max_concurrency=4, event_log=None):
+    if event_log is not None:
+        engine.device.attach_event_log(event_log)
     scheduler = DeviceScheduler(
         engine,
         SchedulerConfig(
             policy=policy, quantum_layers=quantum_layers, max_concurrency=max_concurrency
         ),
+        event_log=event_log,
     )
     now = engine.device.clock.now
     scheduler.submit_request(make_batch(num_candidates=16, query_idx=0), 8, arrival=now)
@@ -213,13 +225,13 @@ def _mixed_workload(engine, policy, quantum_layers=1, max_concurrency=4):
 class TestDeterminism:
     @pytest.mark.parametrize("policy", ("fifo", "round_robin", "priority", "fusion"))
     def test_byte_identical_schedules(self, policy):
-        """Identical inputs must produce byte-identical schedule traces."""
-        first = _mixed_workload(make_prism(), policy)
-        second = _mixed_workload(make_prism(), policy)
-        first.drain()
-        second.drain()
-        assert first.trace_text() == second.trace_text()
-        assert first.trace_text()  # non-vacuous: the trace has steps
+        """Identical inputs must produce byte-identical schedules: the
+        scheduler's and the engine's event lines, step by step."""
+        first, second = EventLog(), EventLog()
+        _mixed_workload(make_prism(), policy, event_log=first).drain()
+        _mixed_workload(make_prism(), policy, event_log=second).drain()
+        assert first.lines() == second.lines()
+        assert first.filter(kind="step")  # non-vacuous: the schedule has steps
 
     def test_outcomes_deterministic(self):
         a = _mixed_workload(make_prism(), "priority")
@@ -258,10 +270,10 @@ class TestSoloEquivalence:
 
 class TestPolicies:
     def test_fifo_runs_to_completion(self):
-        scheduler = _mixed_workload(make_prism(), "fifo")
-        scheduler.drain()
+        log = EventLog()
+        _mixed_workload(make_prism(), "fifo", event_log=log).drain()
         # FIFO never interleaves: each task's steps are contiguous.
-        order = [event.request_id for event in scheduler.trace]
+        order = [event.request for event in log.filter(kind="step")]
         seen = []
         for request_id in order:
             if not seen or seen[-1] != request_id:
@@ -387,16 +399,16 @@ class TestServiceConcurrentMode:
                 shared_model(QWEN3_0_6B),
                 get_profile("nvidia_5070"),
                 config=PrismConfig(numerics=False),
-                max_concurrency=0,
+                scheduler=SchedulerConfig(max_concurrency=0),
             )
 
-    def _service(self, **kwargs):
+    def _service(self, policy="round_robin", max_concurrency=3, **kwargs):
         defaults = dict(
             model=shared_model(QWEN3_0_6B),
             profile=get_profile("nvidia_5070"),
             config=PrismConfig(numerics=False),
             sample_rate=0.5,
-            max_concurrency=3,
+            scheduler=SchedulerConfig(policy=policy, max_concurrency=max_concurrency),
         )
         defaults.update(kwargs)
         return SemanticSelectionService(**defaults)
@@ -410,11 +422,9 @@ class TestServiceConcurrentMode:
     def test_concurrent_selections_match_serial(self):
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
         serial = serve_all(
-            DeviceServer(self._service(max_concurrency=1), policy="fifo"), self._wave(batches)
+            DeviceServer(self._service("fifo", max_concurrency=1)), self._wave(batches)
         )
-        concurrent = serve_all(
-            DeviceServer(self._service(), policy="round_robin"), self._wave(batches)
-        )
+        concurrent = serve_all(DeviceServer(self._service()), self._wave(batches))
         by_id = {r.request_id: r for r in concurrent}
         for reference in serial:
             assert np.array_equal(
@@ -426,8 +436,8 @@ class TestServiceConcurrentMode:
         """sample_rate=0.5 over 4 requests logs exactly 2 — same as serial,
         and independent of completion order."""
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(4)]
-        service = self._service(sample_rate=0.5)
-        serve_all(DeviceServer(service, policy="priority"), self._wave(batches))
+        service = self._service("priority", sample_rate=0.5)
+        serve_all(DeviceServer(service), self._wave(batches))
         assert service.stats.requests_served == 4
         assert service.stats.requests_sampled == 2
         assert service.pending_samples == 2
@@ -436,7 +446,7 @@ class TestServiceConcurrentMode:
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(3)]
         service = self._service()
         serve_all(
-            DeviceServer(service, policy="round_robin"),
+            DeviceServer(service),
             [
                 SelectionRequest(batch=batch, k=4, sample=sample)
                 for batch, sample in zip(batches, (True, False, True))
@@ -458,13 +468,13 @@ class TestServiceConcurrentMode:
             service.serve_requests(self._wave(batches[:2]), cancels=[None])
         assert service.stats.requests_served == 0
         assert service.last_scheduler is None
-        serve_all(DeviceServer(service, policy="round_robin"), self._wave(batches))
+        serve_all(DeviceServer(service), self._wave(batches))
         assert service.stats.requests_sampled == 2  # same as an untouched stride
 
     def test_idle_maintenance_after_concurrent_wave(self):
         service = self._service(sample_rate=1.0)
         batches = [make_batch(num_candidates=10, query_idx=i) for i in range(2)]
-        serve_all(DeviceServer(service, policy="round_robin"), self._wave(batches))
+        serve_all(DeviceServer(service), self._wave(batches))
         report = service.idle_maintenance()
         assert report is not None
         assert report.samples_checked == 2

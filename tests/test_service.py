@@ -7,6 +7,7 @@ import pytest
 from repro.core.api import DeviceServer, SelectionRequest
 from repro.core.calibration import ThresholdCalibrator
 from repro.core.config import PrismConfig
+from repro.core.scheduler import SchedulerConfig
 from repro.core.service import SemanticSelectionService
 from repro.data.datasets import get_dataset
 from repro.data.workloads import build_batch
@@ -127,13 +128,13 @@ class TestServing:
         whole-model residency only with several passes open: a cap of 1
         serves the wave silently, a cap of 2 still warns."""
         wave = [SelectionRequest(batch=batch, k=5) for batch in batches[:3]]
-        serial = make_service(max_concurrency=1, shared_weights=True)
+        serial = make_service(scheduler=SchedulerConfig(max_concurrency=1), shared_weights=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            serial.serve_requests(wave, policy="fifo")
-        concurrent = make_service(max_concurrency=2, shared_weights=True)
+            serial.serve_requests(wave)
+        concurrent = make_service(scheduler=SchedulerConfig(max_concurrency=2), shared_weights=True)
         with pytest.warns(RuntimeWarning, match="whole-model residency"):
-            concurrent.serve_requests(wave, policy="fifo")
+            concurrent.serve_requests(wave)
 
     def test_apply_threshold_clamps(self):
         service = make_service(min_threshold=0.1, max_threshold=0.5)

@@ -335,6 +335,7 @@ class TestRequestApiThreading:
         the tenant fold behind ``cli serve --tier device`` sees every
         completion under its tenant, not under an empty label."""
         from repro.core.api import DeviceServer, SelectionRequest, serve_all
+        from repro.core.scheduler import SchedulerConfig
         from repro.core.service import SemanticSelectionService
         from repro.core.telemetry import TelemetryCollector
 
@@ -344,7 +345,7 @@ class TestRequestApiThreading:
             shared_model(QWEN3_0_6B),
             get_profile("nvidia_5070"),
             config=PrismConfig(numerics=False),
-            max_concurrency=2,
+            scheduler=SchedulerConfig(policy="round_robin", max_concurrency=2),
             event_log=log,
         )
         requests = [
@@ -356,7 +357,7 @@ class TestRequestApiThreading:
         requests.append(
             SelectionRequest(batch=batches[4], k=2, request_id="late", tenant="c", deadline=1e-6)
         )
-        serve_all(DeviceServer(service, policy="round_robin"), requests)
+        serve_all(DeviceServer(service), requests)
         collector = TelemetryCollector(tenant_tier="device")
         collector.consume(subscription)
         completed = collector.lifecycle.tenant_completed

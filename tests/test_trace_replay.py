@@ -15,6 +15,7 @@ import json
 
 import pytest
 
+from repro.core.scheduler import SchedulerConfig
 from repro.core.tenancy import TenancyConfig
 from repro.core.trace import (
     TRACE_SCHEMA,
@@ -152,6 +153,10 @@ class TestArtifact:
             ),
             ({"tier": "device", "autoscaler": {}}, "autoscaler"),
             ({"tier": "engine", "platforms": ("nvidia_5070", "apple_m2")}, "2 platforms"),
+            ({"tier": "device", "device": {"policy": "warp"}}, "unknown scheduling policy 'warp'"),
+            ({"tier": "device", "device": {"quantum_layers": 0}}, "quantum_layers must be >= 1"),
+            ({"tier": "device", "device": {"max_skew": -1.0}}, "max_skew must be >= 0"),
+            ({"tier": "device", "device": {"max_skew": 5.0}}, "only to the fusion policy"),
         ],
         ids=[
             "misspelt-device-knob",
@@ -160,11 +165,29 @@ class TestArtifact:
             "fleet-and-resilience-on-device",
             "autoscaler-on-device",
             "two-platforms-on-engine",
+            "unknown-device-policy",
+            "zero-quantum",
+            "negative-max-skew",
+            "max-skew-off-fusion",
         ],
     )
     def test_knob_the_tier_ignores_rejected(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             TraceSpec(**kwargs)
+
+    def test_device_spec_fixes_the_service_scheduler(self):
+        """The device tier's ``SchedulerConfig`` is built with the spec,
+        on ``build_server``'s defaults, and the service serves with it."""
+        assert TraceSpec("device").scheduler == SchedulerConfig(
+            policy="round_robin", max_concurrency=1
+        )
+        assert TraceSpec("fleet").scheduler is None
+        spec = TraceSpec("device", device={"policy": "fusion", "max_skew": 0.5, "edf": True})
+        assert spec.scheduler == SchedulerConfig(
+            policy="fusion", max_concurrency=1, max_skew=0.5, edf=True
+        )
+        server, _ = build_server(spec)
+        assert server.service.scheduler is spec.scheduler
 
     @pytest.mark.parametrize("tier", ["engine", "device"])
     def test_tenancy_off_the_fleet_tier_rejected(self, tier):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.config import PrismConfig
 from repro.core.engine import PrismEngine
+from repro.core.events import EventLog
 from repro.core.scheduler import DeviceScheduler, SchedulerConfig
 from repro.core.streaming import WeightPlane
 from repro.data.datasets import get_dataset
@@ -188,17 +189,19 @@ class TestDeterministicFusedTraces:
     def test_identical_runs_identical_traces(self):
         def run():
             engine = make_engine(shared_plane=True)
+            log = EventLog()
+            engine.device.attach_event_log(log)
             config = SchedulerConfig(policy="fusion", max_concurrency=4)
-            scheduler = DeviceScheduler(engine, config)
+            scheduler = DeviceScheduler(engine, config, event_log=log)
             now = engine.device.clock.now
             for idx in range(4):
                 scheduler.submit_request(make_batch(query_idx=idx), 4, arrival=now + idx * 0.01)
             scheduler.drain()
-            return scheduler
+            return scheduler, log
 
-        first, second = run(), run()
-        assert first.trace_text() == second.trace_text()
-        assert first.trace_text()  # non-vacuous
+        (first, first_log), (second, second_log) = run(), run()
+        assert first_log.lines() == second_log.lines()
+        assert first_log.filter(kind="step")  # non-vacuous
         assert first.fused_group_sizes() == second.fused_group_sizes()
 
 
